@@ -200,6 +200,8 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
     Returns
     -------
     ndarray of int8, shape (k,) or (B, k); optionally the decision LLRs.
+
+    Raises ValueError on a length mismatch or any NaN/infinite LLR.
     """
     llrs = np.asarray(llrs, dtype=float)
     batched = llrs.ndim == 2
@@ -207,6 +209,8 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
         llrs = llrs[None, :]
     if llrs.shape[1] != code.n:
         raise ValueError(f"expected {code.n} LLRs, got {llrs.shape[1]}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
     spec = code.spec
     b = llrs.shape[0]
 
@@ -290,7 +294,8 @@ def hex_to_bits(hexstr: str, length: int) -> np.ndarray:
 
 
 def code_to_dict(code: RcpCode) -> dict:
-    return {
+    """JSON-ready form; ``frozen_values`` appears only when the spec sets it."""
+    d = {
         "n": code.n,
         "k": code.k,
         "m": code.m,
@@ -299,6 +304,9 @@ def code_to_dict(code: RcpCode) -> dict:
         "puncture_set": code.spec.puncture_set.tolist(),
         "rep_vector": code.rep_vector.tolist(),
     }
+    if code.spec.frozen_values is not None:
+        d["frozen_values"] = code.spec.frozen_values.tolist()
+    return d
 
 
 def code_from_dict(d: dict) -> RcpCode:
@@ -306,6 +314,7 @@ def code_from_dict(d: dict) -> RcpCode:
         n0=int(d["n0"]),
         info_set=np.array(d["info_set"], dtype=np.int64),
         puncture_set=np.array(d["puncture_set"], dtype=np.int64),
+        frozen_values=d.get("frozen_values"),
     )
     return RcpCode(spec=spec, rep_vector=np.array(d["rep_vector"], dtype=np.int64))
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .channel import LlrDistribution
 from .codec import PolarCodeSpec, RcpCode
-from .reliability import ga_evolve, pe_from_mean, puncture_pattern, select_info_set
+from .reliability import (ga_evolve, pe_from_mean, pe_of_mean, puncture_pattern,
+                          select_info_set)
 
 # Union-bound block error estimates are plain floats in [0, 1].
 BlerEstimate = float
@@ -87,7 +88,7 @@ def build_repetition_plan(info_set, base_means, n_minus_m: int,
             heapq.heappop(heap)
         r[step] = chan_idx
         means[slot] += channel.mean
-        new_pe = pe_from_mean(means[slot:slot + 1])[0]
+        new_pe = pe_of_mean(means[slot])
         bler_trace[step + 1] = bler_trace[step] - pe[slot] + new_pe
         pe[slot] = new_pe
         version[slot] += 1

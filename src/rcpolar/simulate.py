@@ -112,7 +112,8 @@ def run_trial(codes, info_bits, params: ChannelParams, rng,
     for all potential rounds is drawn in a single call, so outcomes do not
     depend on how many rounds end up being used.  ``channel_fn`` replaces the
     AWGN channel for fault injection; it receives
-    ``(codeword_bits, params, rng, trial_index)`` and returns the LLR word.
+    ``(codeword_bits, params, rng, trial_index)`` and returns the LLR word,
+    which must be finite.
     """
     _validate_family(codes)
     info_bits = np.asarray(info_bits, dtype=np.int8)
@@ -122,6 +123,8 @@ def run_trial(codes, info_bits, params: ChannelParams, rng,
         llr = transmit_with_rng(tx, params, rng)
     else:
         llr = np.asarray(channel_fn(tx, params, rng, trial_index), dtype=float)
+        if not np.isfinite(llr).all():
+            raise ValueError(f"channel_fn gave non-finite LLRs, trial {trial_index}")
 
     fail_flags = []
     success_round = None
@@ -266,7 +269,8 @@ def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
 def _report_from_counts(scheme, params, trials, base_seed, counts,
                         lengths) -> SimReport:
     r = counts["trials"]
-    assert r == trials
+    if r != trials:
+        raise ValueError(f"counted {r} trials, expected {trials}")
     t_rounds = len(lengths)
     pr_e = counts["fails"] / r
     pr_first = counts["first_success"] / r

@@ -238,3 +238,27 @@ def test_golden_vectors_regression_file():
     with open("tests/data/golden_vectors.jsonl") as fp:
         results = list(check_golden_vectors(fp))
     assert results and all(ok for _, ok in results)
+
+
+def test_code_json_round_trip_keeps_frozen_values():
+    spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
+                         frozen_values=np.array([1, 0, 1, 0]))
+    code = RcpCode(spec=spec, rep_vector=np.array([3, 7]))
+    back = code_from_dict(code_to_dict(code))
+    assert back.spec.frozen_values is not None
+    assert back.spec.frozen_values.tolist() == [1, 0, 1, 0]
+    info = np.array([1, 0, 1, 1], dtype=np.int8)
+    assert np.array_equal(rcp_encode(info, back), rcp_encode(info, code))
+    plain = code_from_dict(code_to_dict(RcpCode(spec=_plain_spec(4, [1, 3]))))
+    assert plain.spec.frozen_values is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sc_decode_rejects_non_finite_llrs(bad):
+    code = RcpCode(spec=_plain_spec(8, [3, 5, 6, 7]))
+    with pytest.raises(ValueError):
+        sc_decode(np.full(8, bad), code)
+    llr = np.ones((3, 8))
+    llr[1, 4] = bad
+    with pytest.raises(ValueError):
+        sc_decode(llr, code)

@@ -124,6 +124,9 @@ def test_puncture_pattern_validity():
     for n0 in (4, 8, 16, 32, 64):
         for m in range(n0 // 2 + 1, n0 + 1):
             p = puncture_pattern(n0, m)
+            nbits = int(np.log2(n0))
+            ref = sorted(bit_reverse(i, nbits) for i in range(n0 - m))
+            assert p.tolist() == ref
             assert p.size == n0 - m
             assert np.unique(p).size == p.size
             if p.size:

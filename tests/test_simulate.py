@@ -5,7 +5,8 @@ from rcpolar.channel import (ChannelParams, LLR_CLAMP,
                              channel_llr_distribution, noise_stream)
 from rcpolar.codec import rcp_encode
 from rcpolar.design import HarqScheme, design_scheme
-from rcpolar.simulate import (bler_monte_carlo, bound_check,
+from rcpolar.simulate import (_empty_counts, _report_from_counts,
+                              bler_monte_carlo, bound_check,
                               code_family_for_scheme, run_campaign, run_trial)
 
 
@@ -250,3 +251,26 @@ def test_bler_monte_carlo_reproducible_and_bounded():
     assert a == b
     assert 0.0 <= a["bler"] <= 1.0
     assert a["errors"] == round(a["bler"] * a["trials"])
+
+
+def test_trial_rejects_non_finite_channel_output():
+    scheme = _small_scheme()
+    codes, params = _family(scheme)
+    info = np.zeros(scheme.k, dtype=np.int8)
+
+    def nan_channel(bits, params, rng, trial_index):
+        out = np.ones(bits.size)
+        out[-1] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match="channel_fn"):
+        run_trial(codes, info, params, rng=0, channel_fn=nan_channel)
+
+
+def test_report_rejects_trial_count_mismatch():
+    scheme = _small_scheme()
+    counts = _empty_counts(len(scheme.lengths))
+    counts["trials"] = 9
+    with pytest.raises(ValueError):
+        _report_from_counts(scheme, ChannelParams(snr_db=0.0), 10, 0, counts,
+                            list(scheme.lengths))
