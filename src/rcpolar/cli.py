@@ -21,6 +21,8 @@ from .reliability import ga_evolve
 from .simulate import bler_monte_carlo, bound_check, run_campaign
 
 SCHEMA_VERSION = 1
+# Scheme SNRs are matched to the requested ones to within this many dB.
+SNR_MATCH_DB = 1e-9
 
 
 class ConfigError(Exception):
@@ -52,6 +54,9 @@ def _load_config(args) -> dict:
         cfg["out"] = args.out
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
+    threads = cfg["threads"]
+    if type(threads) is not int or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     return cfg
 
 
@@ -157,8 +162,12 @@ def _load_schemes(path: str):
     try:
         doc = json.loads(Path(path).read_text())
         entries = doc["schemes"]
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read schemes from {path}: {exc}")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"{path} has schema_version "
+                          f"{doc.get('schema_version')!r}, expected "
+                          f"{SCHEMA_VERSION}")
     out = []
     for entry in entries:
         s = entry["s"]
@@ -174,11 +183,12 @@ def cmd_simulate(cfg: dict) -> int:
     out = _out_dir(cfg)
     seed = int(cfg["seed"])
     threads = int(cfg["threads"])
-    wanted = set(_snr_list(cfg["snr_db"])) if "snr_db" in cfg else None
+    wanted = _snr_list(cfg["snr_db"]) if "snr_db" in cfg else None
 
     results = []
     for snr, scheme in _load_schemes(str(schemes_path)):
-        if wanted is not None and snr not in wanted:
+        if wanted is not None and not any(abs(snr - w) <= SNR_MATCH_DB
+                                          for w in wanted):
             continue
         params = ChannelParams(snr_db=snr)
         print(f"simulating snr {snr:+.2f} dB, {trials} trials", file=sys.stderr)

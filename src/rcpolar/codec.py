@@ -7,6 +7,13 @@ Conventions (pinned so that golden vectors stay stable):
   * punctured positions enter the decoder as LLR exactly 0 (erasures);
   * repetition LLRs are added at the input-bit decision site of the mapped
     information index, i.e. after the full tree update for that bit.
+
+Invariant behind :func:`sc_decode_nested`: repetition LLRs enter only at
+decision sites, so the tree LLRs at input bit i depend on the channel LLRs
+and the decisions on bits 0..i-1 alone.  Two decodes of the same polar word
+that make identical decisions therefore follow an identical trajectory,
+whatever repetitions they add: every tree LLR, and every decision LLR at a
+bit whose repetition sum is the same, is bit-for-bit equal.
 """
 
 import json
@@ -166,20 +173,43 @@ def rcp_encode(info_bits, code: RcpCode):
     return tx if batched else tx[0]
 
 
-def f_update(a, b):
-    """Exact check-node LLR combination 2*atanh(tanh(a/2)*tanh(b/2)).
+_SIGN_OF_BIT = np.array([1.0, -1.0])
 
-    Evaluated in the numerically stable form
-    sign(a)sign(b)*min(|a|,|b|) + log1p(e^-|a+b|) - log1p(e^-|a-b|).
+
+def _repetition_sums(llrs, code: RcpCode):
+    """Repeated input-bit indices (ascending) and their summed repetition
+    LLRs, shape (len(indices), B); duplicates accumulate in transmit order."""
+    index, slot = np.unique(code.rep_vector, return_inverse=True)
+    sums = np.zeros((index.size, llrs.shape[0]))
+    np.add.at(sums, slot, llrs[:, code.m:code.n].T)
+    return index, sums
+
+
+def _check_node(parent, out, pair, s):
+    """Exact check-node update 2*atanh(tanh(a/2)*tanh(b/2)) into ``out``,
+    where a and b are the two halves of ``parent``.
+
+    Evaluated as sign(a)sign(b) * (min(|a|,|b|) + L(|a|+|b|) - L(||a|-|b||))
+    with L(x) = log1p(exp(-x)), in the scratch arrays ``pair`` (the shape of
+    ``parent``) and ``s`` (the shape of ``out``).  Both L terms go through
+    one exp and one log1p call on ``pair``.
     """
-    return (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-            + np.log1p(np.exp(-np.abs(a + b)))
-            - np.log1p(np.exp(-np.abs(a - b))))
-
-
-def g_update(a, b, bits):
-    """Variable-node LLR combination given the decided upper branch."""
-    return b + (1.0 - 2.0 * bits) * a
+    h = out.shape[0]
+    lo, hi = pair[:h], pair[h:]
+    np.abs(parent, out=pair)
+    np.minimum(lo, hi, out=out)
+    np.add(lo, hi, out=s)
+    np.maximum(lo, hi, out=hi)
+    np.negative(s, out=lo)
+    # -||a|-|b|| = min - max, the same rounded difference with its sign set.
+    np.subtract(out, hi, out=hi)
+    np.exp(pair, out=pair)
+    np.log1p(pair, out=pair)
+    np.add(out, lo, out=out)
+    np.subtract(out, hi, out=out)
+    np.sign(parent, out=pair)
+    np.multiply(lo, hi, out=lo)
+    np.multiply(out, lo, out=out)
 
 
 def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
@@ -212,62 +242,157 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
     spec = code.spec
-    b = llrs.shape[0]
+    n0, b = spec.n0, llrs.shape[0]
+    depth = n0.bit_length() - 1
 
+    # Words are columns: every node's LLRs are a contiguous (width, B) block.
     # Punctured positions are erasures: LLR exactly 0.
-    chan = np.zeros((b, spec.n0))
-    chan[:, spec.transmitted_positions] = llrs[:, : spec.m]
+    chan = np.zeros((n0, b))
+    chan[spec.transmitted_positions] = llrs[:, : spec.m].T
+    rep_index, rep_sums = _repetition_sums(llrs, code)
+    rep_at = dict(zip(rep_index.tolist(), rep_sums))
 
-    # Repetition observations combine additively at the decision site of the
-    # mapped input bit; duplicates accumulate.
-    rep_sum = np.zeros((b, spec.n0))
-    if code.rep_vector.size:
-        np.add.at(rep_sum, (slice(None), code.rep_vector), llrs[:, spec.m:])
+    # Level s (width 2^s) of the current path lives in rows [2^s, 2^(s+1))
+    # of one buffer; the channel word is level `depth`.  Level s is always
+    # computed from the two halves of level s + 1.
+    tree = np.empty((n0, b))
+    levels = [tree[1 << s: 2 << s] for s in range(depth)] + [chan]
+    halves = [(levels[s + 1][: 1 << s], levels[s + 1][1 << s:], levels[s])
+              for s in range(depth)]
+    pair, single = np.empty((n0, b)), np.empty((n0 // 2, b))
+    f_args = [(levels[s + 1], levels[s], pair[: 2 << s], single[: 1 << s])
+              for s in range(depth)]
+    # Partial sums as (-1)^x: a finished node at level s holding leaves
+    # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.
+    signs = np.empty((n0, b))
 
-    frozen_mask = np.ones(spec.n0, dtype=bool)
-    frozen_mask[spec.info_set] = False
-    frozen_bits = np.zeros(spec.n0, dtype=np.int8)
+    info_row = [-1] * n0
+    for j, index in enumerate(spec.info_set.tolist()):
+        info_row[index] = j
+    frozen_sign = np.ones(n0)
     if spec.frozen_values is not None:
-        frozen_bits[spec.frozen_set] = spec.frozen_values
+        frozen_sign[spec.frozen_set] = 1.0 - 2.0 * spec.frozen_values
+    frozen_sign = frozen_sign.tolist()
+    u_hat = np.empty((spec.k, b), dtype=np.int8)
+    dec = np.empty((n0, b)) if return_decision_llrs else None
+    decision = np.empty(b)
+    leaf = levels[0][0]
+    f_ops = g_ops = 0
 
-    u_hat = np.zeros((b, spec.n0), dtype=np.int8)
-    dec_llrs = np.empty((b, spec.n0)) if return_decision_llrs else None
-    pos = 0
+    for i in range(n0):
+        top = depth
+        if i:
+            # Leaf i starts the right child at the level of its lowest set
+            # bit; every node below that on its path is a left child.
+            top = (i & -i).bit_length() - 1
+            h = 1 << top
+            la, lb, out = halves[top]
+            np.multiply(la, signs[i - h:i], out=out)
+            np.add(out, lb, out=out)
+            g_ops += h
+        for s in range(top - 1, -1, -1):
+            _check_node(*f_args[s])
+            f_ops += 1 << s
 
-    def descend(block_llr):
-        nonlocal pos
-        width = block_llr.shape[1]
-        if width == 1:
-            i = pos
-            pos += 1
-            decision = block_llr[:, 0] + rep_sum[:, i]
-            if dec_llrs is not None:
-                dec_llrs[:, i] = decision
-            if frozen_mask[i]:
-                bits = np.full(b, frozen_bits[i], dtype=np.int8)
+        d = leaf
+        rep = rep_at.get(i)
+        if dec is not None or rep is not None:
+            d = decision if dec is None else dec[i]
+            if rep is None:
+                d[:] = leaf
             else:
-                bits = (decision < 0).astype(np.int8)
-            u_hat[:, i] = bits
-            return bits[:, None]
-        half = width // 2
-        la, lb = block_llr[:, :half], block_llr[:, half:]
-        if counter is not None:
-            counter["f_ops"] = counter.get("f_ops", 0) + half
-        x_left = descend(f_update(la, lb))
-        if counter is not None:
-            counter["g_ops"] = counter.get("g_ops", 0) + half
-        x_right = descend(g_update(la, lb, x_left))
-        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+                np.add(leaf, rep, out=d)
+        j = info_row[i]
+        if j < 0:
+            signs[i] = frozen_sign[i]
+        else:
+            bit = u_hat[j]
+            np.less(d, 0.0, out=bit)
+            np.take(_SIGN_OF_BIT, bit, out=signs[i])
+        # Close every node whose last leaf this was: x = (x_L xor x_R, x_R).
+        s = 0
+        while s + 1 < depth and (i >> s) & 1:
+            h = 1 << s
+            lo = i + 1 - 2 * h
+            left = signs[lo:lo + h]
+            np.multiply(left, signs[lo + h:i + 1], out=left)
+            s += 1
 
-    descend(chan)
-    out = u_hat[:, spec.info_set]
+    if counter is not None:
+        counter["f_ops"] = counter.get("f_ops", 0) + f_ops
+        counter["g_ops"] = counter.get("g_ops", 0) + g_ops
+    out = np.ascontiguousarray(u_hat.T)
+    if dec is not None:
+        dec = dec.T
     if not batched:
         out = out[0]
-        if dec_llrs is not None:
-            dec_llrs = dec_llrs[0]
+        if dec is not None:
+            dec = dec[0]
     if return_decision_llrs:
-        return out, dec_llrs
+        return out, dec
     return out
+
+
+def validate_family(codes) -> None:
+    """Raise ValueError unless ``codes`` is a nested family: one mother code,
+    strictly increasing lengths, and repetition vectors that are prefixes of
+    the longest one."""
+    if not codes:
+        raise ValueError("empty code family")
+    spec = codes[0].spec
+    prev_n = 0
+    for code in codes:
+        if code.spec is not spec and not (
+                code.spec.n0 == spec.n0
+                and np.array_equal(code.spec.info_set, spec.info_set)
+                and np.array_equal(code.spec.puncture_set, spec.puncture_set)):
+            raise ValueError("family members must share the mother code")
+        if code.n <= prev_n:
+            raise ValueError("family lengths must be strictly increasing")
+        prev_n = code.n
+    longest = codes[-1].rep_vector
+    for code in codes[:-1]:
+        if not np.array_equal(code.rep_vector,
+                              longest[: code.rep_vector.size]):
+            raise ValueError("repetition vectors must be nested prefixes")
+
+
+def sc_decode_nested(llrs, codes) -> list:
+    """Decode every prefix of a (B, n) LLR batch over a nested code family.
+
+    Returns ``[sc_decode(llrs[:, :c.n], c) for c in codes]``, with the same
+    decisions, but decodes a later round only for the rows where it can
+    change one.  The first round is decoded once and keeps its decision
+    LLRs.  A later round adds repetition LLRs at a few input bits; for each
+    bit not repeated in the first round the new decision is that round's
+    decision LLR plus the new repetition sum, the same two operands
+    :func:`sc_decode` adds.  Rows where none of those decisions flips keep
+    the first round's result; the others are decoded again.  A round that
+    adds repetitions to a bit the first round already repeated cannot be
+    settled that way and is decoded again for every row.
+    """
+    validate_family(codes)
+    llrs = np.asarray(llrs, dtype=float)
+    first = codes[0]
+    base, dec = sc_decode(llrs[:, : first.n], first,
+                          return_decision_llrs=True)
+    info_set = first.spec.info_set
+    results = [base]
+    for code in codes[1:]:
+        added = np.unique(code.rep_vector[first.rep_vector.size:])
+        if np.isin(added, first.rep_vector).any():
+            rows = np.arange(base.shape[0])
+        else:
+            index, sums = _repetition_sums(llrs[:, : code.n], code)
+            new_sums = sums[np.isin(index, added)].T
+            bits = (dec[:, added] + new_sums) < 0
+            flips = bits != base[:, np.searchsorted(info_set, added)]
+            rows = np.flatnonzero(flips.any(axis=1))
+        decoded = base.copy()
+        if rows.size:
+            decoded[rows] = sc_decode(llrs[rows, : code.n], code)
+        results.append(decoded)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import (ChannelParams, channel_llr_distribution, noise_stream,
                       observation_to_llr, transmit_with_rng)
-from .codec import RcpCode, rcp_encode, sc_decode
+from .codec import rcp_encode, sc_decode, sc_decode_nested, validate_family
 from .construct import construct_rcp
 from .design import HarqScheme, build_bler_curve, throughput_estimate
 
@@ -82,27 +82,6 @@ def code_family_for_scheme(scheme: HarqScheme, channel) -> list:
     return [full.prefix(n) for n in scheme.lengths]
 
 
-def _validate_family(codes) -> None:
-    if not codes:
-        raise ValueError("empty code family")
-    spec = codes[0].spec
-    prev_n = 0
-    for code in codes:
-        if code.spec is not spec and not (
-                code.spec.n0 == spec.n0
-                and np.array_equal(code.spec.info_set, spec.info_set)
-                and np.array_equal(code.spec.puncture_set, spec.puncture_set)):
-            raise ValueError("family members must share the mother code")
-        if code.n <= prev_n:
-            raise ValueError("family lengths must be strictly increasing")
-        prev_n = code.n
-    longest = codes[-1].rep_vector
-    for code in codes[:-1]:
-        if not np.array_equal(code.rep_vector,
-                              longest[: code.rep_vector.size]):
-            raise ValueError("repetition vectors must be nested prefixes")
-
-
 def run_trial(codes, info_bits, params: ChannelParams, rng,
               channel_fn=None, trial_index: int = 0,
               measure_all_rounds: bool = False) -> TrialOutcome:
@@ -115,7 +94,7 @@ def run_trial(codes, info_bits, params: ChannelParams, rng,
     ``(codeword_bits, params, rng, trial_index)`` and returns the LLR word,
     which must be finite.
     """
-    _validate_family(codes)
+    validate_family(codes)
     info_bits = np.asarray(info_bits, dtype=np.int8)
     tx = rcp_encode(info_bits, codes[-1])
     rng = noise_stream(rng)
@@ -203,10 +182,8 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
     y = (1.0 - 2.0 * tx) + params.sigma * noise
     llr = observation_to_llr(y, params)
 
-    fails = np.empty((b, len(codes)), dtype=bool)
-    for t, code in enumerate(codes):
-        decoded = sc_decode(llr[:, : code.n], code)
-        fails[:, t] = np.any(decoded != bits, axis=1)
+    fails = np.stack([np.any(decoded != bits, axis=1)
+                      for decoded in sc_decode_nested(llr, codes)], axis=1)
     counts = _empty_counts(len(codes))
     _accumulate(counts, fails, [c.n for c in codes])
     return counts
@@ -230,7 +207,7 @@ def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
         raise ValueError("need at least one trial")
     channel = channel_llr_distribution(params)
     codes = code_family_for_scheme(scheme, channel)
-    _validate_family(codes)
+    validate_family(codes)
     t_rounds = len(codes)
     lengths = [c.n for c in codes]
 

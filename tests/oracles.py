@@ -99,3 +99,58 @@ def throughput_reference(k: int, lengths, blers) -> float:
         consumed += lengths[t - 1] * (chain[t - 1] - chain[t])
     consumed += lengths[-1] * chain[-1]
     return delivered / consumed
+
+
+def _check_node_reference(a, b):
+    """Check-node combination in the stable log1p form of the tanh rule."""
+    return (np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+            + np.log1p(np.exp(-np.abs(a + b)))
+            - np.log1p(np.exp(-np.abs(a - b))))
+
+
+def sc_decode_reference(llrs, code):
+    """Recursive SC decoder over (B, width) blocks, one node per call.
+
+    Takes a (B, n) batch laid out like ``rcpolar.codec.sc_decode`` input and
+    returns ``(decoded (B, k), decision LLRs (B, n0))``.  Punctured
+    positions are LLR 0 and repetition LLRs join at the decision site of
+    their input bit.
+    """
+    llrs = np.asarray(llrs, dtype=float)
+    spec = code.spec
+    b = llrs.shape[0]
+    chan = np.zeros((b, spec.n0))
+    chan[:, spec.transmitted_positions] = llrs[:, : spec.m]
+    rep_sum = np.zeros((b, spec.n0))
+    if code.rep_vector.size:
+        np.add.at(rep_sum, (slice(None), code.rep_vector), llrs[:, spec.m:])
+    frozen_bits = np.zeros(spec.n0, dtype=np.int8)
+    if spec.frozen_values is not None:
+        frozen_bits[spec.frozen_set] = spec.frozen_values
+    info = np.zeros(spec.n0, dtype=bool)
+    info[spec.info_set] = True
+
+    u_hat = np.zeros((b, spec.n0), dtype=np.int8)
+    decisions = np.empty((b, spec.n0))
+    pos = 0
+
+    def descend(block):
+        nonlocal pos
+        width = block.shape[1]
+        if width == 1:
+            i = pos
+            pos += 1
+            decisions[:, i] = block[:, 0] + rep_sum[:, i]
+            if info[i]:
+                u_hat[:, i] = decisions[:, i] < 0
+            else:
+                u_hat[:, i] = frozen_bits[i]
+            return u_hat[:, i:i + 1].copy()
+        half = width // 2
+        la, lb = block[:, :half], block[:, half:]
+        x_left = descend(_check_node_reference(la, lb))
+        x_right = descend(lb + (1.0 - 2.0 * x_left) * la)
+        return np.concatenate([x_left ^ x_right, x_right], axis=1)
+
+    descend(chan)
+    return u_hat[:, spec.info_set], decisions

@@ -137,3 +137,46 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+def _small_schemes(tmp_path):
+    design_out = tmp_path / "design"
+    cfg = {"k": 6, "t_max": 1, "q": 10, "snr_db": 1.0, "out": str(design_out)}
+    assert _run(tmp_path, "design", cfg) == 0
+    return design_out / "schemes.json"
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, threads):
+    cfg = {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
+           "out": str(tmp_path / "bler")}
+    assert _run(tmp_path, "bler", cfg, ["--threads", threads]) == 2
+    cfg["threads"] = int(threads)
+    assert _run(tmp_path, "bler", cfg) == 2
+
+
+def test_simulate_matches_snr_to_within_tolerance(tmp_path):
+    path = _small_schemes(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["schemes"][0]["snr_db"] = 0.1 + 0.2   # 0.30000000000000004
+    path.write_text(json.dumps(doc))
+    sim_cfg = {"schemes": str(path), "trials": 10, "snr_db": [0.3],
+               "out": str(tmp_path / "s")}
+    assert _run(tmp_path, "simulate", sim_cfg) == 0
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert len(report["reports"]) == 1
+
+
+@pytest.mark.parametrize("version", [None, 2, "1"])
+def test_simulate_rejects_schema_version_mismatch(tmp_path, capsys, version):
+    path = _small_schemes(tmp_path)
+    doc = json.loads(path.read_text())
+    if version is None:
+        del doc["schema_version"]
+    else:
+        doc["schema_version"] = version
+    path.write_text(json.dumps(doc))
+    sim_cfg = {"schemes": str(path), "trials": 10,
+               "out": str(tmp_path / "s")}
+    assert _run(tmp_path, "simulate", sim_cfg) == 2
+    assert "schema_version" in capsys.readouterr().err

@@ -1,0 +1,144 @@
+"""The level-by-level SC decoder against the recursive reference, and the
+nested-round decoding that reuses the first round's decisions."""
+
+import gc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import rcpolar.codec
+from rcpolar.channel import (LLR_CLAMP, ChannelParams,
+                             channel_llr_distribution, observation_to_llr)
+from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, sc_decode,
+                           sc_decode_nested)
+from rcpolar.construct import construct_rcp
+
+from oracles import sc_decode_reference
+
+# (n, k, m, snr_db) per mother length n0 = 8, 256, 2048; all are punctured.
+CORPUS_CODES = {8: (12, 4, 6, 1.0), 256: (300, 128, 200, 0.5),
+                2048: (1783, 1024, 1408, 1.5)}
+CORPUS_BATCHES = (1, 64, 732)
+DECISION_RTOL = 1e-12
+
+
+def _corpus(n0, rows, seed):
+    """A code with punctures, duplicate repetitions and nonzero frozen bits,
+    and channel LLRs for ``rows`` random blocks where about 1% of the
+    entries each are exactly 0, +LLR_CLAMP and -LLR_CLAMP."""
+    n, k, m, snr_db = CORPUS_CODES[n0]
+    params = ChannelParams(snr_db=snr_db)
+    base, _, _ = construct_rcp(n, k, m, channel_llr_distribution(params))
+    rng = np.random.default_rng(seed)
+    spec = PolarCodeSpec(
+        n0=n0, info_set=base.spec.info_set,
+        puncture_set=base.spec.puncture_set,
+        frozen_values=rng.integers(0, 2, size=n0 - k))
+    rep = rng.choice(spec.info_set, size=n - m, replace=True)
+    code = RcpCode(spec=spec, rep_vector=rep)
+    bits = rng.integers(0, 2, size=(rows, k), dtype=np.int8)
+    y = 1.0 - 2.0 * rcp_encode(bits, code)
+    llr = observation_to_llr(y + params.sigma * rng.standard_normal(y.shape),
+                             params)
+    special = rng.random(llr.shape)
+    llr[special < 0.01] = 0.0
+    llr[(special >= 0.01) & (special < 0.02)] = LLR_CLAMP
+    llr[(special >= 0.02) & (special < 0.03)] = -LLR_CLAMP
+    return code, llr
+
+
+@pytest.mark.parametrize("n0", sorted(CORPUS_CODES))
+def test_corpus_matches_recursive_reference(n0):
+    code, llr = _corpus(n0, max(CORPUS_BATCHES), seed=n0)
+    assert code.spec.puncture_set.size > 0
+    assert np.unique(code.rep_vector).size < code.rep_vector.size
+    assert code.spec.frozen_values.any()
+    for value in (0.0, LLR_CLAMP, -LLR_CLAMP):
+        assert (llr == value).any()
+    for b in CORPUS_BATCHES:
+        ref_bits, ref_llrs = sc_decode_reference(llr[:b], code)
+        bits, llrs = sc_decode(llr[:b], code, return_decision_llrs=True)
+        assert np.array_equal(bits, ref_bits), (n0, b)
+        err = np.abs(llrs - ref_llrs) / np.maximum(np.abs(ref_llrs), 1.0)
+        assert err.max() <= DECISION_RTOL, (n0, b, err.max())
+
+
+def test_sc_decode_leaves_no_reference_cycles():
+    # Buffers freed by reference counting, not held until the cyclic
+    # collector runs.
+    code, llr = _corpus(256, 16, seed=1)
+    gc.collect()
+    sc_decode(llr, code, counter={}, return_decision_llrs=True)
+    assert gc.collect() == 0
+
+
+@st.composite
+def _nested_family(draw):
+    """A nested family of 1-4 rounds over a random small punctured code,
+    with LLRs for a small batch."""
+    n0 = 2 ** draw(st.integers(1, 5))
+    punct = draw(st.lists(st.integers(0, n0 - 1), unique=True,
+                          max_size=n0 // 2 - 1 if n0 > 2 else 0))
+    m = n0 - len(punct)
+    k = draw(st.integers(1, m))
+    info = sorted(draw(st.permutations(range(n0)))[:k])
+    spec = PolarCodeSpec(n0=n0, info_set=np.array(info),
+                         puncture_set=np.array(sorted(punct), dtype=np.int64))
+    rounds = draw(st.integers(1, 4))
+    first_reps = draw(st.integers(0, 3))
+    more = draw(st.lists(st.integers(1, 4), min_size=rounds - 1,
+                         max_size=rounds - 1))
+    rep = np.array(draw(st.lists(st.sampled_from(info),
+                                 min_size=first_reps + sum(more),
+                                 max_size=first_reps + sum(more))),
+                   dtype=np.int64)
+    full = RcpCode(spec=spec, rep_vector=rep)
+    lengths = np.cumsum([m + first_reps, *more])
+    codes = [full.prefix(int(n)) for n in lengths]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rows = draw(st.integers(1, 8))
+    llr = np.random.default_rng(seed).normal(0.5, 2.0, size=(rows, full.n))
+    return codes, llr
+
+
+def _example_family(rep, lengths):
+    spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
+                         puncture_set=np.array([1]))
+    full = RcpCode(spec=spec, rep_vector=np.array(rep))
+    llr = np.random.default_rng(3).normal(0.3, 1.5, size=(200, full.n))
+    return [full.prefix(n) for n in lengths], llr
+
+
+# Round 1 with and without repetitions, an index repeated in round 1 and
+# again later, and a single round.
+@example(_example_family([5, 3, 5, 6, 7, 3], (7, 9, 13)))
+@example(_example_family([5, 3, 5, 6, 7, 3], (8, 10, 13)))
+@example(_example_family([6, 6, 5, 6, 7, 3], (8, 9, 11)))
+@example(_example_family([5], (8,)))
+@settings(max_examples=300, deadline=None)
+@given(_nested_family())
+def test_nested_decoding_equals_per_round_decoding(family):
+    codes, llr = family
+    nested = sc_decode_nested(llr, codes)
+    assert len(nested) == len(codes)
+    for decoded, code in zip(nested, codes):
+        assert np.array_equal(decoded, sc_decode(llr[:, : code.n], code))
+
+
+def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
+    code, llr = _corpus(256, 64, seed=2)
+    lengths = (code.m, code.m + 10, code.n)
+    codes = [code.prefix(n) for n in lengths]
+    calls = []
+
+    def counting_decode(llrs, c, **kwargs):
+        calls.append(np.shape(llrs)[0])
+        return sc_decode(llrs, c, **kwargs)
+
+    monkeypatch.setattr(rcpolar.codec, "sc_decode", counting_decode)
+    sc_decode_nested(llr, codes)
+    assert calls[0] == 64
+    assert sum(calls) <= 64 * len(codes)
+    assert sum(calls[1:]) < 64 * (len(codes) - 1)
