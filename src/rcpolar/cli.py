@@ -10,14 +10,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .channel import ChannelParams, channel_llr_distribution
-from .codec import code_to_dict
-from .construct import construct_rcp
+from .codec import RcpCode, code_to_dict
+from .construct import evaluate_bler, mother_code
 from .design import HarqScheme, build_bler_curve, design_scheme
-from .reliability import ga_evolve
 from .simulate import bler_monte_carlo, bound_check, run_campaign
 
 SCHEMA_VERSION = 1
@@ -107,16 +104,14 @@ def cmd_construct(cfg: dict) -> int:
     out = _out_dir(cfg)
     params = ChannelParams(snr_db=float(snr_db))
     channel = channel_llr_distribution(params)
-    code, plan, bler = construct_rcp(int(n), int(k), int(m), channel)
+    spec, table, plan = mother_code(int(k), int(m), int(n), channel)
+    code = RcpCode(spec=spec, rep_vector=plan.r)
 
     doc = _envelope("construct", cfg)
     doc["code"] = code_to_dict(code)
-    doc["bler_estimate"] = bler
+    doc["bler_estimate"] = evaluate_bler(code, plan)
     _write_json(out / "code.json", doc)
 
-    means = np.full(code.spec.n0, channel.mean)
-    means[code.spec.puncture_set] = 0.0
-    table = ga_evolve(means)
     with open(out / "reliability.csv", "w") as fp:
         _csv_header(fp, "construct", cfg)
         table.to_csv(fp)

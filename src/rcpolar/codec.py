@@ -51,19 +51,16 @@ class PolarCodeSpec:
         punct = np.asarray(self.puncture_set, dtype=np.int64)
         object.__setattr__(self, "info_set", info)
         object.__setattr__(self, "puncture_set", punct)
-        if info.size == 0 or np.unique(info).size != info.size:
-            raise ValueError("info_set must be nonempty without duplicates")
-        if info.min() < 0 or info.max() >= self.n0:
-            raise ValueError("info_set indices out of range")
-        if not np.all(np.diff(info) > 0):
-            raise ValueError("info_set must be sorted ascending")
-        if punct.size:
-            if np.unique(punct).size != punct.size:
-                raise ValueError("puncture_set must not contain duplicates")
-            if punct.min() < 0 or punct.max() >= self.n0:
-                raise ValueError("puncture_set indices out of range")
-            if not np.all(np.diff(punct) > 0):
-                raise ValueError("puncture_set must be sorted ascending")
+        if info.size == 0:
+            raise ValueError("info_set must be nonempty")
+        # Strictly ascending rules out duplicates and puts the extremes at
+        # the ends.
+        for name, idx in (("info_set", info), ("puncture_set", punct)):
+            if idx.ndim != 1 or not (idx[1:] > idx[:-1]).all():
+                raise ValueError(f"{name} must be 1-D, sorted ascending "
+                                 "without duplicates")
+            if idx.size and (idx[0] < 0 or idx[-1] >= self.n0):
+                raise ValueError(f"{name} indices out of range")
         if punct.size >= self.n0 - self.n0 // 2:
             raise ValueError("at most n0/2 - 1 positions may be punctured")
         if self.frozen_values is not None:
@@ -369,11 +366,14 @@ def sc_decode_nested(llrs, codes) -> list:
     :func:`sc_decode` adds.  Rows where none of those decisions flips keep
     the first round's result; the others are decoded again.  A round that
     adds repetitions to a bit the first round already repeated cannot be
-    settled that way and is decoded again for every row.
+    settled that way and is decoded again for every row.  A family of one
+    code is decoded by plain :func:`sc_decode`, without decision LLRs.
     """
     validate_family(codes)
     llrs = np.asarray(llrs, dtype=float)
     first = codes[0]
+    if len(codes) == 1:
+        return [sc_decode(llrs[:, : first.n], first)]
     base, dec = sc_decode(llrs[:, : first.n], first,
                           return_decision_llrs=True)
     info_set = first.spec.info_set

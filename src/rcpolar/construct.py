@@ -107,14 +107,16 @@ def evaluate_bler(code: RcpCode, plan: RepetitionPlan) -> BlerEstimate:
     return float(min(1.0, plan.updated_pe.sum()))
 
 
-def construct_rcp(n: int, k: int, m: int,
-                  channel: LlrDistribution, counters=None):
-    """Construct an (n, k, m) code over the given channel model.
+def mother_code(k: int, m: int, n: int, channel: LlrDistribution,
+                counters=None):
+    """The punctured mother code behind every (n', k, m) code with n' <= n.
 
-    Returns ``(code, plan, bler_estimate)``.  The mother length is the
-    smallest power of two >= m; puncturing is quasi-uniform; the information
-    set holds the k most reliable synthesized channels; repetitions follow
-    the greedy assignment of :func:`build_repetition_plan`.
+    Returns ``(spec, table, plan)``: the mother-code spec, the GA table of
+    the punctured mother code, and the greedy repetition plan for n - m
+    slots.  The mother length is the smallest power of two >= m; puncturing
+    is quasi-uniform; the information set holds the k most reliable
+    synthesized channels.  Shorter codes are prefixes of the plan
+    (``plan.bler_trace``, ``RcpCode.prefix``).
     """
     if not 1 <= k <= m <= n:
         raise ValueError(f"need 1 <= k <= m <= n, got k={k}, m={m}, n={n}")
@@ -130,5 +132,16 @@ def construct_rcp(n: int, k: int, m: int,
     plan = build_repetition_plan(info_set, table.means[info_set], n - m,
                                  channel, counters=counters)
     spec = PolarCodeSpec(n0=n0, info_set=info_set, puncture_set=punct)
+    return spec, table, plan
+
+
+def construct_rcp(n: int, k: int, m: int,
+                  channel: LlrDistribution, counters=None):
+    """Construct an (n, k, m) code over the given channel model.
+
+    Returns ``(code, plan, bler_estimate)`` for the code built on
+    :func:`mother_code`, with repetitions from its greedy plan.
+    """
+    spec, _, plan = mother_code(k, m, n, channel, counters=counters)
     code = RcpCode(spec=spec, rep_vector=plan.r)
     return code, plan, evaluate_bler(code, plan)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
-from .construct import build_repetition_plan
-from .reliability import ga_evolve, puncture_pattern, select_info_set
+from .construct import mother_code
 
 # Block-error values are floored here so throughput denominators stay stable.
 BLER_FLOOR = 1e-15
@@ -75,19 +74,7 @@ def build_bler_curve(k: int, m: int, q: int, channel: LlrDistribution,
     additional length costs one density update, so the whole curve costs the
     same as the longest code.
     """
-    if not 1 <= k <= m <= q:
-        raise ValueError(f"need 1 <= k <= m <= q, got k={k}, m={m}, q={q}")
-    n0 = 1 << max(0, int(np.ceil(np.log2(m))))
-    punct = puncture_pattern(n0, m)
-    means = np.full(n0, channel.mean)
-    means[punct] = 0.0
-    table = ga_evolve(means)
-    if counters is not None:
-        counters["ga_updates"] = counters.get("ga_updates", 0) \
-            + n0 * int(np.log2(n0))
-    info_set = select_info_set(table, k)
-    plan = build_repetition_plan(info_set, table.means[info_set], q - m,
-                                 channel, counters=counters)
+    _, _, plan = mother_code(k, m, q, channel, counters=counters)
     e = np.clip(plan.bler_trace, BLER_FLOOR, 1.0)
     return BlerCurve(k=k, m=m, e=e)
 

@@ -10,7 +10,6 @@ of every round, not only up to the first acknowledgement, so that
 per-round failure probabilities are measured as true marginals.
 """
 
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -167,20 +166,42 @@ def _merge(dst: dict, src: dict) -> None:
 
 
 def _chunk_counts(codes, params: ChannelParams, base_seed: int,
-                  lo: int, hi: int) -> dict:
-    """Simulate trials [lo, hi) with batched decoding."""
+                  lo: int, hi: int, channel_fn=None) -> dict:
+    """Simulate trials [lo, hi) with batched decoding.
+
+    Trial i draws its block from ``noise_stream((base_seed, i))`` and then
+    its channel noise, or hands that generator to ``channel_fn`` as
+    :func:`run_trial` does.
+    """
     k = codes[0].k
     n_total = codes[-1].n
     b = hi - lo
     bits = np.empty((b, k), dtype=np.int8)
-    noise = np.empty((b, n_total))
+    noise = np.empty((b, n_total)) if channel_fn is None else None
+    rngs = []
     for i in range(b):
         rng = noise_stream((base_seed, lo + i))
         bits[i] = rng.integers(0, 2, size=k, dtype=np.int8)
-        noise[i] = rng.standard_normal(n_total)
+        if channel_fn is None:
+            noise[i] = rng.standard_normal(n_total)
+        else:
+            rngs.append(rng)
     tx = rcp_encode(bits, codes[-1])
-    y = (1.0 - 2.0 * tx) + params.sigma * noise
-    llr = observation_to_llr(y, params)
+    if channel_fn is None:
+        llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise,
+                                 params)
+    else:
+        llr = np.empty((b, n_total))
+        for i, rng in enumerate(rngs):
+            word = np.asarray(channel_fn(tx[i], params, rng, lo + i),
+                              dtype=float)
+            if word.shape != (n_total,):
+                raise ValueError(f"channel_fn gave shape {word.shape}, "
+                                 f"expected ({n_total},), trial {lo + i}")
+            if not np.isfinite(word).all():
+                raise ValueError("channel_fn gave non-finite LLRs, "
+                                 f"trial {lo + i}")
+            llr[i] = word
 
     fails = np.stack([np.any(decoded != bits, axis=1)
                       for decoded in sc_decode_nested(llr, codes)], axis=1)
@@ -189,58 +210,46 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
     return counts
 
 
-def _chunk_ranges(trials: int, chunk: int):
-    return [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+def _run_chunks(codes, params: ChannelParams, trials: int, base_seed: int,
+                threads: int, channel_fn=None) -> dict:
+    """Counts of trials [0, trials) in chunks, over ``threads`` processes."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    chunk = max(32, min(8192, 1_500_000 // codes[-1].spec.n0))
+    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    args = (codes, params, base_seed)
+    counts = _empty_counts(len(codes))
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_chunk_counts, *args, lo, hi, channel_fn)
+                       for lo, hi in ranges]
+            for fut in futures:
+                _merge(counts, fut.result())
+    else:
+        for lo, hi in ranges:
+            _merge(counts, _chunk_counts(*args, lo, hi, channel_fn))
+    return counts
 
 
 def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
-                 base_seed: int, threads: int = 1, channel_fn=None,
-                 progress: bool = False) -> SimReport:
+                 base_seed: int, threads: int = 1,
+                 channel_fn=None) -> SimReport:
     """Monte Carlo campaign for one scheme at one operating point.
 
     Trial i draws its block and noise from the stream keyed by
     ``(base_seed, i)``, so the report is reproducible and independent of
-    chunking, thread count, and scheduling.  With ``channel_fn`` set, trials
-    run one by one through :func:`run_trial` (fault-injection path).
+    chunking, thread count, and scheduling.  ``channel_fn`` replaces the
+    AWGN channel as in :func:`run_trial` (fault injection); it is called
+    once per trial and must return that trial's n finite LLRs.  With
+    ``threads > 1`` it runs in worker processes, so it must pickle (a
+    module-level function, not a lambda or closure).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     channel = channel_llr_distribution(params)
     codes = code_family_for_scheme(scheme, channel)
-    validate_family(codes)
-    t_rounds = len(codes)
-    lengths = [c.n for c in codes]
-
-    counts = _empty_counts(t_rounds)
-    if channel_fn is not None:
-        for i in range(trials):
-            rng = noise_stream((base_seed, i))
-            info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
-            out = run_trial(codes, info, params, rng, channel_fn=channel_fn,
-                            trial_index=i, measure_all_rounds=True)
-            _accumulate(counts, np.array([out.fail_flags]), lengths)
-    else:
-        chunk = max(32, min(8192, 1_500_000 // codes[-1].spec.n0))
-        ranges = _chunk_ranges(trials, chunk)
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(_chunk_counts, codes, params,
-                                       base_seed, lo, hi)
-                           for lo, hi in ranges]
-                for fut in futures:
-                    _merge(counts, fut.result())
-                    if progress:
-                        print(f"  trials {counts['trials']}/{trials}",
-                              file=sys.stderr)
-        else:
-            for lo, hi in ranges:
-                _merge(counts, _chunk_counts(codes, params, base_seed, lo, hi))
-                if progress:
-                    print(f"  trials {counts['trials']}/{trials}",
-                          file=sys.stderr)
-
+    counts = _run_chunks(codes, params, trials, base_seed, threads,
+                         channel_fn)
     return _report_from_counts(scheme, params, trials, base_seed, counts,
-                               lengths)
+                               [c.n for c in codes])
 
 
 def _report_from_counts(scheme, params, trials, base_seed, counts,
@@ -342,22 +351,6 @@ def bound_check(report: SimReport) -> BoundCheckResult:
     )
 
 
-def _bler_chunk(code, params: ChannelParams, base_seed: int,
-                lo: int, hi: int) -> int:
-    k = code.k
-    b = hi - lo
-    bits = np.empty((b, k), dtype=np.int8)
-    noise = np.empty((b, code.n))
-    for i in range(b):
-        rng = noise_stream((base_seed, lo + i))
-        bits[i] = rng.integers(0, 2, size=k, dtype=np.int8)
-        noise[i] = rng.standard_normal(code.n)
-    tx = rcp_encode(bits, code)
-    llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise, params)
-    decoded = sc_decode(llr, code)
-    return int(np.sum(np.any(decoded != bits, axis=1)))
-
-
 def bler_monte_carlo(n: int, k: int, m: int, params: ChannelParams,
                      trials: int, base_seed: int, threads: int = 1) -> dict:
     """Single-shot block error rate of an (n, k, m) code, with the model value.
@@ -368,19 +361,11 @@ def bler_monte_carlo(n: int, k: int, m: int, params: ChannelParams,
     """
     channel = channel_llr_distribution(params)
     code, _, analytic = construct_rcp(n, k, m, channel)
-    chunk = max(32, min(8192, 1_500_000 // code.spec.n0))
-    ranges = _chunk_ranges(trials, chunk)
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_bler_chunk, code, params, base_seed, lo, hi)
-                       for lo, hi in ranges]
-            errors = sum(fut.result() for fut in futures)
-    else:
-        errors = sum(_bler_chunk(code, params, base_seed, lo, hi)
-                     for lo, hi in ranges)
+    errors = int(_run_chunks([code], params, trials, base_seed,
+                             threads)["fails"][0])
     return {
         "n": n, "k": k, "m": m, "snr_db": params.snr_db,
-        "trials": trials, "errors": int(errors),
+        "trials": trials, "errors": errors,
         "bler": errors / trials,
         "ci95": wilson_halfwidth(errors, trials),
         "bler_analytic": analytic,

@@ -154,3 +154,26 @@ def sc_decode_reference(llrs, code):
 
     descend(chan)
     return u_hat[:, spec.info_set], decisions
+
+
+def campaign_statistics_reference(fail_flags):
+    """Marginal failure rates, first-success rates and nesting violations
+    from per-trial fail flags, counted trial by trial.
+
+    ``fail_flags[i][t]`` tells whether trial i failed to decode with the
+    bits of rounds 1..t+1.  A nesting violation is a trial that decodes at
+    some round and fails at a later one.
+    """
+    trials, rounds = len(fail_flags), len(fail_flags[0])
+    fails = [0] * rounds
+    first = [0] * rounds
+    violations = 0
+    for flags in fail_flags:
+        for t, failed in enumerate(flags):
+            fails[t] += int(failed)
+        decoded = [t for t, failed in enumerate(flags) if not failed]
+        if decoded:
+            first[decoded[0]] += 1
+            violations += any(flags[decoded[0]:])
+    return (tuple(c / trials for c in fails), tuple(c / trials for c in first),
+            violations)

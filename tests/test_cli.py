@@ -1,8 +1,14 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
+from rcpolar.channel import ChannelParams, channel_llr_distribution
 from rcpolar.cli import main
+from rcpolar.codec import code_to_dict
+from rcpolar.construct import construct_rcp
+from rcpolar.reliability import ga_evolve, puncture_pattern
 
 
 def _run(tmp_path, command, cfg, extra=()):
@@ -56,6 +62,29 @@ def test_construct_outputs_and_determinism(tmp_path):
     assert csv[0].startswith("# schema_version=")
     assert "index,mean,pe" in csv
     assert len([l for l in csv if not l.startswith("#")]) == 9  # header + 8 rows
+
+
+def test_construct_files_match_library(tmp_path):
+    # m = 56 < n0 = 64: a punctured mother code with 16 repetitions.
+    out = tmp_path / "o"
+    cfg = {"n": 72, "k": 32, "m": 56, "snr_db": 0.0, "out": str(out)}
+    assert _run(tmp_path, "construct", cfg) == 0
+    channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
+    code, _, bler = construct_rcp(72, 32, 56, channel)
+    doc = json.loads((out / "code.json").read_text())
+    assert doc["code"] == code_to_dict(code)
+    assert doc["bler_estimate"] == bler
+
+    punct = puncture_pattern(64, 56)
+    assert punct.size == 8
+    assert doc["code"]["puncture_set"] == punct.tolist()
+    means = np.full(64, channel.mean)
+    means[punct] = 0.0
+    expect = io.StringIO()
+    ga_evolve(means).to_csv(expect)
+    rows = [line for line in (out / "reliability.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows == expect.getvalue().splitlines()
 
 
 def test_flag_overrides_config(tmp_path):
@@ -131,6 +160,71 @@ def test_bler_command(tmp_path):
     first = data[1].split(",")
     assert first[1:4] == ["12", "4", "8"]
     assert 0.0 <= float(first[6]) <= 1.0
+
+
+def test_bler_zero_trials_exits_2(tmp_path, capsys):
+    cfg = {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 0,
+           "out": str(tmp_path / "bler")}
+    assert _run(tmp_path, "bler", cfg) == 2
+    assert "trial" in capsys.readouterr().err
+
+
+# Outputs of the pipeline below, recorded before the mother-code builder
+# and the Monte Carlo driver were merged.  Counts and sets must match
+# exactly; model values to a relative 1e-9, as in test_pinned_identity.
+PINNED_PIPELINE = {
+    "info_set": [15, 21, 23, 25, 27, 29, 30, 31],
+    "puncture_set": [0, 2, 4, 8, 10, 12, 16, 18, 20, 24, 26, 28],
+    "rep_vector": [21, 25, 21, 25],
+    "bler_estimate": 0.0013605486721828053,
+    "s": [8, 8, 10, 13],
+    "eta_estimate": 0.7723036967276419,
+    "fails": [131, 64, 22],
+    "first_success": [269, 77, 36],
+    "nesting_violations": 12,
+    "eta_analytic": 0.7723036967276419,
+    "errors": [21, 14],
+    "bler_analytic": [0.005698076730842801, 0.007761292941557695],
+}
+
+
+def test_pinned_pipeline_outputs(tmp_path):
+    ref = PINNED_PIPELINE
+    rel = pytest.approx
+    assert _run(tmp_path, "construct", {"n": 24, "k": 8, "m": 20, "snr_db": 1.0,
+                                        "out": str(tmp_path / "c")}) == 0
+    code = json.loads((tmp_path / "c" / "code.json").read_text())
+    for key in ("info_set", "puncture_set", "rep_vector"):
+        assert code["code"][key] == ref[key]
+    assert code["bler_estimate"] == rel(ref["bler_estimate"], rel=1e-9)
+
+    assert _run(tmp_path, "design", {"k": 8, "t_max": 3, "q": 32,
+                                     "snr_db": 1.0,
+                                     "out": str(tmp_path / "d")}) == 0
+    (scheme,) = json.loads((tmp_path / "d" / "schemes.json")
+                           .read_text())["schemes"]
+    assert scheme["s"] == ref["s"]
+    assert scheme["eta_estimate"] == rel(ref["eta_estimate"], rel=1e-9)
+
+    trials = 400
+    assert _run(tmp_path, "simulate", {
+        "schemes": str(tmp_path / "d" / "schemes.json"), "trials": trials,
+        "seed": 11, "out": str(tmp_path / "s")}) == 0
+    (rep,) = json.loads((tmp_path / "s" / "report.json").read_text())["reports"]
+    assert rep["pr_e"] == [c / trials for c in ref["fails"]]
+    assert rep["pr_first_success"] == [c / trials
+                                       for c in ref["first_success"]]
+    assert rep["nesting_violations"] == ref["nesting_violations"]
+    assert rep["eta_analytic"] == rel(ref["eta_analytic"], rel=1e-9)
+
+    assert _run(tmp_path, "bler", {
+        "codes": [[24, 8, 20], [40, 16, 32]], "snr_db": 0.0, "trials": 2000,
+        "seed": 13, "out": str(tmp_path / "b")}) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "b" / "bler.csv").read_text().splitlines()
+            if not line.startswith(("#", "snr_db"))]
+    assert [int(r[5]) for r in rows] == ref["errors"]
+    assert [float(r[8]) for r in rows] == rel(ref["bler_analytic"], rel=1e-9)
 
 
 def test_version_flag(capsys):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP,
-                             channel_llr_distribution, noise_stream)
+                             channel_llr_distribution, noise_stream,
+                             transmit_with_rng)
 from rcpolar.codec import rcp_encode
 from rcpolar.design import HarqScheme, design_scheme
 from rcpolar.simulate import (_empty_counts, _report_from_counts,
                               bler_monte_carlo, bound_check,
                               code_family_for_scheme, run_campaign, run_trial)
+
+from oracles import campaign_statistics_reference
 
 
 def _small_scheme():
@@ -25,6 +28,10 @@ def _erasure_channel(bits, params, rng, trial_index):
 
 def _perfect_channel(bits, params, rng, trial_index):
     return np.where(np.asarray(bits) == 0, LLR_CLAMP, -LLR_CLAMP)
+
+
+def _awgn_channel(bits, params, rng, trial_index):
+    return transmit_with_rng(bits, params, rng)
 
 
 def test_trial_succeeds_first_round_noiseless():
@@ -122,6 +129,57 @@ def _phase_stub(lengths):
     return stub
 
 
+@pytest.mark.parametrize("scheme, snr_db, channel_fn", [
+    (_small_scheme(), -2.0, None),
+    (_small_scheme(), -2.0, _awgn_channel),
+    (_accumulation_scheme(), 0.0, _phase_stub(_accumulation_scheme().lengths)),
+], ids=["awgn", "awgn-channel_fn", "phase-stub"])
+def test_campaign_matches_per_trial_reference(scheme, snr_db, channel_fn):
+    # Rebuild the statistics from run_trial over the same (base_seed, i)
+    # streams, without the batched accumulation code.
+    codes, params = _family(scheme, snr_db)
+    trials, seed = 300, 21
+    flags = []
+    for i in range(trials):
+        rng = noise_stream((seed, i))
+        info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
+        flags.append(run_trial(codes, info, params, rng, channel_fn=channel_fn,
+                               trial_index=i,
+                               measure_all_rounds=True).fail_flags)
+    report = run_campaign(scheme, params, trials, seed, channel_fn=channel_fn)
+    pr_e, pr_first, violations = campaign_statistics_reference(flags)
+    assert report.pr_e == pr_e
+    assert report.pr_first_success == pr_first
+    assert report.nesting_violations == violations
+
+
+def _nan_channel(bits, params, rng, trial_index):
+    out = np.ones(bits.size)
+    out[-1] = np.nan
+    return out
+
+
+def _scalar_channel(bits, params, rng, trial_index):
+    return np.float64(1.0)
+
+
+def _one_llr_channel(bits, params, rng, trial_index):
+    return np.ones(1)
+
+
+def _long_channel(bits, params, rng, trial_index):
+    return np.ones(bits.size + 1)
+
+
+@pytest.mark.parametrize("channel_fn", [_nan_channel, _scalar_channel,
+                                        _one_llr_channel, _long_channel])
+def test_campaign_rejects_bad_channel_output(channel_fn):
+    # A 0-d or length-1 word would otherwise broadcast across its row.
+    with pytest.raises(ValueError, match="channel_fn"):
+        run_campaign(_small_scheme(), ChannelParams(snr_db=0.0), trials=5,
+                     base_seed=0, channel_fn=channel_fn)
+
+
 def test_campaign_synthetic_outcomes_match_hand_accounting():
     # Trial i first succeeds at round (i mod 4) + 1, or never for phase 3;
     # every statistic then has a closed form.
@@ -173,9 +231,12 @@ def test_campaign_batched_matches_per_trial_path():
 def test_campaign_worker_count_invariance():
     scheme = _small_scheme()
     params = ChannelParams(snr_db=-1.0)
-    a = run_campaign(scheme, params, trials=240, base_seed=8, threads=1)
-    b = run_campaign(scheme, params, trials=240, base_seed=8, threads=2)
-    assert a == b
+    for channel_fn in (None, _awgn_channel):
+        a = run_campaign(scheme, params, trials=240, base_seed=8, threads=1,
+                         channel_fn=channel_fn)
+        b = run_campaign(scheme, params, trials=240, base_seed=8, threads=2,
+                         channel_fn=channel_fn)
+        assert a == b
 
 
 def test_campaign_event_chain_containment():
@@ -251,6 +312,15 @@ def test_bler_monte_carlo_reproducible_and_bounded():
     assert a == b
     assert 0.0 <= a["bler"] <= 1.0
     assert a["errors"] == round(a["bler"] * a["trials"])
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_monte_carlo_rejects_trials_below_one(trials):
+    params = ChannelParams(snr_db=0.0)
+    with pytest.raises(ValueError, match="trial"):
+        bler_monte_carlo(12, 4, 8, params, trials=trials, base_seed=0)
+    with pytest.raises(ValueError, match="trial"):
+        run_campaign(_small_scheme(), params, trials=trials, base_seed=0)
 
 
 def test_trial_rejects_non_finite_channel_output():
