@@ -9,6 +9,8 @@ import numpy as np
 # probability around 4e-18, far beyond any decision-relevant scale.
 LLR_CLAMP = 40.0
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -51,6 +53,18 @@ class LlrDistribution:
             raise ValueError(f"LLR mean must be nonnegative, got {self.mean}")
 
 
+def _philox_keys(base: int, lo: int, count: int) -> np.ndarray:
+    """Philox keys of the streams ``(base, lo), ..., (base, lo + count - 1)``.
+
+    Row j is ``[base mod 2^64, (lo + j) mod 2^64]`` as uint64; the index
+    column wraps modulo 2^64 like the masked Python integer would.
+    """
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = base & _MASK64
+    keys[:, 1] = np.arange(count, dtype=np.uint64) + np.uint64(lo & _MASK64)
+    return keys
+
+
 def noise_stream(seed) -> np.random.Generator:
     """Deterministic random stream for channel noise.
 
@@ -58,7 +72,9 @@ def noise_stream(seed) -> np.random.Generator:
     ``(int, int)`` pair.  Pairs map to distinct Philox keys, so the streams
     for ``(base_seed, 0), (base_seed, 1), ...`` are statistically independent
     and reproducible regardless of scheduling; this is the seed-derivation
-    rule used for parallel Monte Carlo trials.
+    rule used for parallel Monte Carlo trials.  :func:`trial_draws` gives
+    the same numbers for a range of trials by re-keying one generator with
+    the same rule.
     """
     if isinstance(seed, np.random.Generator):
         return seed
@@ -66,9 +82,38 @@ def noise_stream(seed) -> np.random.Generator:
         base, idx = seed
     else:
         base, idx = int(seed), 0
-    key = np.array([base & 0xFFFFFFFFFFFFFFFF, idx & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(
+        np.random.Philox(key=_philox_keys(base, idx, 1)[0]))
+
+
+def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
+    """Blocks and unit-variance noise of Monte Carlo trials [lo, hi).
+
+    Row i of ``bits`` (int8, shape (hi - lo, k)) and of ``noise`` (float64,
+    shape (hi - lo, n)) are what ``noise_stream((base_seed, lo + i))`` gives
+    for ``.integers(0, 2, size=k, dtype=np.int8)`` followed by
+    ``.standard_normal(n)``.  One generator is re-keyed per trial instead
+    of building a new one, and each block is read from ``ceil(k/8)`` raw
+    64-bit words: for a range of 2, numpy's bounded int8 draw returns the
+    top bit of each byte, bytes taken low first from each 32-bit half, low
+    half first; the normals start at the next word.  A property test checks
+    this against ``integers`` exactly.
+    """
+    count = hi - lo
+    rng = noise_stream((base_seed, lo))
+    bitgen = rng.bit_generator
+    fresh = bitgen.state  # zero counter, empty buffers
+    keys = _philox_keys(base_seed, lo, count)
+    words = -(-k // 8)
+    raw = np.empty((count, words), dtype=np.uint64)
+    noise = np.empty((count, n))
+    for i in range(count):
+        fresh["state"]["key"] = keys[i]
+        bitgen.state = fresh
+        raw[i] = bitgen.random_raw(words)
+        rng.standard_normal(out=noise[i])
+    octets = raw.astype("<u8", copy=False).view(np.uint8)
+    return (octets[:, :k] >> 7).view(np.int8), noise
 
 
 def observation_to_llr(y, params: ChannelParams):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelParams, channel_llr_distribution, noise_stream,
-                      observation_to_llr, transmit_with_rng)
+                      observation_to_llr, transmit_with_rng, trial_draws)
 from .codec import rcp_encode, sc_decode, sc_decode_nested, validate_family
 from .construct import construct_rcp
 from .design import HarqScheme, build_bler_curve, throughput_estimate
@@ -170,28 +170,24 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
     """Simulate trials [lo, hi) with batched decoding.
 
     Trial i draws its block from ``noise_stream((base_seed, i))`` and then
-    its channel noise, or hands that generator to ``channel_fn`` as
-    :func:`run_trial` does.
+    its channel noise (:func:`trial_draws` gives both for the whole range),
+    or hands that generator to ``channel_fn`` as :func:`run_trial` does.
     """
     k = codes[0].k
     n_total = codes[-1].n
-    b = hi - lo
-    bits = np.empty((b, k), dtype=np.int8)
-    noise = np.empty((b, n_total)) if channel_fn is None else None
-    rngs = []
-    for i in range(b):
-        rng = noise_stream((base_seed, lo + i))
-        bits[i] = rng.integers(0, 2, size=k, dtype=np.int8)
-        if channel_fn is None:
-            noise[i] = rng.standard_normal(n_total)
-        else:
-            rngs.append(rng)
-    tx = rcp_encode(bits, codes[-1])
     if channel_fn is None:
+        bits, noise = trial_draws(base_seed, lo, hi, k, n_total)
+        tx = rcp_encode(bits, codes[-1])
         llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise,
                                  params)
     else:
-        llr = np.empty((b, n_total))
+        # User code receives each trial's generator after its block draw,
+        # buffered 32-bit half included, so it gets a fresh stream per trial.
+        rngs = [noise_stream((base_seed, i)) for i in range(lo, hi)]
+        bits = np.stack([rng.integers(0, 2, size=k, dtype=np.int8)
+                         for rng in rngs])
+        tx = rcp_encode(bits, codes[-1])
+        llr = np.empty((hi - lo, n_total))
         for i, rng in enumerate(rngs):
             word = np.asarray(channel_fn(tx[i], params, rng, lo + i),
                               dtype=float)

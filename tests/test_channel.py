@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP, bawgn_capacity,
                              channel_llr_distribution, noise_stream,
-                             observation_to_llr, transmit)
+                             observation_to_llr, transmit, trial_draws)
 
 
 def test_sigma_snr_round_trip():
@@ -104,3 +106,24 @@ def test_capacity_against_monte_carlo_mutual_information():
 def test_quadrature_node_floor():
     with pytest.raises(ValueError):
         bawgn_capacity(ChannelParams(snr_db=0.0), nodes=32)
+
+
+# Draws the 64-bit key masking (negative seeds, seeds >= 2^63, indices near
+# 2^64 wrapping past it) and every block length modulo 8.
+@example(base_seed=-1, lo=2 ** 64 - 2, rows=4, k=13, extra=0)
+@example(base_seed=2 ** 63, lo=0, rows=1, k=8, extra=3)
+@settings(max_examples=300, deadline=None)
+@given(base_seed=st.integers(-2 ** 64, 2 ** 64 - 1),
+       lo=st.integers(0, 2 ** 40), rows=st.integers(1, 5),
+       k=st.integers(1, 80), extra=st.integers(0, 40))
+def test_trial_draws_equal_per_trial_streams(base_seed, lo, rows, k, extra):
+    # Pins the block read from raw words to numpy's bounded int8 draw: a
+    # change in that algorithm fails here instead of moving counts.
+    n = k + extra
+    bits, noise = trial_draws(base_seed, lo, lo + rows, k, n)
+    assert bits.dtype == np.int8 and bits.shape == (rows, k)
+    assert noise.dtype == np.float64 and noise.shape == (rows, n)
+    for i in range(rows):
+        rng = noise_stream((base_seed, lo + i))
+        assert np.array_equal(bits[i], rng.integers(0, 2, size=k, dtype=np.int8))
+        assert np.array_equal(noise[i], rng.standard_normal(n))

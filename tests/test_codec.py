@@ -1,7 +1,10 @@
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcpolar.channel import LLR_CLAMP, LlrDistribution
 from rcpolar.codec import (PolarCodeSpec, RcpCode, bits_to_hex,
@@ -262,3 +265,35 @@ def test_sc_decode_rejects_non_finite_llrs(bad):
     llr[1, 4] = bad
     with pytest.raises(ValueError):
         sc_decode(llr, code)
+
+
+@st.composite
+def _specified_code(draw):
+    """A small code with or without punctures, repetitions and nonzero
+    frozen values."""
+    n0 = 2 ** draw(st.integers(0, 6))
+    punct = sorted(draw(st.lists(st.integers(0, n0 - 1), unique=True,
+                                 max_size=max(0, n0 // 2 - 1))))
+    k = draw(st.integers(1, n0 - len(punct)))
+    info = sorted(draw(st.permutations(range(n0)))[:k])
+    frozen = draw(st.none() | st.lists(st.integers(0, 1), min_size=n0 - k,
+                                       max_size=n0 - k))
+    rep = draw(st.lists(st.sampled_from(info), max_size=8))
+    spec = PolarCodeSpec(n0=n0, info_set=np.array(info),
+                         puncture_set=np.array(punct, dtype=np.int64),
+                         frozen_values=frozen)
+    return RcpCode(spec=spec, rep_vector=np.array(rep, dtype=np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specified_code())
+def test_code_dict_round_trip_property(code):
+    back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
+    assert back.spec.n0 == code.spec.n0
+    assert np.array_equal(back.spec.info_set, code.spec.info_set)
+    assert np.array_equal(back.spec.puncture_set, code.spec.puncture_set)
+    assert np.array_equal(back.rep_vector, code.rep_vector)
+    if code.spec.frozen_values is None:
+        assert back.spec.frozen_values is None
+    else:
+        assert np.array_equal(back.spec.frozen_values, code.spec.frozen_values)

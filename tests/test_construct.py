@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from rcpolar.channel import ChannelParams, LlrDistribution
+from rcpolar.channel import (ChannelParams, LlrDistribution,
+                             channel_llr_distribution)
 from rcpolar.construct import (build_repetition_plan, construct_rcp,
                                evaluate_bler)
-from rcpolar.simulate import bler_monte_carlo, wilson_halfwidth
+from rcpolar.design import HarqScheme
+from rcpolar.simulate import (bler_monte_carlo, code_family_for_scheme,
+                              wilson_halfwidth)
 
 
 def _pe_ref(mean):
@@ -145,3 +150,39 @@ def test_union_bound_within_factor_three():
                                   base_seed=8)
         ratio = result["bler_analytic"] / result["bler"]
         assert 1 / 3 < ratio < 3, (params.snr_db, ratio)
+
+
+@st.composite
+def _scheme_at_snr(draw):
+    m = draw(st.integers(1, 48))
+    k = draw(st.integers(1, m))
+    first = m + draw(st.integers(0, 6))
+    more = draw(st.lists(st.integers(1, 12), max_size=3))
+    lengths = tuple(int(n) for n in np.cumsum([first, *more]))
+    snr_db = draw(st.floats(-4.0, 6.0))
+    return HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=0.0), snr_db
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scheme_at_snr())
+def test_plans_and_code_families_nest_by_prefix(scheme_snr):
+    # Every round of a family is the code built for its own length, and
+    # shorter plans are prefixes of longer ones.
+    scheme, snr_db = scheme_snr
+    channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
+    family = code_family_for_scheme(scheme, channel)
+    longest, longest_plan, _ = construct_rcp(scheme.lengths[-1], scheme.k,
+                                             scheme.m, channel)
+    for code, n in zip(family, scheme.lengths):
+        ref, plan, _ = construct_rcp(n, scheme.k, scheme.m, channel)
+        assert code.n == n
+        assert np.array_equal(code.spec.info_set, ref.spec.info_set)
+        assert np.array_equal(code.spec.puncture_set, ref.spec.puncture_set)
+        assert code.spec.frozen_values is None
+        assert ref.spec.frozen_values is None
+        assert np.array_equal(code.rep_vector, ref.rep_vector)
+        reps = n - scheme.m
+        assert np.array_equal(ref.rep_vector, longest.rep_vector[:reps])
+        assert np.array_equal(plan.r, longest_plan.r[:reps])
+        assert np.array_equal(plan.bler_trace,
+                              longest_plan.bler_trace[:reps + 1])

@@ -6,9 +6,11 @@ from rcpolar.channel import (ChannelParams, LLR_CLAMP,
                              transmit_with_rng)
 from rcpolar.codec import rcp_encode
 from rcpolar.design import HarqScheme, design_scheme
-from rcpolar.simulate import (_empty_counts, _report_from_counts,
-                              bler_monte_carlo, bound_check,
-                              code_family_for_scheme, run_campaign, run_trial)
+from rcpolar import channel, simulate
+from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
+                              _report_from_counts, bler_monte_carlo,
+                              bound_check, code_family_for_scheme,
+                              run_campaign, run_trial)
 
 from oracles import campaign_statistics_reference
 
@@ -344,3 +346,66 @@ def test_report_rejects_trial_count_mismatch():
     with pytest.raises(ValueError):
         _report_from_counts(scheme, ChannelParams(snr_db=0.0), 10, 0, counts,
                             list(scheme.lengths))
+
+
+def test_chunk_counts_independent_of_chunk_split():
+    # Re-keying one generator per chunk must carry nothing from one trial
+    # or chunk into the next.
+    codes, params = _family(_small_scheme(), snr_db=-2.0)
+    whole = _chunk_counts(codes, params, 17, 0, 100)
+    split = _empty_counts(len(codes))
+    for lo, hi in ((0, 37), (37, 38), (38, 100)):
+        _merge(split, _chunk_counts(codes, params, 17, lo, hi))
+    assert whole["trials"] == 100
+    assert whole.keys() == split.keys()
+    for key in whole:
+        assert np.array_equal(whole[key], split[key]), key
+
+
+def _uint32_then_awgn_channel(bits, params, rng, trial_index):
+    # The uint32 draw takes the 32-bit half that the block draw left
+    # buffered when it used an odd number of 32-bit words.
+    rng.integers(0, 2 ** 32, dtype=np.uint32)
+    return transmit_with_rng(bits, params, rng)
+
+
+def test_campaign_channel_fn_gets_buffered_generator_state():
+    # k = 36 needs 9 uint32 words for the block, so half a word stays
+    # buffered; a generator advanced by raw 64-bit words would lack it.
+    scheme = HarqScheme(k=36, m=60, lengths=(60, 66, 72), eta_estimate=0.5)
+    codes, params = _family(scheme, snr_db=-1.0)
+    trials, seed = 200, 23
+    flags = []
+    for i in range(trials):
+        rng = noise_stream((seed, i))
+        info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
+        flags.append(run_trial(codes, info, params, rng,
+                               channel_fn=_uint32_then_awgn_channel,
+                               trial_index=i,
+                               measure_all_rounds=True).fail_flags)
+    report = run_campaign(scheme, params, trials, seed,
+                          channel_fn=_uint32_then_awgn_channel)
+    pr_e, pr_first, violations = campaign_statistics_reference(flags)
+    assert report.pr_e == pr_e
+    assert report.pr_first_success == pr_first
+    assert report.nesting_violations == violations
+
+
+def test_chunk_counts_builds_one_generator_per_chunk(monkeypatch):
+    # The default path re-keys one generator per chunk; only channel_fn
+    # receives a generator of its own per trial.
+    calls = []
+    original = channel.noise_stream
+
+    def counting(seed):
+        calls.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(channel, "noise_stream", counting)
+    monkeypatch.setattr(simulate, "noise_stream", counting)
+    codes, params = _family(_small_scheme(), snr_db=-2.0)
+    _chunk_counts(codes, params, 3, 40, 90)
+    assert calls == [(3, 40)]
+    calls.clear()
+    _chunk_counts(codes, params, 3, 40, 90, channel_fn=_awgn_channel)
+    assert calls == [(3, i) for i in range(40, 90)]
