@@ -20,6 +20,10 @@ from .simulate import bler_monte_carlo, bound_check, run_campaign
 SCHEMA_VERSION = 1
 # Scheme SNRs are matched to the requested ones to within this many dB.
 SNR_MATCH_DB = 1e-9
+# Config keys that must hold integers, with the least value each may take
+# (a seed is reduced mod 2^64, so any integer is one).
+_INT_KEYS = {"n": 1, "k": 1, "m": 1, "q": 1, "t_max": 1, "trials": 1,
+             "threads": 1, "seed": float("-inf")}
 
 
 class ConfigError(Exception):
@@ -51,9 +55,10 @@ def _load_config(args) -> dict:
         cfg["out"] = args.out
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
-    threads = cfg["threads"]
-    if type(threads) is not int or threads < 1:
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    for key, least in _INT_KEYS.items():
+        if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
+            raise ConfigError(f"{key} must be an integer >= {least}, "
+                              f"got {cfg[key]!r}")
     return cfg
 
 
@@ -101,10 +106,14 @@ def _csv_header(fp, command: str, cfg: dict) -> None:
 
 def cmd_construct(cfg: dict) -> int:
     n, k, m, snr_db = _require(cfg, "n", "k", "m", "snr_db")
+    if not k <= m <= n:
+        raise ConfigError(f"need k <= m <= n, got k={k}, m={m}, n={n}")
+    if isinstance(snr_db, list):
+        raise ConfigError("construct takes a single snr_db")
+    params = ChannelParams(snr_db=_snr_list(snr_db)[0])
     out = _out_dir(cfg)
-    params = ChannelParams(snr_db=float(snr_db))
     channel = channel_llr_distribution(params)
-    spec, table, plan = mother_code(int(k), int(m), int(n), channel)
+    spec, table, plan = mother_code(k, m, n, channel)
     code = RcpCode(spec=spec, rep_vector=plan.r)
 
     doc = _envelope("construct", cfg)
@@ -122,14 +131,16 @@ def cmd_construct(cfg: dict) -> int:
 
 def cmd_design(cfg: dict) -> int:
     k, t_max, q, snr_db = _require(cfg, "k", "t_max", "q", "snr_db")
+    if k > q:
+        raise ConfigError(f"need k <= q, got k={k}, q={q}")
     out = _out_dir(cfg)
     force = bool(cfg.get("force_n1_equals_m", False))
     schemes = []
     for snr in _snr_list(snr_db):
         channel = channel_llr_distribution(ChannelParams(snr_db=snr))
-        scheme = design_scheme(int(k), int(t_max), int(q), channel,
+        scheme = design_scheme(k, t_max, q, channel,
                                force_first_length_equals_m=force)
-        curve = build_bler_curve(scheme.k, scheme.m, int(q), channel)
+        curve = build_bler_curve(scheme.k, scheme.m, q, channel)
         curve_path = out / f"bler_curve_snr{snr:g}.csv"
         with open(curve_path, "w") as fp:
             _csv_header(fp, "design", cfg)
@@ -139,8 +150,8 @@ def cmd_design(cfg: dict) -> int:
         schemes.append({
             "snr_db": snr,
             "k": scheme.k,
-            "t_max": int(t_max),
-            "q": int(q),
+            "t_max": t_max,
+            "q": q,
             "s": list(scheme.s),
             "eta_estimate": scheme.eta_estimate,
             "bler_curve_path": curve_path.name,
@@ -164,36 +175,36 @@ def _load_schemes(path: str):
                           f"{doc.get('schema_version')!r}, expected "
                           f"{SCHEMA_VERSION}")
     out = []
-    for entry in entries:
-        s = entry["s"]
-        out.append((float(entry["snr_db"]),
-                    HarqScheme(k=int(entry["k"]), m=int(s[0]),
-                               lengths=tuple(int(v) for v in s[1:]),
-                               eta_estimate=float(entry["eta_estimate"]))))
+    try:
+        for entry in entries:
+            s = entry["s"]
+            out.append((float(entry["snr_db"]), HarqScheme(
+                k=int(entry["k"]), m=int(s[0]),
+                lengths=tuple(int(v) for v in s[1:]),
+                eta_estimate=float(entry["eta_estimate"]))))
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigError(f"bad scheme in {path}: {exc}")
     return out
 
 
 def cmd_simulate(cfg: dict) -> int:
     schemes_path, trials = _require(cfg, "schemes", "trials")
-    out = _out_dir(cfg)
-    seed = int(cfg["seed"])
-    threads = int(cfg["threads"])
     wanted = _snr_list(cfg["snr_db"]) if "snr_db" in cfg else None
+    schemes = [(snr, scheme) for snr, scheme in _load_schemes(str(schemes_path))
+               if wanted is None
+               or any(abs(snr - w) <= SNR_MATCH_DB for w in wanted)]
+    if not schemes:
+        raise ConfigError("no scheme matched the requested snr_db values")
+    out = _out_dir(cfg)
+    seed, threads = cfg["seed"], cfg["threads"]
 
     results = []
-    for snr, scheme in _load_schemes(str(schemes_path)):
-        if wanted is not None and not any(abs(snr - w) <= SNR_MATCH_DB
-                                          for w in wanted):
-            continue
+    for snr, scheme in schemes:
         params = ChannelParams(snr_db=snr)
         print(f"simulating snr {snr:+.2f} dB, {trials} trials", file=sys.stderr)
-        report = run_campaign(scheme, params, int(trials), seed,
-                              threads=threads)
+        report = run_campaign(scheme, params, trials, seed, threads=threads)
         check = bound_check(report)
         results.append((report, check))
-
-    if not results:
-        raise ConfigError("no scheme matched the requested snr_db values")
 
     doc = _envelope("simulate", cfg)
     doc["reports"] = []
@@ -237,16 +248,20 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_bler(cfg: dict) -> int:
     codes, snr_db, trials = _require(cfg, "codes", "snr_db", "trials")
+    if not isinstance(codes, list) or not all(
+            isinstance(c, list) and len(c) == 3
+            and all(type(v) is int for v in c) and 1 <= c[1] <= c[2] <= c[0]
+            for c in codes):
+        raise ConfigError("codes must be [n, k, m] integer triples with "
+                          f"1 <= k <= m <= n, got {codes!r}")
     out = _out_dir(cfg)
-    seed = int(cfg["seed"])
-    threads = int(cfg["threads"])
+    seed, threads = cfg["seed"], cfg["threads"]
     rows = []
-    for entry in codes:
-        n, k, m = (int(v) for v in entry)
+    for n, k, m in codes:
         for snr in _snr_list(snr_db):
             params = ChannelParams(snr_db=snr)
             print(f"bler ({n},{k},{m}) at {snr:+.2f} dB", file=sys.stderr)
-            rows.append(bler_monte_carlo(n, k, m, params, int(trials), seed,
+            rows.append(bler_monte_carlo(n, k, m, params, trials, seed,
                                          threads=threads))
     with open(out / "bler.csv", "w") as fp:
         _csv_header(fp, "bler", cfg)
@@ -291,7 +306,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(cfg)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

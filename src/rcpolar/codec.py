@@ -16,7 +16,6 @@ whatever repetitions they add: every tree LLR, and every decision LLR at a
 bit whose repetition sum is the same, is bit-for-bit equal.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,26 +126,27 @@ class RcpCode:
 
 
 def _expand_u(info_bits, spec: PolarCodeSpec):
+    """(n0, B) input words, one per column, and whether the input is a batch."""
     info_bits = np.asarray(info_bits, dtype=np.int8)
     batched = info_bits.ndim == 2
     if info_bits.shape[-1] != spec.k:
         raise ValueError(f"expected {spec.k} information bits, got {info_bits.shape[-1]}")
-    shape = (info_bits.shape[0] if batched else 1, spec.n0)
-    u = np.zeros(shape, dtype=np.int8)
-    u[:, spec.info_set] = info_bits if batched else info_bits[None, :]
+    u = np.zeros((spec.n0, info_bits.shape[0] if batched else 1), dtype=np.int8)
+    u[spec.info_set] = info_bits.T if batched else info_bits[:, None]
     if spec.frozen_values is not None:
-        u[:, spec.frozen_set] = spec.frozen_values[None, :]
+        u[spec.frozen_set] = spec.frozen_values[:, None]
     return u, batched
 
 
 def _butterfly(u):
-    """x = u F^(kron n) over GF(2), natural order; operates on the last axis."""
+    """x = u F^(kron n) over GF(2), natural order, for the columns of the
+    (n0, B) array ``u``: one XOR of each block's halves per stage."""
     x = u.copy()
-    n = x.shape[-1]
+    n0 = x.shape[0]
     step = 1
-    while step < n:
-        for i in range(0, n, 2 * step):
-            x[..., i:i + step] ^= x[..., i + step:i + 2 * step]
+    while step < n0:
+        pairs = x.reshape(n0 // (2 * step), 2, -1)
+        pairs[:, 0] ^= pairs[:, 1]
         step <<= 1
     return x
 
@@ -158,16 +158,15 @@ def polar_encode(info_bits, spec: PolarCodeSpec):
     """
     u, batched = _expand_u(info_bits, spec)
     x = _butterfly(u)
-    return x if batched else x[0]
+    return x.T if batched else x[:, 0]
 
 
 def rcp_encode(info_bits, code: RcpCode):
     """Encode into the transmitted word: surviving polar bits, then repetitions."""
     u, batched = _expand_u(info_bits, code.spec)
     x = _butterfly(u)
-    tx = np.concatenate(
-        [x[:, code.spec.transmitted_positions], u[:, code.rep_vector]], axis=1)
-    return tx if batched else tx[0]
+    tx = np.concatenate([x[code.spec.transmitted_positions], u[code.rep_vector]])
+    return tx.T if batched else tx[:, 0]
 
 
 _SIGN_OF_BIT = np.array([1.0, -1.0])
@@ -209,7 +208,7 @@ def _check_node(parent, out, pair, s):
     np.multiply(out, lo, out=out)
 
 
-def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
+def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     """Successive-cancellation decode of one or many received LLR words.
 
     Parameters
@@ -221,12 +220,15 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
     counter : dict, optional
         If given, "f_ops" and "g_ops" are incremented by the number of
         per-word scalar updates performed (independent of batch size).
-    return_decision_llrs : bool
-        Also return the (B, n0) decision LLRs seen at every input bit.
+    return_leaf_llrs : bool
+        Also return the (B, n0) leaf LLRs: the tree LLR at every input bit,
+        before repetition LLRs are added.  The decision at a repeated bit is
+        made on its leaf LLR plus its repetition LLRs summed in transmit
+        order.
 
     Returns
     -------
-    ndarray of int8, shape (k,) or (B, k); optionally the decision LLRs.
+    ndarray of int8, shape (k,) or (B, k); optionally the leaf LLRs.
 
     Raises ValueError on a length mismatch or any NaN/infinite LLR.
     """
@@ -271,7 +273,7 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
         frozen_sign[spec.frozen_set] = 1.0 - 2.0 * spec.frozen_values
     frozen_sign = frozen_sign.tolist()
     u_hat = np.empty((spec.k, b), dtype=np.int8)
-    dec = np.empty((n0, b)) if return_decision_llrs else None
+    leaves = np.empty((n0, b)) if return_leaf_llrs else None
     decision = np.empty(b)
     leaf = levels[0][0]
     f_ops = g_ops = 0
@@ -291,14 +293,12 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
             _check_node(*f_args[s])
             f_ops += 1 << s
 
+        if leaves is not None:
+            leaves[i] = leaf
         d = leaf
         rep = rep_at.get(i)
-        if dec is not None or rep is not None:
-            d = decision if dec is None else dec[i]
-            if rep is None:
-                d[:] = leaf
-            else:
-                np.add(leaf, rep, out=d)
+        if rep is not None:
+            d = np.add(leaf, rep, out=decision)
         j = info_row[i]
         if j < 0:
             signs[i] = frozen_sign[i]
@@ -319,15 +319,11 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_decision_llrs=False):
         counter["f_ops"] = counter.get("f_ops", 0) + f_ops
         counter["g_ops"] = counter.get("g_ops", 0) + g_ops
     out = np.ascontiguousarray(u_hat.T)
-    if dec is not None:
-        dec = dec.T
     if not batched:
         out = out[0]
-        if dec is not None:
-            dec = dec[0]
-    if return_decision_llrs:
-        return out, dec
-    return out
+    if leaves is None:
+        return out
+    return out, (leaves.T if batched else leaves[:, 0])
 
 
 def validate_family(codes) -> None:
@@ -359,63 +355,32 @@ def sc_decode_nested(llrs, codes) -> list:
 
     Returns ``[sc_decode(llrs[:, :c.n], c) for c in codes]``, with the same
     decisions, but decodes a later round only for the rows where it can
-    change one.  The first round is decoded once and keeps its decision
-    LLRs.  A later round adds repetition LLRs at a few input bits; for each
-    bit not repeated in the first round the new decision is that round's
-    decision LLR plus the new repetition sum, the same two operands
-    :func:`sc_decode` adds.  Rows where none of those decisions flips keep
-    the first round's result; the others are decoded again.  A round that
-    adds repetitions to a bit the first round already repeated cannot be
-    settled that way and is decoded again for every row.  A family of one
-    code is decoded by plain :func:`sc_decode`, without decision LLRs.
+    change one.  The first round is decoded once and keeps its leaf LLRs.
+    A later round decides each of its repeated bits on that bit's leaf LLR
+    plus the round's repetition sum, the same two operands
+    :func:`sc_decode` adds, as long as every earlier decision is unchanged.
+    Rows where none of those decisions differs from the first round's keep
+    its result; the others are decoded again.  A family of one code is
+    decoded by plain :func:`sc_decode`, without leaf LLRs.
     """
     validate_family(codes)
     llrs = np.asarray(llrs, dtype=float)
     first = codes[0]
     if len(codes) == 1:
         return [sc_decode(llrs[:, : first.n], first)]
-    base, dec = sc_decode(llrs[:, : first.n], first,
-                          return_decision_llrs=True)
+    base, leaf = sc_decode(llrs[:, : first.n], first, return_leaf_llrs=True)
     info_set = first.spec.info_set
     results = [base]
     for code in codes[1:]:
-        added = np.unique(code.rep_vector[first.rep_vector.size:])
-        if np.isin(added, first.rep_vector).any():
-            rows = np.arange(base.shape[0])
-        else:
-            index, sums = _repetition_sums(llrs[:, : code.n], code)
-            new_sums = sums[np.isin(index, added)].T
-            bits = (dec[:, added] + new_sums) < 0
-            flips = bits != base[:, np.searchsorted(info_set, added)]
-            rows = np.flatnonzero(flips.any(axis=1))
+        index, sums = _repetition_sums(llrs[:, : code.n], code)
+        bits = (leaf[:, index] + sums.T) < 0
+        flips = bits != base[:, np.searchsorted(info_set, index)]
+        rows = np.flatnonzero(flips.any(axis=1))
         decoded = base.copy()
         if rows.size:
             decoded[rows] = sc_decode(llrs[rows, : code.n], code)
         results.append(decoded)
     return results
-
-
-# ---------------------------------------------------------------------------
-# Golden-vector file format: one JSON object per line, hex-packed bits.
-
-def bits_to_hex(bits) -> str:
-    """Pack a bit vector MSB-first into a fixed-width hex string."""
-    bits = np.asarray(bits, dtype=np.int8)
-    if bits.size == 0:
-        return ""
-    value = 0
-    for bit in bits:
-        value = (value << 1) | int(bit)
-    return format(value, f"0{(bits.size + 3) // 4}x")
-
-
-def hex_to_bits(hexstr: str, length: int) -> np.ndarray:
-    """Inverse of :func:`bits_to_hex` given the original bit count."""
-    if length == 0:
-        return np.array([], dtype=np.int8)
-    value = int(hexstr, 16)
-    return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)],
-                    dtype=np.int8)
 
 
 def code_to_dict(code: RcpCode) -> dict:
@@ -442,27 +407,3 @@ def code_from_dict(d: dict) -> RcpCode:
         frozen_values=d.get("frozen_values"),
     )
     return RcpCode(spec=spec, rep_vector=np.array(d["rep_vector"], dtype=np.int64))
-
-
-def write_golden_vectors(fp, records) -> None:
-    """Write (code, info_bits) pairs as JSON lines for regression checks."""
-    for code, info_bits in records:
-        row = {
-            "spec": code_to_dict(code),
-            "info_bits_hex": bits_to_hex(info_bits),
-            "codeword_hex": bits_to_hex(rcp_encode(info_bits, code)),
-        }
-        fp.write(json.dumps(row, separators=(",", ":")) + "\n")
-
-
-def check_golden_vectors(fp):
-    """Yield (line_number, ok) for every stored vector re-encoded and compared."""
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        row = json.loads(line)
-        code = code_from_dict(row["spec"])
-        info = hex_to_bits(row["info_bits_hex"], code.k)
-        expect = hex_to_bits(row["codeword_hex"], code.n)
-        yield lineno, bool(np.array_equal(rcp_encode(info, code), expect))

@@ -33,8 +33,8 @@ class HarqScheme:
     def __post_init__(self):
         if not self.lengths:
             raise ValueError("a scheme needs at least one transmission length")
-        if not self.k <= self.m <= self.lengths[0]:
-            raise ValueError("need k <= m <= first length")
+        if not 1 <= self.k <= self.m <= self.lengths[0]:
+            raise ValueError("need 1 <= k <= m <= first length")
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("cumulative lengths must be strictly increasing")
 

@@ -116,10 +116,8 @@ class ReliabilityTable:
     def size(self) -> int:
         return self.means.size
 
-    def to_csv(self, fp, header_lines=()) -> None:
-        """Write (index, mean, pe) rows; ``header_lines`` go first as comments."""
-        for line in header_lines:
-            fp.write(f"# {line}\n")
+    def to_csv(self, fp) -> None:
+        """Write an ``index,mean,pe`` header and one row per channel."""
         fp.write("index,mean,pe\n")
         for i, (m, p) in enumerate(zip(self.means, self.pe)):
             fp.write(f"{i},{float(m)!r},{float(p)!r}\n")
@@ -162,15 +160,6 @@ def ga_evolve(channel_means) -> ReliabilityTable:
         nxt[:, half:] = w[:, :half] + w[:, half:]
         work = nxt.reshape(-1)
     return ReliabilityTable(means=work, pe=pe_from_mean(work))
-
-
-def bit_reverse(i: int, nbits: int) -> int:
-    """Reverse the low ``nbits`` bits of ``i``."""
-    out = 0
-    for _ in range(nbits):
-        out = (out << 1) | (i & 1)
-        i >>= 1
-    return out
 
 
 def puncture_pattern(n0: int, m: int) -> np.ndarray:

@@ -139,17 +139,12 @@ def _accumulate(counts: dict, fails: np.ndarray, lengths) -> None:
     counts["trials"] += b
     counts["fails"] += fails.sum(axis=0)
     first = np.where(ok.any(axis=1), ok.argmax(axis=1), t)  # t == never
-    for j in range(t):
-        counts["first_success"][j] += int(np.sum(first == j))
-    chain = int(np.sum(first == t))
-    counts["chain_fail"] += chain
+    per_round = np.bincount(first, minlength=t + 1)
+    counts["first_success"] += per_round[:t]
+    counts["chain_fail"] += int(per_round[t])
     # success followed by a later failure breaks event nesting
-    later_fail = np.zeros(b, dtype=bool)
-    seen_ok = np.zeros(b, dtype=bool)
-    for j in range(t):
-        later_fail |= seen_ok & fails[:, j]
-        seen_ok |= ok[:, j]
-    counts["nesting_violations"] += int(np.sum(later_fail))
+    later_fail = fails & (np.arange(t) > first[:, None])
+    counts["nesting_violations"] += int(later_fail.any(axis=1).sum())
     lengths = np.asarray(lengths)
     n_i = np.where(first < t, lengths[np.minimum(first, t - 1)], lengths[-1])
     k_i = np.where(first < t, 1.0, 0.0)  # delivered blocks; scaled by k later

@@ -1,11 +1,16 @@
-"""Independent reference implementations used to cross-check the library.
+"""Independent reference implementations used to cross-check the library,
+and the golden-vector file format of the encoder regression tests.
 
-Everything here is deliberately written the slow, obvious way (dense matrix
-algebra, exhaustive enumeration, direct sampling) and shares no code with the
+The references are deliberately written the slow, obvious way (dense matrix
+algebra, exhaustive enumeration, direct sampling) and share no code with the
 implementations under test.
 """
 
+import json
+
 import numpy as np
+
+from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode
 
 
 def dense_generator(n0: int) -> np.ndarray:
@@ -18,8 +23,18 @@ def dense_generator(n0: int) -> np.ndarray:
 
 
 def encode_dense(u: np.ndarray) -> np.ndarray:
-    """Codeword via explicit matrix multiplication over GF(2)."""
-    return (u @ dense_generator(u.size)) % 2
+    """Codeword via explicit matrix multiplication over GF(2); ``u`` is one
+    word (n0,) or a batch of words (B, n0)."""
+    return (u @ dense_generator(u.shape[-1])) % 2
+
+
+def bit_reverse(i: int, nbits: int) -> int:
+    """Reverse the low ``nbits`` bits of ``i``."""
+    out = 0
+    for _ in range(nbits):
+        out = (out << 1) | (i & 1)
+        i >>= 1
+    return out
 
 
 def f_reference(a, b):
@@ -112,9 +127,9 @@ def sc_decode_reference(llrs, code):
     """Recursive SC decoder over (B, width) blocks, one node per call.
 
     Takes a (B, n) batch laid out like ``rcpolar.codec.sc_decode`` input and
-    returns ``(decoded (B, k), decision LLRs (B, n0))``.  Punctured
-    positions are LLR 0 and repetition LLRs join at the decision site of
-    their input bit.
+    returns ``(decoded (B, k), leaf LLRs (B, n0))``.  Punctured positions
+    are LLR 0; repetition LLRs join at the decision site of their input bit,
+    after the leaf LLR is recorded.
     """
     llrs = np.asarray(llrs, dtype=float)
     spec = code.spec
@@ -131,7 +146,7 @@ def sc_decode_reference(llrs, code):
     info[spec.info_set] = True
 
     u_hat = np.zeros((b, spec.n0), dtype=np.int8)
-    decisions = np.empty((b, spec.n0))
+    leaves = np.empty((b, spec.n0))
     pos = 0
 
     def descend(block):
@@ -140,9 +155,9 @@ def sc_decode_reference(llrs, code):
         if width == 1:
             i = pos
             pos += 1
-            decisions[:, i] = block[:, 0] + rep_sum[:, i]
+            leaves[:, i] = block[:, 0]
             if info[i]:
-                u_hat[:, i] = decisions[:, i] < 0
+                u_hat[:, i] = (block[:, 0] + rep_sum[:, i]) < 0
             else:
                 u_hat[:, i] = frozen_bits[i]
             return u_hat[:, i:i + 1].copy()
@@ -153,7 +168,7 @@ def sc_decode_reference(llrs, code):
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
     descend(chan)
-    return u_hat[:, spec.info_set], decisions
+    return u_hat[:, spec.info_set], leaves
 
 
 def campaign_statistics_reference(fail_flags):
@@ -177,3 +192,49 @@ def campaign_statistics_reference(fail_flags):
             violations += any(flags[decoded[0]:])
     return (tuple(c / trials for c in fails), tuple(c / trials for c in first),
             violations)
+
+
+# Golden-vector file format: one JSON object per line, hex-packed bits.
+
+def bits_to_hex(bits) -> str:
+    """Pack a bit vector MSB-first into a fixed-width hex string."""
+    bits = np.asarray(bits, dtype=np.int8)
+    if bits.size == 0:
+        return ""
+    value = 0
+    for bit in bits:
+        value = (value << 1) | int(bit)
+    return format(value, f"0{(bits.size + 3) // 4}x")
+
+
+def hex_to_bits(hexstr: str, length: int) -> np.ndarray:
+    """Inverse of :func:`bits_to_hex` given the original bit count."""
+    if length == 0:
+        return np.array([], dtype=np.int8)
+    value = int(hexstr, 16)
+    return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)],
+                    dtype=np.int8)
+
+
+def write_golden_vectors(fp, records) -> None:
+    """Write (code, info_bits) pairs as JSON lines for regression checks."""
+    for code, info_bits in records:
+        row = {
+            "spec": code_to_dict(code),
+            "info_bits_hex": bits_to_hex(info_bits),
+            "codeword_hex": bits_to_hex(rcp_encode(info_bits, code)),
+        }
+        fp.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def check_golden_vectors(fp):
+    """Yield (line_number, ok) for every stored vector re-encoded and compared."""
+    for lineno, line in enumerate(fp, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        row = json.loads(line)
+        code = code_from_dict(row["spec"])
+        info = hex_to_bits(row["info_bits_hex"], code.k)
+        expect = hex_to_bits(row["codeword_hex"], code.n)
+        yield lineno, bool(np.array_equal(rcp_encode(info, code), expect))

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import rcpolar.simulate
 from rcpolar.channel import ChannelParams, channel_llr_distribution
 from rcpolar.cli import main
 from rcpolar.codec import code_to_dict
@@ -32,6 +33,36 @@ def test_missing_required_key_exits_2(tmp_path, capsys):
 def test_invalid_parameters_exit_2(tmp_path):
     cfg = {"n": 8, "k": 10, "m": 8, "snr_db": 0.0, "out": str(tmp_path / "o")}
     assert _run(tmp_path, "construct", cfg) == 2
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("construct", {"n": 8, "k": "four", "m": 8, "snr_db": 0.0}),
+    ("construct", {"n": 8, "k": 4, "m": 8, "snr_db": "high"}),
+    ("design", {"k": 8, "t_max": 0, "q": 16, "snr_db": 1.0}),
+    ("design", {"k": 17, "t_max": 2, "q": 16, "snr_db": 1.0}),
+    ("bler", {"codes": [[12, 4]], "snr_db": 0.0, "trials": 20}),
+    ("bler", {"codes": [[12, 0, 8]], "snr_db": 0.0, "trials": 20}),
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
+              "seed": "x"}),
+])
+def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
+    cfg["out"] = str(tmp_path / "o")
+    assert _run(tmp_path, command, cfg) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_runtime_value_error_exits_3(tmp_path, monkeypatch, capsys):
+    # A ValueError raised mid-run is a runtime failure, not bad usage.
+    path = _small_schemes(tmp_path)
+
+    def miscounted(*args, **kwargs):
+        raise ValueError("counted 9 trials, expected 10")
+
+    monkeypatch.setattr(rcpolar.simulate, "_report_from_counts", miscounted)
+    sim_cfg = {"schemes": str(path), "trials": 10, "out": str(tmp_path / "s")}
+    assert _run(tmp_path, "simulate", sim_cfg) == 3
+    assert "counted 9 trials" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_3(tmp_path):
@@ -274,3 +305,17 @@ def test_simulate_rejects_schema_version_mismatch(tmp_path, capsys, version):
                "out": str(tmp_path / "s")}
     assert _run(tmp_path, "simulate", sim_cfg) == 2
     assert "schema_version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [{"s": [6, 5]}, {"s": [6, 8, 8]},
+                                  {"k": 0}, {"s": "6,8"}])
+def test_simulate_rejects_bad_scheme_exit_2(tmp_path, capsys, edit):
+    path = _small_schemes(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["schemes"][0].update(edit)
+    path.write_text(json.dumps(doc))
+    sim_cfg = {"schemes": str(path), "trials": 10,
+               "out": str(tmp_path / "s")}
+    assert _run(tmp_path, "simulate", sim_cfg) == 2
+    assert "bad scheme" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcpolar.channel import LLR_CLAMP, LlrDistribution
-from rcpolar.codec import (PolarCodeSpec, RcpCode, bits_to_hex,
-                           check_golden_vectors, code_from_dict, code_to_dict,
-                           hex_to_bits, polar_encode, rcp_encode, sc_decode,
-                           write_golden_vectors)
+from rcpolar.codec import (PolarCodeSpec, RcpCode, code_from_dict,
+                           code_to_dict, polar_encode, rcp_encode, sc_decode)
 from rcpolar.construct import construct_rcp
 
-from oracles import encode_dense, posterior_decision_llr
+from oracles import (bits_to_hex, check_golden_vectors, encode_dense,
+                     hex_to_bits, posterior_decision_llr, write_golden_vectors)
 
 
 def _plain_spec(n0, info):
@@ -48,10 +47,13 @@ def test_all_zero_encodes_to_all_zero():
 
 def test_encode_matches_dense_generator():
     rng = np.random.default_rng(0)
-    spec = _plain_spec(8, list(range(8)))
-    for _ in range(100):
-        u = rng.integers(0, 2, size=8, dtype=np.int8)
-        assert np.array_equal(polar_encode(u, spec), encode_dense(u))
+    for n0 in (8, 64, 256):
+        spec = _plain_spec(n0, list(range(n0)))
+        for _ in range(20):
+            u = rng.integers(0, 2, size=n0, dtype=np.int8)
+            assert np.array_equal(polar_encode(u, spec), encode_dense(u))
+        batch = rng.integers(0, 2, size=(17, n0), dtype=np.int8)
+        assert np.array_equal(polar_encode(batch, spec), encode_dense(batch))
 
 
 def test_encode_length_mismatch():
@@ -115,14 +117,14 @@ def test_sc_decode_length_mismatch():
 
 
 def test_decision_llrs_match_exhaustive_posterior():
-    # n0=4, k=2, no punctures or repetitions: each decision LLR equals the
-    # posterior computed by summing over all codewords consistent with the
-    # decoder's own earlier decisions.
+    # n0=4, k=2, no punctures or repetitions, so the leaf LLRs are the
+    # decision LLRs: each equals the posterior computed by summing over all
+    # codewords consistent with the decoder's own earlier decisions.
     code, _, _ = construct_rcp(4, 2, 4, LlrDistribution(2.0))
     rng = np.random.default_rng(4)
     for _ in range(50):
         llr = rng.normal(0.0, 3.0, size=4)
-        decoded, decisions = sc_decode(llr, code, return_decision_llrs=True)
+        decoded, decisions = sc_decode(llr, code, return_leaf_llrs=True)
         u = np.zeros(4, dtype=np.int64)
         u[code.spec.info_set] = decoded
         for i in range(4):
@@ -144,15 +146,19 @@ def test_repetition_llr_flips_decision():
 
 
 def test_repetition_llrs_accumulate():
-    # Two repetitions of the same bit sum their observations at the decision.
+    # Two repetitions of the same bit sum their observations at the
+    # decision: against a tree LLR of about +2, either one alone leaves bit 0
+    # at 0 and the pair flips it.
     spec = _plain_spec(2, [0, 1])
-    rep2 = RcpCode(spec=spec, rep_vector=np.array([0, 0]))
-    llr = np.array([3.0, 2.6, -1.2, -1.1])
-    _, decisions = sc_decode(llr, rep2, return_decision_llrs=True)
+    polar_llr = [3.0, 2.6]
     single = RcpCode(spec=spec, rep_vector=np.array([0]))
-    _, ref = sc_decode(np.array([3.0, 2.6, -2.3]), single,
-                       return_decision_llrs=True)
-    assert decisions[0] == pytest.approx(ref[0])
+    for rep_llr in (-1.2, -1.1):
+        decoded, leaf = sc_decode(np.array([*polar_llr, rep_llr]), single,
+                                  return_leaf_llrs=True)
+        assert leaf[0] == pytest.approx(2.0, abs=0.2)
+        assert decoded[0] == 0
+    pair = RcpCode(spec=spec, rep_vector=np.array([0, 0]))
+    assert sc_decode(np.array([*polar_llr, -1.2, -1.1]), pair)[0] == 1
 
 
 def test_round_trip_random_family():

@@ -21,7 +21,7 @@ from oracles import sc_decode_reference
 CORPUS_CODES = {8: (12, 4, 6, 1.0), 256: (300, 128, 200, 0.5),
                 2048: (1783, 1024, 1408, 1.5)}
 CORPUS_BATCHES = (1, 64, 732)
-DECISION_RTOL = 1e-12
+LEAF_RTOL = 1e-12
 
 
 def _corpus(n0, rows, seed):
@@ -59,10 +59,10 @@ def test_corpus_matches_recursive_reference(n0):
         assert (llr == value).any()
     for b in CORPUS_BATCHES:
         ref_bits, ref_llrs = sc_decode_reference(llr[:b], code)
-        bits, llrs = sc_decode(llr[:b], code, return_decision_llrs=True)
+        bits, llrs = sc_decode(llr[:b], code, return_leaf_llrs=True)
         assert np.array_equal(bits, ref_bits), (n0, b)
         err = np.abs(llrs - ref_llrs) / np.maximum(np.abs(ref_llrs), 1.0)
-        assert err.max() <= DECISION_RTOL, (n0, b, err.max())
+        assert err.max() <= LEAF_RTOL, (n0, b, err.max())
 
 
 def test_sc_decode_leaves_no_reference_cycles():
@@ -70,7 +70,7 @@ def test_sc_decode_leaves_no_reference_cycles():
     # collector runs.
     code, llr = _corpus(256, 16, seed=1)
     gc.collect()
-    sc_decode(llr, code, counter={}, return_decision_llrs=True)
+    sc_decode(llr, code, counter={}, return_leaf_llrs=True)
     assert gc.collect() == 0
 
 
@@ -128,9 +128,9 @@ def test_nested_decoding_equals_per_round_decoding(family):
 
 
 def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
+    # Round 1 without repetitions, then round 1 with 20 repetitions that
+    # later rounds repeat again.
     code, llr = _corpus(256, 64, seed=2)
-    lengths = (code.m, code.m + 10, code.n)
-    codes = [code.prefix(n) for n in lengths]
     calls = []
 
     def counting_decode(llrs, c, **kwargs):
@@ -138,7 +138,14 @@ def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
         return sc_decode(llrs, c, **kwargs)
 
     monkeypatch.setattr(rcpolar.codec, "sc_decode", counting_decode)
-    sc_decode_nested(llr, codes)
-    assert calls[0] == 64
-    assert sum(calls) <= 64 * len(codes)
-    assert sum(calls[1:]) < 64 * (len(codes) - 1)
+    for lengths in ((code.m, code.m + 10, code.n),
+                    (code.m + 20, code.m + 40, code.n)):
+        codes = [code.prefix(n) for n in lengths]
+        first_reps = codes[0].rep_vector
+        for c in codes[1:]:
+            assert first_reps.size == 0 or np.isin(
+                c.rep_vector[first_reps.size:], first_reps).any()
+        calls.clear()
+        sc_decode_nested(llr, codes)
+        assert calls[0] == 64
+        assert all(rows < 64 for rows in calls[1:]), (lengths, calls)

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rcpolar.channel import LlrDistribution
 from rcpolar.reliability import (ReliabilityTable, _log_phi, _log_phi_inv,
-                                 bit_reverse, check_mean_update, ga_evolve,
-                                 pe_from_mean, pe_of, puncture_pattern,
-                                 select_info_set)
+                                 check_mean_update, ga_evolve, pe_from_mean,
+                                 pe_of, puncture_pattern, select_info_set)
 
-from oracles import mc_density_evolution
+from oracles import bit_reverse, mc_density_evolution
 
 
 def test_pe_trivial_points():
@@ -52,6 +53,26 @@ def test_check_update_no_underflow_for_large_means():
     out = check_mean_update(np.array([5000.0]), np.array([6000.0]))
     assert np.isfinite(out[0])
     assert 4000 < out[0] < 6000
+
+
+# Below this mean phi(m) = exp(0.0218 - 0.4527 m^0.86) exceeds 1, and there
+# raising one input of the check update lowers its output.
+PHI_ONE_MEAN = (0.0218 / 0.4527) ** (1 / 0.86)
+_valid_mean = st.just(0.0) | st.floats(PHI_ONE_MEAN, 1e6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_valid_mean, min_size=2, max_size=2), _valid_mean)
+def test_check_update_monotone_where_phi_at_most_one(raised, other):
+    # Nondecreasing in each argument to within 1e-11 relative when both
+    # means are 0 or at least PHI_ONE_MEAN (worst measured on 2M pairs:
+    # 4.9e-12).
+    low, high = sorted(raised)
+    for args_low, args_high in (((low, other), (high, other)),
+                                ((other, low), (other, high))):
+        before = check_mean_update(*args_low)
+        after = check_mean_update(*args_high)
+        assert after >= before * (1.0 - 1e-11), (args_low, args_high)
 
 
 def test_ga_degenerate_all_zero():
@@ -185,11 +206,10 @@ def test_reliability_csv_round_trip(tmp_path):
     table = ga_evolve(np.full(8, 2.0))
     path = tmp_path / "table.csv"
     with open(path, "w") as fp:
-        table.to_csv(fp, header_lines=["example"])
+        table.to_csv(fp)
     lines = path.read_text().splitlines()
-    assert lines[0] == "# example"
-    assert lines[1] == "index,mean,pe"
-    parsed = [line.split(",") for line in lines[2:]]
+    assert lines[0] == "index,mean,pe"
+    parsed = [line.split(",") for line in lines[1:]]
     assert [int(row[0]) for row in parsed] == list(range(8))
     assert np.allclose([float(row[1]) for row in parsed], table.means)
     assert np.allclose([float(row[2]) for row in parsed], table.pe)
