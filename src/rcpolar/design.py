@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
-from .construct import mother_code
+from .construct import mother_code, mother_codes
 
 # Block-error values are floored here so throughput denominators stay stable.
 BLER_FLOOR = 1e-15
@@ -75,8 +75,11 @@ def build_bler_curve(k: int, m: int, q: int, channel: LlrDistribution,
     same as the longest code.
     """
     _, _, plan = mother_code(k, m, q, channel, counters=counters)
-    e = np.clip(plan.bler_trace, BLER_FLOOR, 1.0)
-    return BlerCurve(k=k, m=m, e=e)
+    return _curve(k, m, plan)
+
+
+def _curve(k: int, m: int, plan) -> BlerCurve:
+    return BlerCurve(k=k, m=m, e=np.clip(plan.bler_trace, BLER_FLOOR, 1.0))
 
 
 def throughput_estimate(k: int, lengths, blers) -> float:
@@ -163,8 +166,10 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     """Greedy search for a transmission scheme with at most ``t_max`` rounds.
 
     For every polar-bit budget m in k..q the block error curve over all
-    lengths is built incrementally; rounds then add one cumulative length at
-    a time, each time the one that most improves the estimated throughput.
+    lengths is read from that m's repetition plan, built by
+    :func:`~rcpolar.construct.mother_codes` with batched GA passes; rounds
+    then add one cumulative length at a time, each time the one that most
+    improves the estimated throughput.
     Ties prefer the smaller added length and then the smaller m.  The first
     round always keeps its best candidate (a scheme has at least one
     transmission); a later round with no improving addition ends the inner
@@ -179,8 +184,10 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
         raise ValueError("t_max must be at least 1")
 
     best = None  # (eta, m, lengths)
-    for m in range(k, q + 1):
-        curve = build_bler_curve(k, m, q, channel, counters=counters)
+    ms = range(k, q + 1)
+    for m, (_, _, plan) in zip(ms, mother_codes(k, ms, q, channel,
+                                                 counters=counters)):
+        curve = _curve(k, m, plan)
         chosen: list = []
         eta = -np.inf
         for _ in range(t_max):

@@ -86,8 +86,8 @@ def pe_from_mean(means):
     1e-12 remain meaningful instead of rounding to zero prematurely.
     """
     means = np.asarray(means, dtype=float)
-    if np.any(means < 0):
-        raise ValueError("LLR means must be nonnegative")
+    if not np.all(means >= 0):
+        raise ValueError("LLR means must be nonnegative (NaN is rejected)")
     out = np.full(means.shape, 0.5)
     pos = means > 0
     out[pos] = np.exp(log_ndtr(-np.sqrt(0.5 * means[pos])))
@@ -107,14 +107,19 @@ def pe_of(dist: LlrDistribution) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ReliabilityTable:
-    """Per-channel LLR means and error probabilities after polarization."""
+    """Per-channel LLR means and error probabilities after polarization.
+
+    ``means`` and ``pe`` have shape (N0,), or (M, N0) for a table of M stacked
+    mother codes from :func:`ga_evolve`.
+    """
 
     means: np.ndarray
     pe: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.means.size
+        """Number of synthesized channels (per row of a stacked table)."""
+        return self.means.shape[-1]
 
     def to_csv(self, fp) -> None:
         """Write an ``index,mean,pe`` header and one row per channel."""
@@ -128,37 +133,46 @@ def ga_evolve(channel_means) -> ReliabilityTable:
 
     Parameters
     ----------
-    channel_means : array-like, shape (N0,)
+    channel_means : array-like, shape (N0,) or (M, N0)
         Gaussian LLR mean of every channel use, in codeword order; punctured
-        positions carry 0.  N0 must be a power of two.
+        positions carry 0.  N0 must be a power of two.  A 2-D array stacks M
+        independent mother codes of the same length; each row evolves exactly
+        as it would on its own.
 
     Returns
     -------
     ReliabilityTable
         Means and error probabilities of the N0 synthesized channels, indexed
-        in input-bit order: index i is the channel seen by bit u_i.
+        in input-bit order: index i is the channel seen by bit u_i.  Arrays
+        have the shape of ``channel_means``.
 
     The recursion pairs use j with use j + block/2 inside each block; the
     check-type output feeds the first half of the bit indices and the
     variable-type output (means add) the second half, matching the codec's
-    natural-order transform.
+    natural-order transform.  Each stage evolves every row at once, on
+    contiguous copies of the two half-blocks.  Peak memory is about 9 times
+    the input (traced), so callers stacking many rows pass them in blocks.
     """
     means = np.array(channel_means, dtype=float)
-    n0 = means.size
+    if means.ndim not in (1, 2):
+        raise ValueError(f"need a 1-D or 2-D array of means, got {means.ndim}-D")
+    n0 = means.shape[-1]
     if n0 < 1 or (n0 & (n0 - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n0}")
-    if np.any(means < 0):
-        raise ValueError("channel means must be nonnegative")
-    n = int(np.log2(n0))
+    if not np.all(means >= 0):
+        raise ValueError("channel means must be nonnegative (NaN is rejected)")
+    n_rows = means.size // n0
     work = means
-    for stage in range(n):
-        block = n0 >> stage
-        half = block >> 1
-        w = work.reshape(-1, block)
-        nxt = np.empty_like(w)
-        nxt[:, :half] = check_mean_update(w[:, :half], w[:, half:])
-        nxt[:, half:] = w[:, :half] + w[:, half:]
-        work = nxt.reshape(-1)
+    half = n0
+    while half > 1:
+        half >>= 1
+        pairs = work.reshape(n_rows, n0 // (2 * half), 2, half)
+        upper = np.ascontiguousarray(pairs[:, :, 0])
+        lower = np.ascontiguousarray(pairs[:, :, 1])
+        work = np.empty_like(pairs)
+        work[:, :, 0] = check_mean_update(upper, lower)
+        work[:, :, 1] = upper + lower
+    work = work.reshape(means.shape)
     return ReliabilityTable(means=work, pe=pe_from_mean(work))
 
 

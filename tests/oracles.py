@@ -2,15 +2,18 @@
 and the golden-vector file format of the encoder regression tests.
 
 The references are deliberately written the slow, obvious way (dense matrix
-algebra, exhaustive enumeration, direct sampling) and share no code with the
-implementations under test.
+algebra, exhaustive enumeration, direct sampling, step-by-step loops) and
+share no code with the implementations under test, except the
+error-probability function that a bitwise comparison needs.
 """
 
+import heapq
 import json
 
 import numpy as np
 
 from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode
+from rcpolar.reliability import pe_from_mean, pe_of_mean
 
 
 def dense_generator(n0: int) -> np.ndarray:
@@ -114,6 +117,42 @@ def throughput_reference(k: int, lengths, blers) -> float:
         consumed += lengths[t - 1] * (chain[t - 1] - chain[t])
     consumed += lengths[-1] * chain[-1]
     return delivered / consumed
+
+
+def repetition_plan_reference(info_set, base_means, n_minus_m: int,
+                              channel_mean: float):
+    """The greedy repetition assignment as a step-by-step lazy-heap loop.
+
+    Each step takes the channel of largest pe (ties toward the smaller
+    channel index), adds ``channel_mean`` to its mean and updates the
+    union-bound sum as ``(sum - pe_old) + pe_new``.  Returns
+    ``(r, bler_trace, updated_means, updated_pe)``.
+    """
+    info_set = np.asarray(info_set, dtype=np.int64)
+    means = np.array(base_means, dtype=float)
+    pe = pe_from_mean(means)
+    bler_trace = np.empty(n_minus_m + 1)
+    bler_trace[0] = pe.sum()
+    r = np.empty(n_minus_m, dtype=np.int64)
+    # Lazy max-heap on (pe, channel index); stale entries are skipped by
+    # comparing against the slot's current version.
+    version = np.zeros(info_set.size, dtype=np.int64)
+    heap = [(-pe[j], int(info_set[j]), j, 0) for j in range(info_set.size)]
+    heapq.heapify(heap)
+    for step in range(n_minus_m):
+        while True:
+            neg_pe, chan_idx, slot, ver = heap[0]
+            if ver == version[slot]:
+                break
+            heapq.heappop(heap)
+        r[step] = chan_idx
+        means[slot] += channel_mean
+        new_pe = pe_of_mean(means[slot])
+        bler_trace[step + 1] = bler_trace[step] - pe[slot] + new_pe
+        pe[slot] = new_pe
+        version[slot] += 1
+        heapq.heapreplace(heap, (-new_pe, chan_idx, slot, version[slot]))
+    return r, bler_trace, means, pe
 
 
 def _check_node_reference(a, b):

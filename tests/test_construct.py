@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.construct import (build_repetition_plan, construct_rcp,
-                               evaluate_bler)
+                               evaluate_bler, mother_code, mother_codes)
 from rcpolar.design import HarqScheme
 from rcpolar.simulate import (bler_monte_carlo, code_family_for_scheme,
                               wilson_halfwidth)
+
+from oracles import repetition_plan_reference
 
 
 def _pe_ref(mean):
@@ -54,6 +56,76 @@ def test_plan_argmax_tie_prefers_smaller_index():
 def test_plan_requires_channels():
     with pytest.raises(ValueError):
         build_repetition_plan([], [], 1, LlrDistribution(2.0))
+
+
+def test_plan_rejects_bad_input():
+    with pytest.raises(ValueError):  # NaN is not a mean
+        build_repetition_plan([0, 1], [np.nan, 1.0], 3, LlrDistribution(2.0))
+    with pytest.raises(ValueError):
+        build_repetition_plan([0, 1], [1.0, -1.0], 3, LlrDistribution(2.0))
+    with pytest.raises(ValueError):  # duplicate channel
+        build_repetition_plan([2, 2], [1.0, 1.0], 3, LlrDistribution(2.0))
+    with pytest.raises(ValueError):
+        build_repetition_plan([0, 1], [1.0], 3, LlrDistribution(2.0))
+
+
+# Base means: 0 (erased), tied values, and means whose pe underflows to 0
+# (above about 2980); channel means: 0, 20 dB (400) and everything between.
+_TIED_MEANS = (0.0, 0.5, 1.0, 4.0, 3000.0, 1e5)
+_plan_mean = st.sampled_from(_TIED_MEANS) | st.floats(0.0, 1e4)
+_channel_mean = st.sampled_from((0.0, 1e-12, 0.4, 4.0, 400.0)) \
+    | st.floats(0.0, 500.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_plan_mean, min_size=0, max_size=24), _channel_mean,
+       st.integers(0, 600), st.randoms(use_true_random=False))
+@example([1.0] * 6, 2.0, 40, None)                 # all tied
+@example([5e3, 6e3, 1e5, 4e3], 400.0, 300, None)   # pe 0 from the start
+@example([40.0, 900.0, 2950.0], 400.0, 200, None)  # pe underflows midway
+@example([0.3, 1.0, 0.3, 2.0], 0.0, 50, None)      # channel mean 0
+@example([0.3, 1.0, 2.0], 1.5, 0, None)            # no repetitions
+@example([0.7], 1.5, 600, None)                    # L >> k
+@example([], 2.0, 0, None)
+# One ulp more mean gives one ulp more pe here: pe is not monotone.
+@example([0.07282918242997201, 0.5, 0.08], 1.3877787807814457e-17, 30, None)
+def test_plan_equals_greedy_loop_bitwise(means, channel_mean, reps, rnd):
+    if not means:
+        reps = 0
+    k = len(means)
+    info = np.sort(rnd.sample(range(4 * k), k)) if rnd else np.arange(k) * 3
+    plan = build_repetition_plan(info, means, reps,
+                                 LlrDistribution(channel_mean))
+    r, trace, upd_means, upd_pe = repetition_plan_reference(
+        info, means, reps, channel_mean)
+    assert np.array_equal(plan.r, r)
+    for got, want in ((plan.bler_trace, trace),
+                      (plan.updated_means, upd_means),
+                      (plan.updated_pe, upd_pe)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("snr_db", (-3.0, 0.0, 6.0, 20.0))
+def test_mother_codes_match_single_m(snr_db):
+    # 256 values of m share mother length 512, more than one GA row block.
+    channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
+    k, n, ms = 40, 600, range(256, 513)
+    counters, single_counters = {}, {}
+    batched = list(mother_codes(k, ms, n, channel, counters=counters))
+    assert len(batched) == len(ms)
+    for m, (spec, table, plan) in zip(ms, batched):
+        ref_spec, ref_table, ref_plan = mother_code(
+            k, m, n, channel, counters=single_counters)
+        assert spec.n0 == ref_spec.n0
+        assert np.array_equal(spec.info_set, ref_spec.info_set)
+        assert np.array_equal(spec.puncture_set, ref_spec.puncture_set)
+        assert table.means.tobytes() == ref_table.means.tobytes()
+        assert table.pe.tobytes() == ref_table.pe.tobytes()
+        assert np.array_equal(plan.r, ref_plan.r)
+        assert plan.bler_trace.tobytes() == ref_plan.bler_trace.tobytes()
+        assert plan.updated_pe.tobytes() == ref_plan.updated_pe.tobytes()
+    assert counters == single_counters
 
 
 def test_plan_prefix_property():

@@ -21,6 +21,8 @@ def test_pe_rejects_negative_mean():
     with pytest.raises(ValueError):
         pe_from_mean(np.array([-0.1]))
     with pytest.raises(ValueError):
+        pe_from_mean(np.nan)  # not an erased channel (pe 0.5)
+    with pytest.raises(ValueError):
         LlrDistribution(mean=-1.0)
 
 
@@ -92,6 +94,29 @@ def test_ga_rejects_bad_input():
         ga_evolve(np.ones(6))
     with pytest.raises(ValueError):
         ga_evolve(np.array([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        ga_evolve(np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        ga_evolve(np.ones((2, 2, 2)))
+
+
+_stack_mean = st.just(0.0) | st.floats(0.0, 1e4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(1, 40), st.data())
+def test_batched_ga_rows_match_single_rows_bitwise(log_n0, rows, data):
+    n0 = 1 << log_n0
+    stack = np.array(data.draw(st.lists(
+        st.lists(_stack_mean, min_size=n0, max_size=n0),
+        min_size=rows, max_size=rows)))
+    table = ga_evolve(stack)
+    assert table.means.shape == table.pe.shape == (rows, n0)
+    assert table.size == n0
+    for row, means, pe in zip(stack, table.means, table.pe):
+        single = ga_evolve(row)
+        assert means.tobytes() == single.means.tobytes()
+        assert pe.tobytes() == single.pe.tobytes()
 
 
 def test_ga_matches_sampled_density_evolution_n4():
