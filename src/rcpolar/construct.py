@@ -256,13 +256,12 @@ def mother_code(k: int, m: int, n: int, channel: LlrDistribution,
     return next(mother_codes(k, [m], n, channel, counters=counters))
 
 
-def construct_rcp(n: int, k: int, m: int,
-                  channel: LlrDistribution, counters=None):
+def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):
     """Construct an (n, k, m) code over the given channel model.
 
     Returns ``(code, plan, bler_estimate)`` for the code built on
     :func:`mother_code`, with repetitions from its greedy plan.
     """
-    spec, _, plan = mother_code(k, m, n, channel, counters=counters)
+    spec, _, plan = mother_code(k, m, n, channel)
     code = RcpCode(spec=spec, rep_vector=plan.r)
     return code, plan, evaluate_bler(code, plan)

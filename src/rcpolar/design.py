@@ -66,19 +66,20 @@ class BlerCurve:
         return float(self.e[n - self.m])
 
 
-def build_bler_curve(k: int, m: int, q: int, channel: LlrDistribution,
-                     counters=None) -> BlerCurve:
+def build_bler_curve(k: int, m: int, q: int,
+                     channel: LlrDistribution) -> BlerCurve:
     """Block error estimates for every code length n = m..q at fixed (k, m).
 
     Exploits the prefix property of the greedy repetition assignment: each
     additional length costs one density update, so the whole curve costs the
     same as the longest code.
     """
-    _, _, plan = mother_code(k, m, q, channel, counters=counters)
-    return _curve(k, m, plan)
+    _, _, plan = mother_code(k, m, q, channel)
+    return bler_curve_from_plan(k, m, plan)
 
 
-def _curve(k: int, m: int, plan) -> BlerCurve:
+def bler_curve_from_plan(k: int, m: int, plan) -> BlerCurve:
+    """The curve of an m-polar-bit mother code, read off its repetition plan."""
     return BlerCurve(k=k, m=m, e=np.clip(plan.bler_trace, BLER_FLOOR, 1.0))
 
 
@@ -187,7 +188,7 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     ms = range(k, q + 1)
     for m, (_, _, plan) in zip(ms, mother_codes(k, ms, q, channel,
                                                  counters=counters)):
-        curve = _curve(k, m, plan)
+        curve = bler_curve_from_plan(k, m, plan)
         chosen: list = []
         eta = -np.inf
         for _ in range(t_max):

@@ -94,15 +94,9 @@ def pe_from_mean(means):
     return out
 
 
-def pe_of_mean(mean: float) -> float:
-    """:func:`pe_from_mean` of one nonnegative mean, bit-identical to it,
-    without the array overhead (for per-step loops)."""
-    return float(np.exp(log_ndtr(-np.sqrt(0.5 * mean)))) if mean > 0 else 0.5
-
-
 def pe_of(dist: LlrDistribution) -> float:
     """Error probability of a single modelled bit channel."""
-    return pe_of_mean(dist.mean)
+    return float(pe_from_mean(dist.mean))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from .channel import (ChannelParams, channel_llr_distribution, noise_stream,
                       observation_to_llr, transmit_with_rng, trial_draws)
 from .codec import rcp_encode, sc_decode, sc_decode_nested, validate_family
 from .construct import construct_rcp
-from .design import HarqScheme, build_bler_curve, throughput_estimate
+from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
 
 _Z95 = 1.959963984540054
 
@@ -71,14 +71,18 @@ class SimReport:
     nesting_violations: int
 
 
-def code_family_for_scheme(scheme: HarqScheme, channel) -> list:
-    """Nested codes for each cumulative length of a scheme.
+def code_family_for_scheme(scheme: HarqScheme, channel) -> tuple:
+    """Nested codes for each cumulative length of a scheme, and the
+    union-bound curve of the longest one, as ``(codes, curve)``.
 
     Constructs the longest code once and slices repetition prefixes, so all
-    rounds share the mother code, information set and puncturing.
+    rounds share the mother code, information set and puncturing; the curve
+    is read off the same repetition plan.
     """
-    full, _, _ = construct_rcp(scheme.lengths[-1], scheme.k, scheme.m, channel)
-    return [full.prefix(n) for n in scheme.lengths]
+    full, plan, _ = construct_rcp(scheme.lengths[-1], scheme.k, scheme.m,
+                                  channel)
+    return ([full.prefix(n) for n in scheme.lengths],
+            bler_curve_from_plan(scheme.k, scheme.m, plan))
 
 
 def run_trial(codes, info_bits, params: ChannelParams, rng,
@@ -121,38 +125,28 @@ def run_trial(codes, info_bits, params: ChannelParams, rng,
 
 
 def _empty_counts(t: int) -> dict:
+    """Campaign counts over T rounds.  ``first_success[t]`` counts trials
+    first decoded with the bits of round t + 1; its last bin, ``[T]``,
+    counts trials never delivered."""
     return {
         "trials": 0,
         "fails": np.zeros(t, dtype=np.int64),
-        "first_success": np.zeros(t, dtype=np.int64),
-        "chain_fail": 0,
+        "first_success": np.zeros(t + 1, dtype=np.int64),
         "nesting_violations": 0,
-        "sum_n": 0.0, "sum_n2": 0.0,
-        "sum_k": 0.0, "sum_k2": 0.0, "sum_kn": 0.0,
     }
 
 
-def _accumulate(counts: dict, fails: np.ndarray, lengths) -> None:
-    """Fold a (B, T) boolean fail matrix into the running counts."""
+def _accumulate(counts: dict, fails: np.ndarray) -> None:
+    """Fold a (B, T) boolean fail matrix into the counts."""
     b, t = fails.shape
     ok = ~fails
     counts["trials"] += b
     counts["fails"] += fails.sum(axis=0)
     first = np.where(ok.any(axis=1), ok.argmax(axis=1), t)  # t == never
-    per_round = np.bincount(first, minlength=t + 1)
-    counts["first_success"] += per_round[:t]
-    counts["chain_fail"] += int(per_round[t])
+    counts["first_success"] += np.bincount(first, minlength=t + 1)
     # success followed by a later failure breaks event nesting
     later_fail = fails & (np.arange(t) > first[:, None])
     counts["nesting_violations"] += int(later_fail.any(axis=1).sum())
-    lengths = np.asarray(lengths)
-    n_i = np.where(first < t, lengths[np.minimum(first, t - 1)], lengths[-1])
-    k_i = np.where(first < t, 1.0, 0.0)  # delivered blocks; scaled by k later
-    counts["sum_n"] += float(n_i.sum())
-    counts["sum_n2"] += float(np.dot(n_i, n_i))
-    counts["sum_k"] += float(k_i.sum())
-    counts["sum_k2"] += float(np.dot(k_i, k_i))
-    counts["sum_kn"] += float(np.dot(k_i, n_i))
 
 
 def _merge(dst: dict, src: dict) -> None:
@@ -197,7 +191,7 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
     fails = np.stack([np.any(decoded != bits, axis=1)
                       for decoded in sc_decode_nested(llr, codes)], axis=1)
     counts = _empty_counts(len(codes))
-    _accumulate(counts, fails, [c.n for c in codes])
+    _accumulate(counts, fails)
     return counts
 
 
@@ -236,47 +230,51 @@ def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
     module-level function, not a lambda or closure).
     """
     channel = channel_llr_distribution(params)
-    codes = code_family_for_scheme(scheme, channel)
+    codes, curve = code_family_for_scheme(scheme, channel)
     counts = _run_chunks(codes, params, trials, base_seed, threads,
                          channel_fn)
     return _report_from_counts(scheme, params, trials, base_seed, counts,
-                               [c.n for c in codes])
+                               curve)
 
 
 def _report_from_counts(scheme, params, trials, base_seed, counts,
-                        lengths) -> SimReport:
+                        curve) -> SimReport:
+    """Every statistic from the first-success histogram: trial i sends
+    n_i = lengths[t] bits if round t + 1 first decodes it (all of them if
+    none does) and delivers k_i = k bits if any round does."""
     r = counts["trials"]
     if r != trials:
         raise ValueError(f"counted {r} trials, expected {trials}")
-    t_rounds = len(lengths)
+    k, lengths = scheme.k, scheme.lengths
+    hist = counts["first_success"]
     pr_e = counts["fails"] / r
-    pr_first = counts["first_success"] / r
-    chain = counts["chain_fail"] / r
+    pr_first = hist[:-1] / r
 
-    k = scheme.k
-    e_k = k * (1.0 - chain)
-    e_n = (float(np.dot(lengths, counts["first_success"]))
-           + lengths[-1] * counts["chain_fail"]) / r
+    # Integer sums of n_i, n_i^2 and n_i k_i / k over the trials.
+    n_of_bin = np.array([*lengths, lengths[-1]], dtype=np.int64)
+    sum_n = float(n_of_bin @ hist)
+    sum_n2 = float(n_of_bin ** 2 @ hist)
+    sum_kn = float(n_of_bin[:-1] @ hist[:-1])
+    p_delivered = int(hist[:-1].sum()) / r
+
+    e_k = k * (1.0 - hist[-1] / r)
+    e_n = sum_n / r
     eta = e_k / e_n
 
     # Delta-method standard error for the ratio of per-trial means.
-    mean_n = counts["sum_n"] / r
-    mean_k = k * counts["sum_k"] / r
-    var_n = counts["sum_n2"] / r - mean_n ** 2
-    var_k = k * k * (counts["sum_k2"] / r - (counts["sum_k"] / r) ** 2)
-    cov = k * (counts["sum_kn"] / r - (counts["sum_k"] / r) * mean_n)
-    se2 = (var_k + eta * eta * var_n - 2.0 * eta * cov) / (mean_n ** 2 * r)
+    var_n = sum_n2 / r - e_n ** 2
+    var_k = k * k * (p_delivered - p_delivered ** 2)
+    cov = k * (sum_kn / r - p_delivered * e_n)
+    se2 = (var_k + eta * eta * var_n - 2.0 * eta * cov) / (e_n ** 2 * r)
     ci_eta = _Z95 * float(np.sqrt(max(se2, 0.0)))
 
-    channel = channel_llr_distribution(params)
-    curve = build_bler_curve(k, scheme.m, lengths[-1], channel)
     blers = np.minimum.accumulate([curve.pr_e(n) for n in lengths])
     eta_analytic = throughput_estimate(k, lengths, blers)
 
     ci95 = {
         "pr_e": tuple(wilson_halfwidth(int(c), r) for c in counts["fails"]),
         "pr_first_success": tuple(wilson_halfwidth(int(c), r)
-                                  for c in counts["first_success"]),
+                                  for c in hist[:-1]),
         "eta": ci_eta,
     }
     return SimReport(

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode
-from rcpolar.reliability import pe_from_mean, pe_of_mean
+from rcpolar.reliability import pe_from_mean
 
 
 def dense_generator(n0: int) -> np.ndarray:
@@ -147,7 +147,7 @@ def repetition_plan_reference(info_set, base_means, n_minus_m: int,
             heapq.heappop(heap)
         r[step] = chan_idx
         means[slot] += channel_mean
-        new_pe = pe_of_mean(means[slot])
+        new_pe = float(pe_from_mean(means[slot]))
         bler_trace[step + 1] = bler_trace[step] - pe[slot] + new_pe
         pe[slot] = new_pe
         version[slot] += 1

@@ -214,6 +214,14 @@ PINNED_PIPELINE = {
     "first_success": [269, 77, 36],
     "nesting_violations": 12,
     "eta_analytic": 0.7723036967276419,
+    "e_k": 7.64,
+    "e_n": 9.06,
+    "eta": 0.8432671081677703,
+    "ci95": {"pr_e": [0.04580082785476488, 0.03590142447422268,
+                      0.02263447682921127],
+             "pr_first_success": [0.04580082785476488, 0.038564005314520186,
+                                  0.02818274690766709],
+             "eta": 0.029206956455237375},
     "errors": [21, 14],
     "bler_analytic": [0.005698076730842801, 0.007761292941557695],
 }
@@ -247,6 +255,8 @@ def test_pinned_pipeline_outputs(tmp_path):
                                        for c in ref["first_success"]]
     assert rep["nesting_violations"] == ref["nesting_violations"]
     assert rep["eta_analytic"] == rel(ref["eta_analytic"], rel=1e-9)
+    for key in ("e_k", "e_n", "eta", "ci95"):
+        assert rep[key] == ref[key], key
 
     assert _run(tmp_path, "bler", {
         "codes": [[24, 8, 20], [40, 16, 32]], "snr_db": 0.0, "trials": 2000,

@@ -8,7 +8,7 @@ from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.construct import (build_repetition_plan, construct_rcp,
                                evaluate_bler, mother_code, mother_codes)
-from rcpolar.design import HarqScheme
+from rcpolar.design import HarqScheme, build_bler_curve
 from rcpolar.simulate import (bler_monte_carlo, code_family_for_scheme,
                               wilson_halfwidth)
 
@@ -242,7 +242,7 @@ def test_plans_and_code_families_nest_by_prefix(scheme_snr):
     # shorter plans are prefixes of longer ones.
     scheme, snr_db = scheme_snr
     channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
-    family = code_family_for_scheme(scheme, channel)
+    family, curve = code_family_for_scheme(scheme, channel)
     longest, longest_plan, _ = construct_rcp(scheme.lengths[-1], scheme.k,
                                              scheme.m, channel)
     for code, n in zip(family, scheme.lengths):
@@ -258,3 +258,5 @@ def test_plans_and_code_families_nest_by_prefix(scheme_snr):
         assert np.array_equal(plan.r, longest_plan.r[:reps])
         assert np.array_equal(plan.bler_trace,
                               longest_plan.bler_trace[:reps + 1])
+    assert np.array_equal(curve.e, build_bler_curve(
+        scheme.k, scheme.m, scheme.lengths[-1], channel).e)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rcpolar.channel import ChannelParams, channel_llr_distribution
 from rcpolar.construct import construct_rcp
 from rcpolar.design import design_scheme
-from rcpolar.reliability import _log_phi, _log_phi_inv, pe_from_mean, pe_of_mean
+from rcpolar.reliability import _log_phi, _log_phi_inv
 
 SNR_GRID_DB = (-3.0, -1.0, 0.0, 1.5, 3.0, 6.0, 10.0, 20.0)
 CODE_GRID = ((72, 32, 64), (160, 64, 128), (300, 100, 200), (600, 256, 512),
@@ -66,9 +66,3 @@ def test_phi_inverse_round_trip_property(m):
         assert abs(back - m) <= 1e-12 * m
     else:
         assert abs(back - m) <= 1e-12
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.floats(min_value=0.0, max_value=1e12, allow_nan=False))
-def test_pe_of_mean_matches_vector_form_bitwise(x):
-    assert pe_of_mean(x) == pe_from_mean(np.array([x]))[0]

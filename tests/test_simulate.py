@@ -6,7 +6,7 @@ from rcpolar.channel import (ChannelParams, LLR_CLAMP,
                              transmit_with_rng)
 from rcpolar.codec import rcp_encode
 from rcpolar.design import HarqScheme, design_scheme
-from rcpolar import channel, simulate
+from rcpolar import channel, construct, simulate
 from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
                               _report_from_counts, bler_monte_carlo,
                               bound_check, code_family_for_scheme,
@@ -21,7 +21,8 @@ def _small_scheme():
 
 def _family(scheme, snr_db=0.0):
     params = ChannelParams(snr_db=snr_db)
-    return code_family_for_scheme(scheme, channel_llr_distribution(params)), params
+    codes, _ = code_family_for_scheme(scheme, channel_llr_distribution(params))
+    return codes, params
 
 
 def _erasure_channel(bits, params, rng, trial_index):
@@ -141,18 +142,20 @@ def test_campaign_matches_per_trial_reference(scheme, snr_db, channel_fn):
     # streams, without the batched accumulation code.
     codes, params = _family(scheme, snr_db)
     trials, seed = 300, 21
-    flags = []
+    flags, bits_sent = [], 0
     for i in range(trials):
         rng = noise_stream((seed, i))
         info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
-        flags.append(run_trial(codes, info, params, rng, channel_fn=channel_fn,
-                               trial_index=i,
-                               measure_all_rounds=True).fail_flags)
+        out = run_trial(codes, info, params, rng, channel_fn=channel_fn,
+                        trial_index=i, measure_all_rounds=True)
+        flags.append(out.fail_flags)
+        bits_sent += out.bits_sent
     report = run_campaign(scheme, params, trials, seed, channel_fn=channel_fn)
     pr_e, pr_first, violations = campaign_statistics_reference(flags)
     assert report.pr_e == pr_e
     assert report.pr_first_success == pr_first
     assert report.nesting_violations == violations
+    assert report.e_n == bits_sent / trials
 
 
 def _nan_channel(bits, params, rng, trial_index):
@@ -262,6 +265,22 @@ def test_campaign_event_chain_containment():
     assert strong.nesting_violations == 0
 
 
+def test_campaign_builds_one_mother_code(monkeypatch):
+    # The union-bound estimate is read off the plan of the family's own
+    # mother code, not rebuilt.
+    calls = []
+    original = construct.ga_evolve
+
+    def counting(means):
+        calls.append(np.shape(means))
+        return original(means)
+
+    monkeypatch.setattr(construct, "ga_evolve", counting)
+    run_campaign(_small_scheme(), ChannelParams(snr_db=0.0), trials=40,
+                 base_seed=12)
+    assert len(calls) == 1
+
+
 def test_campaign_reproducible():
     scheme = _small_scheme()
     params = ChannelParams(snr_db=-1.5)
@@ -341,11 +360,12 @@ def test_trial_rejects_non_finite_channel_output():
 
 def test_report_rejects_trial_count_mismatch():
     scheme = _small_scheme()
+    params = ChannelParams(snr_db=0.0)
+    _, curve = code_family_for_scheme(scheme, channel_llr_distribution(params))
     counts = _empty_counts(len(scheme.lengths))
     counts["trials"] = 9
     with pytest.raises(ValueError):
-        _report_from_counts(scheme, ChannelParams(snr_db=0.0), 10, 0, counts,
-                            list(scheme.lengths))
+        _report_from_counts(scheme, params, 10, 0, counts, curve)
 
 
 def test_chunk_counts_independent_of_chunk_split():
