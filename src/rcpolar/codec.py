@@ -8,12 +8,19 @@ Conventions (pinned so that golden vectors stay stable):
   * repetition LLRs are added at the input-bit decision site of the mapped
     information index, i.e. after the full tree update for that bit.
 
+Dead blocks: an aligned block of leaves that holds no information bit
+decides nothing, so :func:`sc_decode` computes no LLR inside it (Rate-0
+nodes, Alamdar-Yazdi & Kschischang 2011).  It writes the block's partial
+sums directly: the block's own polar transform of its frozen values.
+
 Invariant behind :func:`sc_decode_nested`: repetition LLRs enter only at
 decision sites, so the tree LLRs at input bit i depend on the channel LLRs
 and the decisions on bits 0..i-1 alone.  Two decodes of the same polar word
 that make identical decisions therefore follow an identical trajectory,
 whatever repetitions they add: every tree LLR, and every decision LLR at a
-bit whose repetition sum is the same, is bit-for-bit equal.
+bit whose repetition sum is the same, is bit-for-bit equal.  A repetition
+not yet sent may be given as LLR 0, an erasure like a puncture: it is added
+after the sent ones, and x + 0.0 < 0 exactly when x < 0.
 """
 
 from dataclasses import dataclass, field
@@ -208,6 +215,46 @@ def _check_node(parent, out, pair, s):
     np.multiply(out, lo, out=out)
 
 
+def _schedule(spec: PolarCodeSpec):
+    """What the decoder visits, in leaf order: every information bit and
+    every dead block, the maximal aligned leaf blocks without one.
+
+    Returns ``(start, level, row)`` per visit (a block at level s covers
+    2^s leaves; ``row`` is the info-set row of a bit, -1 for a block) and
+    the (n0,) partial sums, as (-1)^x, that each dead block's frozen values
+    re-encode to through the block's own polar transform.  One pass per
+    level: a block is dead if both its halves are, and maximal if its
+    parent is not.
+    """
+    n0, k = spec.n0, spec.k
+    dead = np.ones(n0, dtype=bool)
+    dead[spec.info_set] = False
+    # x holds the level-s transform of every aligned block of width 2^s.
+    x = np.zeros(n0, dtype=np.int8)
+    if spec.frozen_values is not None:
+        x[spec.frozen_set] = spec.frozen_values
+    block_x = np.zeros(n0, dtype=np.int8)
+    starts, levels = [spec.info_set], [np.zeros(k, dtype=np.int64)]
+    for s in range(n0.bit_length() - 1):
+        parent = dead[0::2] & dead[1::2]
+        maximal = dead & ~np.repeat(parent, 2)
+        first = np.flatnonzero(maximal)
+        starts.append(first << s)
+        levels.append(np.full(first.size, s))
+        covered = np.repeat(maximal, 1 << s)
+        block_x[covered] = x[covered]
+        pairs = x.reshape(n0 >> (s + 1), 2, -1)
+        pairs[:, 0] ^= pairs[:, 1]
+        dead = parent
+    start = np.concatenate(starts)
+    row = np.full(start.size, -1)
+    row[:k] = np.arange(k)
+    order = np.argsort(start)
+    visits = zip(start[order].tolist(),
+                 np.concatenate(levels)[order].tolist(), row[order].tolist())
+    return list(visits), 1.0 - 2.0 * block_x
+
+
 def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     """Successive-cancellation decode of one or many received LLR words.
 
@@ -219,12 +266,14 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     code : RcpCode
     counter : dict, optional
         If given, "f_ops" and "g_ops" are incremented by the number of
-        per-word scalar updates performed (independent of batch size).
+        per-word scalar updates performed (independent of batch size):
+        the summed widths of the left and the right child nodes outside
+        dead blocks.
     return_leaf_llrs : bool
-        Also return the (B, n0) leaf LLRs: the tree LLR at every input bit,
-        before repetition LLRs are added.  The decision at a repeated bit is
-        made on its leaf LLR plus its repetition LLRs summed in transmit
-        order.
+        Also return the (B, k) leaf LLRs: the tree LLR at every information
+        bit, in info-set order, before repetition LLRs are added.  The
+        decision at a repeated bit is made on its leaf LLR plus its
+        repetition LLRs summed in transmit order.
 
     Returns
     -------
@@ -265,54 +314,50 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.
     signs = np.empty((n0, b))
 
-    info_row = [-1] * n0
-    for j, index in enumerate(spec.info_set.tolist()):
-        info_row[index] = j
-    frozen_sign = np.ones(n0)
-    if spec.frozen_values is not None:
-        frozen_sign[spec.frozen_set] = 1.0 - 2.0 * spec.frozen_values
-    frozen_sign = frozen_sign.tolist()
+    visits, dead_signs = _schedule(spec)
     u_hat = np.empty((spec.k, b), dtype=np.int8)
-    leaves = np.empty((n0, b)) if return_leaf_llrs else None
+    leaves = np.empty((spec.k, b)) if return_leaf_llrs else None
     decision = np.empty(b)
     leaf = levels[0][0]
     f_ops = g_ops = 0
 
-    for i in range(n0):
+    for i, s, j in visits:
+        # An information leaf is computed down to level 0; a dead block is
+        # not computed at all, only the path down to its parent.
+        low = 0 if j >= 0 else s + 1
         top = depth
         if i:
-            # Leaf i starts the right child at the level of its lowest set
+            # Visit i starts the right child at the level of its lowest set
             # bit; every node below that on its path is a left child.
             top = (i & -i).bit_length() - 1
-            h = 1 << top
-            la, lb, out = halves[top]
-            np.multiply(la, signs[i - h:i], out=out)
-            np.add(out, lb, out=out)
-            g_ops += h
-        for s in range(top - 1, -1, -1):
-            _check_node(*f_args[s])
-            f_ops += 1 << s
+            if top >= low:
+                h = 1 << top
+                la, lb, out = halves[top]
+                np.multiply(la, signs[i - h:i], out=out)
+                np.add(out, lb, out=out)
+                g_ops += h
+        for t in range(top - 1, low - 1, -1):
+            _check_node(*f_args[t])
+            f_ops += 1 << t
 
-        if leaves is not None:
-            leaves[i] = leaf
-        d = leaf
-        rep = rep_at.get(i)
-        if rep is not None:
-            d = np.add(leaf, rep, out=decision)
-        j = info_row[i]
+        end = i + (1 << s)
         if j < 0:
-            signs[i] = frozen_sign[i]
+            signs[i:end] = dead_signs[i:end, None]
         else:
+            if leaves is not None:
+                leaves[j] = leaf
+            d = leaf
+            rep = rep_at.get(i)
+            if rep is not None:
+                d = np.add(leaf, rep, out=decision)
             bit = u_hat[j]
             np.less(d, 0.0, out=bit)
             np.take(_SIGN_OF_BIT, bit, out=signs[i])
         # Close every node whose last leaf this was: x = (x_L xor x_R, x_R).
-        s = 0
-        while s + 1 < depth and (i >> s) & 1:
+        while s + 1 < depth and ((end - 1) >> s) & 1:
             h = 1 << s
-            lo = i + 1 - 2 * h
-            left = signs[lo:lo + h]
-            np.multiply(left, signs[lo + h:i + 1], out=left)
+            left = signs[end - 2 * h:end - h]
+            np.multiply(left, signs[end - h:end], out=left)
             s += 1
 
     if counter is not None:
@@ -327,9 +372,9 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
 
 
 def validate_family(codes) -> None:
-    """Raise ValueError unless ``codes`` is a nested family: one mother code,
-    strictly increasing lengths, and repetition vectors that are prefixes of
-    the longest one."""
+    """Raise ValueError unless ``codes`` is a nested family: one mother code
+    (frozen values included), strictly increasing lengths, and repetition
+    vectors that are prefixes of the longest one."""
     if not codes:
         raise ValueError("empty code family")
     spec = codes[0].spec
@@ -338,7 +383,9 @@ def validate_family(codes) -> None:
         if code.spec is not spec and not (
                 code.spec.n0 == spec.n0
                 and np.array_equal(code.spec.info_set, spec.info_set)
-                and np.array_equal(code.spec.puncture_set, spec.puncture_set)):
+                and np.array_equal(code.spec.puncture_set, spec.puncture_set)
+                and np.array_equal(code.spec.frozen_values,
+                                   spec.frozen_values)):
             raise ValueError("family members must share the mother code")
         if code.n <= prev_n:
             raise ValueError("family lengths must be strictly increasing")
@@ -354,32 +401,42 @@ def sc_decode_nested(llrs, codes) -> list:
     """Decode every prefix of a (B, n) LLR batch over a nested code family.
 
     Returns ``[sc_decode(llrs[:, :c.n], c) for c in codes]``, with the same
-    decisions, but decodes a later round only for the rows where it can
-    change one.  The first round is decoded once and keeps its leaf LLRs.
-    A later round decides each of its repeated bits on that bit's leaf LLR
-    plus the round's repetition sum, the same two operands
-    :func:`sc_decode` adds, as long as every earlier decision is unchanged.
-    Rows where none of those decisions differs from the first round's keep
-    its result; the others are decoded again.  A family of one code is
-    decoded by plain :func:`sc_decode`, without leaf LLRs.
+    decisions, in at most two :func:`sc_decode` calls.  The first round is
+    decoded once and keeps its leaf LLRs.  A later round decides each of
+    its repeated bits on that bit's leaf LLR plus the round's repetition
+    sum, the same two operands :func:`sc_decode` adds, as long as every
+    earlier decision is unchanged.  Rows where none of those decisions
+    differs from the first round's keep its result.  The other rows of all
+    later rounds are decoded again together, over the longest code, with
+    the repetitions a row's round has not sent set to LLR 0: erasures,
+    added after the round's own sum, that change no decision.  A family of
+    one code is decoded by plain :func:`sc_decode`, without leaf LLRs.
     """
     validate_family(codes)
     llrs = np.asarray(llrs, dtype=float)
-    first = codes[0]
+    first, last = codes[0], codes[-1]
     if len(codes) == 1:
         return [sc_decode(llrs[:, : first.n], first)]
     base, leaf = sc_decode(llrs[:, : first.n], first, return_leaf_llrs=True)
     info_set = first.spec.info_set
-    results = [base]
+    redo, pieces = [], []
     for code in codes[1:]:
         index, sums = _repetition_sums(llrs[:, : code.n], code)
-        bits = (leaf[:, index] + sums.T) < 0
-        flips = bits != base[:, np.searchsorted(info_set, index)]
+        cols = np.searchsorted(info_set, index)
+        flips = ((leaf[:, cols] + sums.T) < 0) != base[:, cols]
         rows = np.flatnonzero(flips.any(axis=1))
-        decoded = base.copy()
-        if rows.size:
-            decoded[rows] = sc_decode(llrs[rows, : code.n], code)
-        results.append(decoded)
+        piece = llrs[rows, : last.n]
+        piece[:, code.n:] = 0.0
+        redo.append(rows)
+        pieces.append(piece)
+    batch = np.concatenate(pieces)
+    decoded = sc_decode(batch, last) if len(batch) else base[:0]
+    split = np.cumsum([rows.size for rows in redo[:-1]])
+    results = [base]
+    for rows, part in zip(redo, np.split(decoded, split)):
+        result = base.copy()
+        result[rows] = part
+        results.append(result)
     return results
 
 

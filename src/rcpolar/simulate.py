@@ -166,7 +166,9 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
     n_total = codes[-1].n
     if channel_fn is None:
         bits, noise = trial_draws(base_seed, lo, hi, k, n_total)
-        tx = rcp_encode(bits, codes[-1])
+        # One layout for the channel arithmetic: rcp_encode gives a
+        # transposed view, the noise is row-major.
+        tx = np.ascontiguousarray(rcp_encode(bits, codes[-1]))
         llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise,
                                  params)
     else:

@@ -118,8 +118,9 @@ def test_sc_decode_length_mismatch():
 
 def test_decision_llrs_match_exhaustive_posterior():
     # n0=4, k=2, no punctures or repetitions, so the leaf LLRs are the
-    # decision LLRs: each equals the posterior computed by summing over all
-    # codewords consistent with the decoder's own earlier decisions.
+    # decision LLRs: at each information bit it equals the posterior
+    # computed by summing over all codewords consistent with the decoder's
+    # own earlier decisions.
     code, _, _ = construct_rcp(4, 2, 4, LlrDistribution(2.0))
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -127,9 +128,9 @@ def test_decision_llrs_match_exhaustive_posterior():
         decoded, decisions = sc_decode(llr, code, return_leaf_llrs=True)
         u = np.zeros(4, dtype=np.int64)
         u[code.spec.info_set] = decoded
-        for i in range(4):
+        for j, i in enumerate(code.spec.info_set):
             ref = posterior_decision_llr(llr, i, u[:i])
-            assert decisions[i] == pytest.approx(ref, abs=1e-9)
+            assert decisions[j] == pytest.approx(ref, abs=1e-9)
 
 
 def test_repetition_llr_flips_decision():
@@ -198,6 +199,31 @@ def test_decode_operation_counts_scale():
         expect = n0 // 2 * int(np.log2(n0))
         assert counter["f_ops"] == expect
         assert counter["g_ops"] == expect
+
+
+def test_decode_operation_counts_skip_dead_blocks():
+    # A node is updated only if it holds an information bit: a left child
+    # by f, a right child by g, each costing its width per word.
+    rng = np.random.default_rng(8)
+    constructed, _, _ = construct_rcp(72, 32, 64, LlrDistribution(1.6))
+    codes = [constructed] + [
+        RcpCode(spec=_plain_spec(n0, np.sort(rng.choice(n0, n0 // 4,
+                                                         replace=False))))
+        for n0 in (8, 64, 512)]
+    for code in codes:
+        n0 = code.spec.n0
+        counter = {}
+        sc_decode(rng.normal(size=(3, code.n)), code, counter=counter)
+        has_info = np.zeros(n0, dtype=bool)
+        has_info[code.spec.info_set] = True
+        expect = {"f_ops": 0, "g_ops": 0}
+        for s in range(n0.bit_length() - 1):
+            live = has_info.reshape(-1, 1 << s).any(axis=1)
+            expect["f_ops"] += (1 << s) * int(live[0::2].sum())
+            expect["g_ops"] += (1 << s) * int(live[1::2].sum())
+        full = n0 // 2 * (n0.bit_length() - 1)
+        assert expect["f_ops"] < full and expect["g_ops"] < full
+        assert counter == expect, n0
 
 
 def test_spec_validation():

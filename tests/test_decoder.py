@@ -59,6 +59,7 @@ def test_corpus_matches_recursive_reference(n0):
         assert (llr == value).any()
     for b in CORPUS_BATCHES:
         ref_bits, ref_llrs = sc_decode_reference(llr[:b], code)
+        ref_llrs = ref_llrs[:, code.spec.info_set]
         bits, llrs = sc_decode(llr[:b], code, return_leaf_llrs=True)
         assert np.array_equal(bits, ref_bits), (n0, b)
         err = np.abs(llrs - ref_llrs) / np.maximum(np.abs(ref_llrs), 1.0)
@@ -127,10 +128,25 @@ def test_nested_decoding_equals_per_round_decoding(family):
         assert np.array_equal(decoded, sc_decode(llr[:, : code.n], code))
 
 
-def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
-    # Round 1 without repetitions, then round 1 with 20 repetitions that
-    # later rounds repeat again.
-    code, llr = _corpus(256, 64, seed=2)
+def _flipped_rows(llr, codes):
+    """Per later round, the rows where a decision on round 1's leaf LLRs
+    plus that round's repetition sums (transmit order, from 0) differs
+    from round 1's decision."""
+    base, leaf = sc_decode(llr[:, : codes[0].n], codes[0],
+                           return_leaf_llrs=True)
+    info_set = codes[0].spec.info_set
+    flipped = []
+    for code in codes[1:]:
+        rep = np.zeros_like(leaf)
+        for t, index in enumerate(code.rep_vector):
+            rep[:, np.searchsorted(info_set, index)] += llr[:, code.m + t]
+        flips = ((leaf + rep) < 0) != base
+        flipped.append(np.flatnonzero(flips.any(axis=1)))
+    return flipped
+
+
+def _counting_decode(monkeypatch):
+    """Record the row count of every sc_decode call sc_decode_nested makes."""
     calls = []
 
     def counting_decode(llrs, c, **kwargs):
@@ -138,6 +154,14 @@ def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
         return sc_decode(llrs, c, **kwargs)
 
     monkeypatch.setattr(rcpolar.codec, "sc_decode", counting_decode)
+    return calls
+
+
+def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
+    # Round 1 without repetitions, then round 1 with 20 repetitions that
+    # later rounds repeat again.
+    code, llr = _corpus(256, 64, seed=2)
+    calls = _counting_decode(monkeypatch)
     for lengths in ((code.m, code.m + 10, code.n),
                     (code.m + 20, code.m + 40, code.n)):
         codes = [code.prefix(n) for n in lengths]
@@ -145,7 +169,65 @@ def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
         for c in codes[1:]:
             assert first_reps.size == 0 or np.isin(
                 c.rep_vector[first_reps.size:], first_reps).any()
+        flipped = _flipped_rows(llr, codes)
+        assert all(rows.size < 64 for rows in flipped), (lengths, flipped)
         calls.clear()
         sc_decode_nested(llr, codes)
-        assert calls[0] == 64
-        assert all(rows < 64 for rows in calls[1:]), (lengths, calls)
+        assert calls == [64, sum(rows.size for rows in flipped)], lengths
+
+
+def _check_nested_family(monkeypatch, codes, llr):
+    """Every round of ``sc_decode_nested`` equals its own ``sc_decode`` and
+    the recursive reference, in two calls with more than one later round
+    re-decoded."""
+    flipped = _flipped_rows(llr, codes)
+    assert sum(rows.size > 0 for rows in flipped) >= 2
+    calls = _counting_decode(monkeypatch)
+    nested = sc_decode_nested(llr, codes)
+    assert calls == [len(llr), sum(rows.size for rows in flipped)]
+    for decoded, code in zip(nested, codes):
+        assert np.array_equal(decoded, sc_decode(llr[:, : code.n], code))
+        ref_bits, _ = sc_decode_reference(llr[:, : code.n], code)
+        assert np.array_equal(decoded, ref_bits)
+
+
+def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
+    # Leaves 0-3 and 8-9 are dead blocks of width 4 and 2 whose nonzero
+    # frozen values re-encode to x = (1, 1, 0, 1) and (0, 1) within each
+    # block; leaf 5 is a single frozen leaf.
+    spec = PolarCodeSpec(
+        n0=16, info_set=np.array([4, 6, 7, 10, 11, 12, 13, 14, 15]),
+        puncture_set=np.array([2, 5]),
+        frozen_values=np.array([1, 0, 1, 1, 0, 1, 1]))
+    full = RcpCode(spec=spec, rep_vector=np.array([7, 10, 4, 7, 15, 12, 6]))
+    codes = [full.prefix(n) for n in (15, 17, 19, 21)]
+    llr = np.random.default_rng(11).normal(0.5, 1.5, size=(200, full.n))
+    _check_nested_family(monkeypatch, codes, llr)
+
+
+def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
+    # Position 0 is punctured, so leaf 0 is exactly +0.0 or -0.0 in every
+    # row.  Bit 0 is repeated by round 3 alone: rounds 1 and 2, re-decoded
+    # over the longest code, decide it on leaf + 0.0, as they do on leaf.
+    spec = PolarCodeSpec(n0=8, info_set=np.array([0, 3, 5, 6, 7]),
+                         puncture_set=np.array([0]))
+    full = RcpCode(spec=spec, rep_vector=np.array([5, 3, 0, 6]))
+    codes = [full.prefix(n) for n in (8, 9, 10, 11)]
+    llr = np.random.default_rng(12).normal(0.3, 1.5, size=(200, full.n))
+    _, leaf = sc_decode(llr[:, :8], codes[0], return_leaf_llrs=True)
+    assert (leaf[:, 0] == 0.0).all()
+    assert np.signbit(leaf[:, 0]).any() and not np.signbit(leaf[:, 0]).all()
+    _check_nested_family(monkeypatch, codes, llr)
+
+
+def test_nested_family_rejects_mixed_frozen_values():
+    # Later rounds are re-decoded over the longest code, so a family whose
+    # members differ only in their frozen values is not one mother code.
+    info = np.array([3, 5, 6, 7])
+    zero = PolarCodeSpec(n0=8, info_set=info)
+    one = PolarCodeSpec(n0=8, info_set=info,
+                        frozen_values=np.array([0, 1, 0, 0]))
+    codes = [RcpCode(spec=zero, rep_vector=np.array([5])),
+             RcpCode(spec=one, rep_vector=np.array([5, 6]))]
+    with pytest.raises(ValueError, match="mother code"):
+        sc_decode_nested(np.ones((2, 10)), codes)
