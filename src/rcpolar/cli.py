@@ -7,6 +7,7 @@ version.  Exit codes: 0 ok, 2 bad usage/config, 3 runtime failure.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,10 +72,11 @@ def _require(cfg: dict, *keys):
 
 def _snr_list(value):
     values = value if isinstance(value, list) else [value]
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError):
-        raise ConfigError(f"snr_db must be a number or list, got {value!r}")
+    if not all(type(v) in (int, float) and math.isfinite(v)
+               for v in values):
+        raise ConfigError("snr_db must be a finite number or a list of them, "
+                          f"got {value!r}")
+    return [float(v) for v in values]
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -133,10 +135,14 @@ def cmd_design(cfg: dict) -> int:
     k, t_max, q, snr_db = _require(cfg, "k", "t_max", "q", "snr_db")
     if k > q:
         raise ConfigError(f"need k <= q, got k={k}, q={q}")
+    force = cfg.get("force_n1_equals_m", False)
+    if type(force) is not bool:
+        raise ConfigError(f"force_n1_equals_m must be true or false, "
+                          f"got {force!r}")
+    snrs = _snr_list(snr_db)
     out = _out_dir(cfg)
-    force = bool(cfg.get("force_n1_equals_m", False))
     schemes = []
-    for snr in _snr_list(snr_db):
+    for snr in snrs:
         channel = channel_llr_distribution(ChannelParams(snr_db=snr))
         scheme = design_scheme(k, t_max, q, channel,
                                force_first_length_equals_m=force)
@@ -254,11 +260,12 @@ def cmd_bler(cfg: dict) -> int:
             for c in codes):
         raise ConfigError("codes must be [n, k, m] integer triples with "
                           f"1 <= k <= m <= n, got {codes!r}")
+    snrs = _snr_list(snr_db)
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]
     rows = []
     for n, k, m in codes:
-        for snr in _snr_list(snr_db):
+        for snr in snrs:
             params = ChannelParams(snr_db=snr)
             print(f"bler ({n},{k},{m}) at {snr:+.2f} dB", file=sys.stderr)
             rows.append(bler_monte_carlo(n, k, m, params, trials, seed,

@@ -181,10 +181,23 @@ _SIGN_OF_BIT = np.array([1.0, -1.0])
 
 def _repetition_sums(llrs, code: RcpCode):
     """Repeated input-bit indices (ascending) and their summed repetition
-    LLRs, shape (len(indices), B); duplicates accumulate in transmit order."""
-    index, slot = np.unique(code.rep_vector, return_inverse=True)
+    LLRs, shape (len(indices), B); duplicates accumulate in transmit order.
+
+    Each bit's sum is 0.0 + r1 + r2 + ... over its repetitions in transmit
+    order, built with one fancy-index add per occurrence rank: the first
+    repetition of every bit, then the second, and so on.
+    """
+    index, slot, counts = np.unique(code.rep_vector, return_inverse=True,
+                                    return_counts=True)
+    order = np.argsort(slot, kind="stable")
+    rank = np.empty_like(slot)
+    rank[order] = np.arange(slot.size) - np.repeat(np.cumsum(counts) - counts,
+                                                   counts)
+    reps = llrs[:, code.m:code.n].T
     sums = np.zeros((index.size, llrs.shape[0]))
-    np.add.at(sums, slot, llrs[:, code.m:code.n].T)
+    for r in range(counts.max(initial=0)):
+        at = rank == r
+        sums[slot[at]] += reps[at]
     return index, sums
 
 

@@ -42,23 +42,30 @@ class RepetitionPlan:
     bler_trace: np.ndarray
 
 
-def build_repetition_plan(info_set, base_means, n_minus_m: int,
-                          channel: LlrDistribution, counters=None) -> RepetitionPlan:
-    """Assign ``n_minus_m`` repetition slots to information channels.
+def build_repetition_plan(info_set, base_means, n_minus_m,
+                          channel: LlrDistribution, counters=None):
+    """Assign repetition slots to information channels, for one mother code
+    or for M stacked ones.
 
     Parameters
     ----------
-    info_set : array-like
-        Information-channel indices, strictly increasing.
+    info_set : array-like, shape (k,) or (M, k)
+        Information-channel indices, strictly increasing along each row.
     base_means : array-like
-        Gaussian LLR means of those channels before any repetition.
-    n_minus_m : int
-        Number of repetition slots to assign.
+        Gaussian LLR means of those channels before any repetition, the
+        shape of ``info_set``.
+    n_minus_m : int, or array-like of shape (M,)
+        Number of repetition slots to assign (per row).
     channel : LlrDistribution
         Raw-channel model; each assignment adds ``channel.mean`` to the
         chosen channel's mean.
     counters : dict, optional
         "convolutions" is incremented once per assignment.
+
+    Returns
+    -------
+    RepetitionPlan, or a list of M plans for a 2-D ``info_set``; every row's
+    plan is the one its row would get on its own.
 
     Each step assigns a slot to the channel of largest error probability;
     ties break toward the smaller channel index, making the plan
@@ -67,105 +74,159 @@ def build_repetition_plan(info_set, base_means, n_minus_m: int,
 
     The greedy loop is a k-way merge of the per-channel sequences
     pe(mean_j + t c), t = 0, 1, ..., which are nonincreasing in t (up to
-    last-ulp rises, which the sort key absorbs), so the plan is read off one
-    sort: the first ``n_minus_m`` of all (channel, t)
-    steps ordered by (-pe, channel index, t).  Means are built by the same
-    sequential adds as the loop and the union-bound trace by the same
-    ``(sum - pe_old) + pe_new`` steps, so the plan is bit-identical to it.
+    last-ulp rises, which the sort key absorbs), so a plan is read off one
+    sort: the first ``n_minus_m`` of its row's (channel, t) steps ordered by
+    (-pe, channel index, t).  All rows share one flat step array, one
+    ``pe_from_mean`` call and one row-wise stable sort; only rows whose
+    water-filling depths were too shallow (pe ties) are built again.  Means
+    are built by the same sequential adds as the loop and the union-bound
+    trace by the same ``(sum - pe_old) + pe_new`` steps, so every plan is
+    bit-identical to it.
     """
-    info_set = np.asarray(info_set, dtype=np.int64)
+    info = np.asarray(info_set, dtype=np.int64)
     base = np.asarray(base_means, dtype=float)
-    if base.shape != info_set.shape or base.ndim != 1:
+    reps = np.asarray(n_minus_m, dtype=np.int64)
+    if base.shape != info.shape or base.ndim not in (1, 2):
         raise ValueError("base_means must align with info_set")
-    if n_minus_m < 0:
+    if reps.shape != info.shape[:-1]:
+        raise ValueError("need one repetition count per row of info_set")
+    if np.any(reps < 0):
         raise ValueError("repetition count must be nonnegative")
-    if n_minus_m > 0 and info_set.size == 0:
+    k = info.shape[-1]
+    if k == 0 and np.any(reps > 0):
         raise ValueError("cannot assign repetitions without information channels")
-    if np.any(np.diff(info_set) <= 0):
+    if np.any(np.diff(info, axis=-1) <= 0):
         raise ValueError("info_set must be strictly increasing")
     if not np.all(base >= 0):
         raise ValueError("LLR means must be nonnegative (NaN is rejected)")
 
-    reps = int(n_minus_m)
-    depth = _water_fill_depths(base, reps, channel.mean)
-    while True:
-        means, step_pe, key, start = _channel_steps(base, channel.mean, depth)
-        left_out = start + depth
-        built = np.ones(means.size, dtype=bool)
-        built[left_out] = False
-        candidates = np.flatnonzero(built)
-        picks = candidates[np.argsort(-key[candidates], kind="stable")[:reps]]
-        slots = np.searchsorted(start, picks, side="right") - 1
-        taken = np.bincount(slots, minlength=base.size)
-        if reps == 0:
-            break
-        # A channel whose first left-out step sorts before the last pick was
-        # built too shallow (pe ties, e.g. pe underflowing to 0): the first
-        # such channel in sort order may take every pick that sorts after
-        # that step.  Every other channel keeps the steps it was picked for.
-        lo_key, last_key, last_slot = key[left_out], key[picks[-1]], slots[-1]
-        early = np.flatnonzero((lo_key > last_key)
-                               | ((lo_key == last_key)
-                                  & (np.arange(base.size) < last_slot)))
-        if early.size == 0:
-            break
-        late = early[np.argmax(lo_key[early])]
-        pick_key = key[picks]
-        before = np.count_nonzero((pick_key > lo_key[late])
-                                  | ((pick_key == lo_key[late])
-                                     & (slots <= late)))
-        depth = taken
-        depth[late] += reps - before
+    reps = reps.ravel()
+    info, base = info.reshape(reps.size, k), base.reshape(reps.size, k)
+    c = channel.mean
+    depth = _water_fill_depths(base, reps, c)
+    plans = [None] * reps.size
+    todo = np.arange(reps.size)
+    while todo.size:
+        rows, n_reps, row_depth = todo.size, reps[todo], depth[todo]
+        means, step_pe, key, start = _channel_steps(base[todo].ravel(), c,
+                                                    row_depth.ravel())
+        left_out = start + row_depth.ravel()
+        picks, pick_row, rank = _sorted_picks(key, left_out, row_depth, n_reps)
+        chan = np.searchsorted(start, picks, side="right") - 1
+        slots = chan - pick_row * k
+        taken = np.bincount(chan, minlength=rows * k).reshape(rows, k)
+        # A channel whose first left-out step sorts before its row's last
+        # pick was built too shallow (pe ties, e.g. pe underflowing to 0):
+        # the first such channel in sort order may take every pick that
+        # sorts after that step.  Every other channel keeps the steps it was
+        # picked for.
+        lo_key = key[left_out].reshape(rows, k)
+        last = np.cumsum(n_reps)[n_reps > 0] - 1
+        last_key = np.full(rows, np.inf)
+        last_slot = np.zeros(rows, dtype=np.int64)
+        last_key[n_reps > 0] = key[picks[last]]
+        last_slot[n_reps > 0] = slots[last]
+        early = (lo_key > last_key[:, None]) \
+            | ((lo_key == last_key[:, None])
+               & (np.arange(k) < last_slot[:, None]))
+        redo = early.any(axis=1)
+        if redo.any():
+            late_key = np.where(early, lo_key, -np.inf)
+            late = np.argmax(late_key, axis=1)
+            late_key = late_key[np.arange(rows), late][pick_row]
+            pick_key = key[picks]
+            before = np.bincount(
+                pick_row[(pick_key > late_key)
+                         | ((pick_key == late_key) & (slots <= late[pick_row]))],
+                minlength=rows)
+            deeper = taken[redo]
+            deeper[np.arange(deeper.shape[0]), late[redo]] \
+                += (n_reps - before)[redo]
+            depth[todo[redo]] = deeper
 
-    trace_terms = np.empty(2 * reps + 1)
-    trace_terms[0] = step_pe[start].sum()
-    trace_terms[1::2] = -step_pe[picks]
-    trace_terms[2::2] = step_pe[picks + 1]
+        at = start.reshape(rows, k) + taken
+        upd_means, upd_pe = means[at], step_pe[at]
+        terms = np.zeros((rows, 2 * int(n_reps.max(initial=0)) + 1))
+        terms[:, 0] = step_pe[start].reshape(rows, k).sum(axis=1)
+        terms[pick_row, 2 * rank + 1] = -step_pe[picks]
+        terms[pick_row, 2 * rank + 2] = step_pe[picks + 1]
+        trace = np.cumsum(terms, axis=1, out=terms)[:, ::2]
+        r = info[todo[pick_row], slots]
+        first = np.cumsum(n_reps) - n_reps
+        for i in np.flatnonzero(~redo):
+            plans[todo[i]] = RepetitionPlan(
+                info_set=info[todo[i]], r=r[first[i]:first[i] + n_reps[i]],
+                updated_means=upd_means[i], updated_pe=upd_pe[i],
+                bler_trace=trace[i, :n_reps[i] + 1])
+        todo = todo[redo]
+
     if counters is not None:
-        counters["convolutions"] = counters.get("convolutions", 0) + reps
-    return RepetitionPlan(info_set=info_set, r=info_set[slots],
-                          updated_means=means[start + taken],
-                          updated_pe=step_pe[start + taken],
-                          bler_trace=np.cumsum(trace_terms)[::2])
+        counters["convolutions"] = counters.get("convolutions", 0) \
+            + int(reps.sum())
+    return plans if np.ndim(info_set) == 2 else plans[0]
 
 
-def _water_fill_depths(base: np.ndarray, reps: int, c: float) -> np.ndarray:
-    """Steps to build per channel: the water-filling count of assignments in
-    mean space (the greedy prefers the smallest current mean) plus one.
+def _water_fill_depths(base: np.ndarray, reps: np.ndarray,
+                       c: float) -> np.ndarray:
+    """Steps to build per channel, per row of ``base`` with ``reps[i]``
+    repetitions: the water-filling count of assignments in mean space (the
+    greedy prefers the smallest current mean) plus one.
 
     Error-probability ties, such as pe underflowing to 0, can make the greedy
     go deeper on a channel; build_repetition_plan checks for that.
     """
-    k = base.size
-    depth = np.zeros(k, dtype=np.int64)
-    if reps == 0:
+    rows, k = base.shape
+    depth = np.zeros((rows, k), dtype=np.int64)
+    if k == 0:
         return depth
     if 0.0 < c < np.inf:
-        ranked = np.sort(base)
-        levels = (reps * c + np.cumsum(ranked)) / np.arange(1, k + 1)
-        level = levels[max(np.count_nonzero(ranked < levels), 1) - 1]
+        ranked = np.sort(base, axis=1)
+        levels = (reps[:, None] * c + np.cumsum(ranked, axis=1)) \
+            / np.arange(1, k + 1)
+        filled = np.maximum(np.count_nonzero(ranked < levels, axis=1), 1) - 1
+        level = levels[np.arange(rows), filled]
         with np.errstate(invalid="ignore", over="ignore"):
-            steps = (level - base) / c
+            steps = (level[:, None] - base) / c
             # NaN only from infinite means, which need no steps
-            depth = np.where(steps > -1.0, np.minimum(np.ceil(steps) + 1, reps),
+            depth = np.where(steps > -1.0,
+                             np.minimum(np.ceil(steps) + 1, reps[:, None]),
                              0).astype(np.int64)
     # A mean that c does not move (c = 0, or c below its last ulp) leaves
     # the fill short; spread the rest evenly.
-    short = reps - int(depth.sum())
-    if short > 0:
-        depth += -(-short // k)
+    short = reps - depth.sum(axis=1)
+    depth += np.where(short > 0, -(-short // k), 0)[:, None]
     return depth
 
 
-# Channels built with at most this many steps share one block of the means
-# grid; deeper ones are grouped by power-of-two width, so padding stays
-# below 2x when pe ties send hundreds of repetitions to one channel.
-_MIN_STEP_WIDTH = 16
+def _sorted_picks(key: np.ndarray, left_out: np.ndarray, depth: np.ndarray,
+                  reps: np.ndarray):
+    """Each row's first ``reps[i]`` built steps in (-key, channel, t) order,
+    never a channel's last built step: flat step indices, the row of each
+    pick and its rank within its row.
+
+    The steps of row i are contiguous in the flat arrays; they are laid out
+    in row i of a grid padded with +inf, which one row-wise stable argsort
+    orders.
+    """
+    rows, k = depth.shape
+    per_row = depth.sum(axis=1) + k
+    row_start = np.cumsum(per_row) - per_row
+    step_row = np.repeat(np.arange(rows), per_row)
+    neg_key = -key
+    neg_key[left_out] = np.inf
+    grid = np.full((rows, int(per_row.max(initial=0))), np.inf)
+    grid[step_row, np.arange(key.size) - row_start[step_row]] = neg_key
+    order = np.argsort(grid, axis=1, kind="stable")
+    pick_row = np.repeat(np.arange(rows), reps)
+    rank = np.arange(pick_row.size) - (np.cumsum(reps) - reps)[pick_row]
+    return row_start[pick_row] + order[pick_row, rank], pick_row, rank
 
 
 def _channel_steps(base: np.ndarray, c: float, depth: np.ndarray):
     """Means, pe and sort key of channel j after t = 0..depth[j]
     assignments, flat in (channel, t) order, and each channel's offset.
+    Channels of stacked rows are flattened row after row, so each row's
+    steps are contiguous; all of them go through one ``pe_from_mean`` call.
 
     The means use the same sequential adds as ``means[slot] += c`` in a
     greedy loop.  The key is the running minimum of pe along t, so that
@@ -175,15 +236,18 @@ def _channel_steps(base: np.ndarray, c: float, depth: np.ndarray):
     counts = depth + 1
     start = np.cumsum(counts) - counts
     means = np.empty(int(counts.sum()))
-    width = np.maximum(_MIN_STEP_WIDTH, 1 << np.frexp(counts - 1)[1])
+    # Channels are grouped by the power of two at or above their step
+    # count, so padding stays below 2x when most channels take no step or
+    # pe ties send hundreds of repetitions to one channel.
+    width = 1 << np.frexp(counts - 1)[1]
     for w in np.unique(width):
-        rows = np.flatnonzero(width == w)
-        grid = np.full((rows.size, w), c)
-        grid[:, 0] = base[rows]
+        chans = np.flatnonzero(width == w)
+        grid = np.full((chans.size, w), c)
+        grid[:, 0] = base[chans]
         np.cumsum(grid, axis=1, out=grid)
         t = np.arange(w)
-        keep = t < counts[rows, None]
-        means[(start[rows, None] + t)[keep]] = grid[keep]
+        keep = t < counts[chans, None]
+        means[(start[chans, None] + t)[keep]] = grid[keep]
     pe = pe_from_mean(means)
     key = pe.copy()
     same_channel = np.ones(max(means.size - 1, 0), dtype=bool)
@@ -213,7 +277,9 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution,
     quasi-uniform; the information set holds the k most reliable synthesized
     channels.  Shorter codes are prefixes of the plan (``plan.bler_trace``,
     ``RcpCode.prefix``).  Consecutive m with the same mother length share one
-    batched GA pass.
+    block of at most ``_GA_BLOCK_ELEMENTS`` channel means: one batched GA
+    pass, one row-wise stable argsort for the information sets and one
+    :func:`build_repetition_plan` call over the block's stacked rows.
     """
     ms = [int(m) for m in ms]
     for m in ms:
@@ -227,7 +293,8 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution,
 
 
 def _mother_code_block(k, ms, n0, n, channel, counters):
-    """mother_codes for values of m sharing mother length n0, one GA pass."""
+    """mother_codes for values of m sharing mother length n0: one GA pass,
+    one row-wise information-set ranking and one batched plan build."""
     puncts = [puncture_pattern(n0, m) for m in ms]
     means = np.full((len(ms), n0), channel.mean)
     for row, punct in zip(means, puncts):
@@ -236,12 +303,13 @@ def _mother_code_block(k, ms, n0, n, channel, counters):
     if counters is not None:
         counters["ga_updates"] = counters.get("ga_updates", 0) \
             + len(ms) * n0 * int(np.log2(n0))
-    for m, punct, row_means, row_pe in zip(ms, puncts, tables.means,
-                                           tables.pe):
+    info_sets = select_info_set(tables, k)
+    plans = build_repetition_plan(
+        info_sets, np.take_along_axis(tables.means, info_sets, axis=1),
+        n - np.asarray(ms), channel, counters=counters)
+    for punct, row_means, row_pe, info_set, plan in zip(
+            puncts, tables.means, tables.pe, info_sets, plans):
         table = ReliabilityTable(means=row_means, pe=row_pe)
-        info_set = select_info_set(table, k)
-        plan = build_repetition_plan(info_set, row_means[info_set], n - m,
-                                     channel, counters=counters)
         spec = PolarCodeSpec(n0=n0, info_set=info_set, puncture_set=punct)
         yield spec, table, plan
 

@@ -15,6 +15,11 @@ from .construct import mother_code, mother_codes
 # Block-error values are floored here so throughput denominators stay stable.
 BLER_FLOOR = 1e-15
 
+# Candidate entries (rows of m times lengths) per vectorised greedy scan:
+# the GA block size keeps the scan's temporaries near 1.7 MiB, and blocks
+# of 2^16 and 2^17 entries measured slower on the `design` workload.
+_SCAN_BLOCK_ELEMENTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class HarqScheme:
@@ -116,49 +121,85 @@ def throughput_estimate(k: int, lengths, blers) -> float:
     return k * (1.0 - float(blers[-1])) / denom
 
 
-def _scan_candidates(k: int, m: int, e: np.ndarray, s_sorted: list,
-                     n_lo: int) -> tuple:
-    """Best single length to add to ``s_sorted``, maximizing the throughput.
+def _scan_rows(k: int, m: np.ndarray, e: np.ndarray, q: int,
+               chosen: np.ndarray) -> tuple:
+    """Best single length to add to each row's chosen lengths, maximizing
+    the throughput: ``(best_n, best_rho)``, one entry per row.
 
-    ``e[j]`` is the block error rate of length m + j.  Candidates are all
-    lengths in [n_lo, m + len(e) - 1] not already chosen; ties prefer the
-    smaller length.  Returns (best_n, best_rho).
+    Row i holds polar-bit budget ``m[i]``, its block error curve
+    ``e[i, j]`` for length m[i] + j (entries past q are ignored) and its
+    chosen lengths ``chosen[i]``, sorted; every row has the same number of
+    them.  Candidates are all lengths in [m[i], q] not already chosen; ties
+    prefer the smaller length.
     """
-    q = m + e.size - 1
-    n_arr = np.arange(n_lo, q + 1)
-    e_n = e[n_arr - m]
-    rho = np.full(n_arr.size, -np.inf)
-
-    s = np.asarray(s_sorted, dtype=np.int64)
-    e_s = e[s - m] if s.size else np.array([])
-    prev_e = np.concatenate([[1.0], e_s[:-1]]) if s.size else np.array([])
-    lam_s = float(np.dot(s, prev_e - e_s)) if s.size else 0.0
+    rows, width = e.shape
+    n = m[:, None] + np.arange(width)
+    n_f = n.astype(float)
+    s_f = chosen.astype(float)
+    e_s = np.take_along_axis(e, chosen - m[:, None], axis=1)
+    # e_before[:, j]: block error rate before chosen length j (1 before the
+    # first), so the last column is the rate after all of them.
+    e_before = np.concatenate([np.ones((rows, 1)), e_s], axis=1)
+    lam_s = np.vecdot(s_f, e_before[:, :-1] - e_s)[:, None]
 
     # Insertion segments: candidates falling between consecutive chosen
     # lengths share the same incremental form of the denominator.
-    seg = np.searchsorted(s, n_arr, side="left")
-    for j in range(s.size + 1):
-        mask = seg == j
-        if j < s.size:
-            mask &= n_arr != s[j]
-        if not mask.any():
-            continue
-        n_j = n_arr[mask].astype(float)
-        e_j = e_n[mask]
-        e_prev = 1.0 if j == 0 else e_s[j - 1]
-        if j < s.size:
-            nxt = float(s[j])
-            e_nxt = e_s[j]
-            lam = (lam_s - nxt * (e_prev - e_nxt)
-                   + n_j * (e_prev - e_j) + nxt * (e_j - e_nxt))
-            tail_e = e_s[-1]
-            rho[mask] = k * (1.0 - tail_e) / (lam + float(s[-1]) * tail_e)
-        else:
-            lam = lam_s + n_j * (e_prev - e_j)
-            rho[mask] = k * (1.0 - e_j) / (lam + n_j * e_j)
+    seg = np.zeros(n.shape, dtype=np.int64)
+    taken = n > q
+    for s_j in chosen.T:
+        seg += s_j[:, None] < n
+        taken |= s_j[:, None] == n
+    e_prev = np.take_along_axis(e_before, seg, axis=1)
+    step = n_f * (e_prev - e)
+    rho = k * (1.0 - e) / ((lam_s + step) + n_f * e)
+    if chosen.shape[1]:
+        inner = np.minimum(seg, chosen.shape[1] - 1)
+        nxt = np.take_along_axis(s_f, inner, axis=1)
+        e_nxt = np.take_along_axis(e_s, inner, axis=1)
+        lam = (lam_s - nxt * (e_prev - e_nxt)) + step + nxt * (e - e_nxt)
+        tail_e = e_s[:, -1:]
+        # The inner form is also evaluated, and discarded, at tail entries
+        # and past q, where its denominator may be 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner_rho = k * (1.0 - tail_e) / (lam + s_f[:, -1:] * tail_e)
+        rho = np.where(seg < chosen.shape[1], inner_rho, rho)
+    rho[taken] = -np.inf
+    best = np.argmax(rho, axis=1)
+    return m + best, rho[np.arange(rows), best]
 
-    best = int(np.argmax(rho))
-    return int(n_arr[best]), float(rho[best])
+
+def _greedy_rounds(k: int, m: np.ndarray, e: np.ndarray, q: int, t_max: int,
+                   force_first_length_equals_m: bool = False) -> tuple:
+    """The greedy rounds of :func:`design_scheme` for the rows of ``e``
+    (see :func:`_scan_rows`), all rows per round in one vectorised scan.
+
+    Returns ``(picks, rho, rounds)``: ``picks[i, t]`` is the length row i
+    was offered in round t and ``rho[i, t]`` its throughput (0 and -inf
+    after the row stopped); the row keeps its first ``rounds[i]`` picks.  A
+    row continues while the offer strictly exceeds its current throughput.
+    """
+    rows = m.size
+    picks = np.zeros((rows, t_max), dtype=np.int64)
+    rho = np.full((rows, t_max), -np.inf)
+    rounds = np.zeros(rows, dtype=np.int64)
+    eta = np.full(rows, -np.inf)
+    live = np.arange(rows)
+    chosen = np.empty((rows, 0), dtype=np.int64)
+    for t in range(t_max):
+        if force_first_length_equals_m and t == 0:
+            best_n, best_rho = m, k * (1.0 - e[:, 0]) / m.astype(float)
+        else:
+            best_n, best_rho = _scan_rows(k, m[live], e[live], q, chosen)
+        picks[live, t], rho[live, t] = best_n, best_rho
+        better = best_rho > eta[live]
+        live = live[better]
+        chosen = np.sort(np.column_stack([chosen[better], best_n[better]]),
+                         axis=1)
+        eta[live] = best_rho[better]
+        rounds[live] += 1
+        if not live.size:
+            break
+    return picks, rho, rounds
 
 
 def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
@@ -168,9 +209,12 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
 
     For every polar-bit budget m in k..q the block error curve over all
     lengths is read from that m's repetition plan, built by
-    :func:`~rcpolar.construct.mother_codes` with batched GA passes; rounds
-    then add one cumulative length at a time, each time the one that most
-    improves the estimated throughput.
+    :func:`~rcpolar.construct.mother_codes` in batched GA and plan passes;
+    rounds then add one cumulative length at a time, each time the one that
+    most improves the estimated throughput.  The rounds run for many m at
+    once: curves are stacked into padded blocks of at most
+    ``_SCAN_BLOCK_ELEMENTS`` entries, and each round scans all of a block's
+    rows in one vectorised pass (:func:`_greedy_rounds`).
     Ties prefer the smaller added length and then the smaller m.  The first
     round always keeps its best candidate (a scheme has at least one
     transmission); a later round with no improving addition ends the inner
@@ -184,29 +228,44 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
 
-    best = None  # (eta, m, lengths)
     ms = range(k, q + 1)
-    for m, (_, _, plan) in zip(ms, mother_codes(k, ms, q, channel,
-                                                 counters=counters)):
-        curve = bler_curve_from_plan(k, m, plan)
-        chosen: list = []
-        eta = -np.inf
-        for _ in range(t_max):
-            if force_first_length_equals_m and not chosen:
-                e_m = curve.e[0]
-                cand_n, cand_rho = m, k * (1.0 - e_m) / float(m)
-            else:
-                cand_n, cand_rho = _scan_candidates(k, m, curve.e, chosen, m)
-            if cand_rho > eta:
-                chosen = sorted(chosen + [cand_n])
-                eta = cand_rho
-            else:
-                break
-        if best is None or eta > best[0]:
-            best = (eta, m, tuple(chosen))
+    curves = (bler_curve_from_plan(k, m, plan).e for m, (_, _, plan)
+              in zip(ms, mother_codes(k, ms, q, channel, counters=counters)))
+    eta, m, lengths = _best_scheme(k, q, t_max, curves,
+                                   force_first_length_equals_m)
+    return HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=eta)
 
-    eta, m, lengths = best
-    return HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=float(eta))
+
+def _best_scheme(k: int, q: int, t_max: int, curves,
+                 force_first_length_equals_m: bool = False) -> tuple:
+    """The search of :func:`design_scheme` over the curves ``e`` of
+    m = k, k+1, ..., q (``e[j]`` is the block error rate of length m + j):
+    ``(eta, m, lengths)`` of the best scheme.
+
+    Curves are stacked, padded to the longest, into blocks of at most
+    ``_SCAN_BLOCK_ELEMENTS`` entries; a block's best row is its first
+    largest throughput, and a later block replaces it only when strictly
+    better, so ties go to the smaller m.
+    """
+    curves = iter(curves)
+    best = None
+    lo = k
+    while lo <= q:
+        width = q - lo + 1
+        ms = np.arange(lo, min(q + 1, lo + max(1, _SCAN_BLOCK_ELEMENTS
+                                                // width)))
+        e = np.ones((ms.size, width))
+        for row, curve in zip(e, curves):
+            row[:curve.size] = curve
+        picks, rho, rounds = _greedy_rounds(k, ms, e, q, t_max,
+                                            force_first_length_equals_m)
+        eta = rho[np.arange(ms.size), rounds - 1]
+        i = int(np.argmax(eta))
+        if best is None or eta[i] > best[0]:
+            best = (float(eta[i]), int(ms[i]),
+                    tuple(sorted(int(n) for n in picks[i, :rounds[i]])))
+        lo = int(ms[-1]) + 1
+    return best
 
 
 def scheme_cost_profile(k: int, q: int, t_max: int = 2,

@@ -191,9 +191,10 @@ def puncture_pattern(n0: int, m: int) -> np.ndarray:
 def select_info_set(table: ReliabilityTable, k: int) -> np.ndarray:
     """Indices of the k most reliable channels (smallest pe), sorted ascending.
 
-    Ties are broken toward the smaller channel index.
+    Ties are broken toward the smaller channel index.  A stacked table gives
+    one row of indices per mother code, from one row-wise stable argsort.
     """
     if not 0 < k <= table.size:
         raise ValueError(f"k must be in 1..{table.size}, got {k}")
-    order = np.argsort(table.pe, kind="stable")
-    return np.sort(order[:k]).astype(np.int64)
+    order = np.argsort(table.pe, axis=-1, kind="stable")
+    return np.sort(order[..., :k], axis=-1).astype(np.int64)

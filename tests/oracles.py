@@ -119,6 +119,52 @@ def throughput_reference(k: int, lengths, blers) -> float:
     return delivered / consumed
 
 
+def scan_reference(k: int, m: int, e: np.ndarray, s_sorted: list,
+                   n_lo: int) -> tuple:
+    """One greedy design round for one m, one insertion segment at a time.
+
+    Best single length to add to ``s_sorted``, maximizing the throughput.
+    ``e[j]`` is the block error rate of length m + j.  Candidates are all
+    lengths in [n_lo, m + len(e) - 1] not already chosen; ties prefer the
+    smaller length.  Returns (best_n, best_rho).
+    """
+    q = m + e.size - 1
+    n_arr = np.arange(n_lo, q + 1)
+    e_n = e[n_arr - m]
+    rho = np.full(n_arr.size, -np.inf)
+
+    s = np.asarray(s_sorted, dtype=np.int64)
+    e_s = e[s - m] if s.size else np.array([])
+    prev_e = np.concatenate([[1.0], e_s[:-1]]) if s.size else np.array([])
+    lam_s = float(np.dot(s, prev_e - e_s)) if s.size else 0.0
+
+    # Candidates falling between consecutive chosen lengths share the same
+    # incremental form of the denominator.
+    seg = np.searchsorted(s, n_arr, side="left")
+    for j in range(s.size + 1):
+        mask = seg == j
+        if j < s.size:
+            mask &= n_arr != s[j]
+        if not mask.any():
+            continue
+        n_j = n_arr[mask].astype(float)
+        e_j = e_n[mask]
+        e_prev = 1.0 if j == 0 else e_s[j - 1]
+        if j < s.size:
+            nxt = float(s[j])
+            e_nxt = e_s[j]
+            lam = (lam_s - nxt * (e_prev - e_nxt)
+                   + n_j * (e_prev - e_j) + nxt * (e_j - e_nxt))
+            tail_e = e_s[-1]
+            rho[mask] = k * (1.0 - tail_e) / (lam + float(s[-1]) * tail_e)
+        else:
+            lam = lam_s + n_j * (e_prev - e_j)
+            rho[mask] = k * (1.0 - e_j) / (lam + n_j * e_j)
+
+    best = int(np.argmax(rho))
+    return int(n_arr[best]), float(rho[best])
+
+
 def repetition_plan_reference(info_set, base_means, n_minus_m: int,
                               channel_mean: float):
     """The greedy repetition assignment as a step-by-step lazy-heap loop.

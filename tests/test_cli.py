@@ -44,12 +44,34 @@ def test_invalid_parameters_exit_2(tmp_path):
     ("bler", {"codes": [[12, 0, 8]], "snr_db": 0.0, "trials": 20}),
     ("bler", {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
               "seed": "x"}),
+    # A JSON string is not a boolean: "false" must not turn forcing on.
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": 0.0,
+                "force_n1_equals_m": "false"}),
+    # SNRs must be finite numbers; a boolean is not one.
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": True}),
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": float("-inf")}),
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": float("inf")}),
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": float("nan")}),
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": [0.0, float("nan")]}),
+    ("construct", {"n": 8, "k": 4, "m": 8, "snr_db": True}),
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": float("inf"), "trials": 20}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     cfg["out"] = str(tmp_path / "o")
     assert _run(tmp_path, command, cfg) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("force,s", [(False, [8, 11, 15]),
+                                     (True, [9, 9, 13])])
+def test_design_force_flag(tmp_path, force, s):
+    # Only a JSON boolean sets forcing; each value gives its own design.
+    cfg = {"k": 8, "t_max": 2, "q": 24, "snr_db": 0.0,
+           "force_n1_equals_m": force, "out": str(tmp_path / "o")}
+    assert _run(tmp_path, "design", cfg) == 0
+    doc = json.loads((tmp_path / "o" / "schemes.json").read_text())
+    assert doc["schemes"][0]["s"] == s
 
 
 def test_runtime_value_error_exits_3(tmp_path, monkeypatch, capsys):

@@ -106,6 +106,32 @@ def test_plan_equals_greedy_loop_bitwise(means, channel_mean, reps, rnd):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda k: st.lists(
+    st.tuples(st.lists(_plan_mean, min_size=k, max_size=k),
+              st.integers(0, 80 if k else 0)), min_size=1, max_size=6)),
+       _channel_mean)
+@example([([5e3, 40.0, 1e5], 120), ([1.0, 1.0, 1.0], 0),
+          ([2950.0, 900.0, 3000.0], 200)], 400.0)  # some rows redone
+def test_stacked_plans_equal_single_row_plans(rows, channel_mean):
+    # A 2-D call returns, for every row, the plan of that row on its own,
+    # including rows that water-filling built too shallow.
+    k = len(rows[0][0])
+    info = np.arange(k) * 2 + 1
+    channel = LlrDistribution(channel_mean)
+    plans = build_repetition_plan(np.tile(info, (len(rows), 1)),
+                                  [means for means, _ in rows],
+                                  [reps for _, reps in rows], channel)
+    assert len(plans) == len(rows)
+    for plan, (means, reps) in zip(plans, rows):
+        ref = build_repetition_plan(info, means, reps, channel)
+        assert np.array_equal(plan.r, ref.r)
+        for got, want in ((plan.bler_trace, ref.bler_trace),
+                          (plan.updated_means, ref.updated_means),
+                          (plan.updated_pe, ref.updated_pe)):
+            assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("snr_db", (-3.0, 0.0, 6.0, 20.0))
 def test_mother_codes_match_single_m(snr_db):
     # 256 values of m share mother length 512, more than one GA row block.
@@ -125,6 +151,15 @@ def test_mother_codes_match_single_m(snr_db):
         assert np.array_equal(plan.r, ref_plan.r)
         assert plan.bler_trace.tobytes() == ref_plan.bler_trace.tobytes()
         assert plan.updated_pe.tobytes() == ref_plan.updated_pe.tobytes()
+        # The one-m call runs the same batched code, so every row is also
+        # checked against the step-by-step greedy loop.
+        r, trace, upd_means, upd_pe = repetition_plan_reference(
+            spec.info_set, table.means[spec.info_set], n - m, channel.mean)
+        assert np.array_equal(plan.r, r)
+        for got, want in ((plan.bler_trace, trace),
+                          (plan.updated_means, upd_means),
+                          (plan.updated_pe, upd_pe)):
+            assert got.tobytes() == want.tobytes()
     assert counters == single_counters
 
 

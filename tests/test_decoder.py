@@ -231,3 +231,29 @@ def test_nested_family_rejects_mixed_frozen_values():
              RcpCode(spec=one, rep_vector=np.array([5, 6]))]
     with pytest.raises(ValueError, match="mother code"):
         sc_decode_nested(np.ones((2, 10)), codes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 7), max_size=40), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+@example([3, 3, 3, 1, 3, 1], 2, 0)
+@example([], 1, 0)
+def test_repetition_sums_equal_add_at(picks, batch, seed):
+    # Summing by occurrence rank gives, byte for byte, np.add.at's
+    # transmit-order sums 0.0 + r1 + r2 + ..., on LLRs of mixed magnitude
+    # where the order of the adds changes the result, and on signed zeros.
+    info = np.array([7, 9, 10, 11, 12, 13, 14, 15])
+    code = RcpCode(spec=PolarCodeSpec(n0=16, info_set=info),
+                   rep_vector=info[picks])
+    rng = np.random.default_rng(seed)
+    llrs = rng.normal(size=(batch, code.n)) \
+        * 10.0 ** rng.integers(-3, 17, size=(batch, code.n))
+    llrs[rng.random(llrs.shape) < 0.1] = 0.0
+    llrs[rng.random(llrs.shape) < 0.1] = -0.0
+    index, sums = rcpolar.codec._repetition_sums(llrs, code)
+    want_index, slot = np.unique(code.rep_vector, return_inverse=True)
+    want = np.zeros((want_index.size, batch))
+    np.add.at(want, slot, llrs[:, code.m:code.n].T)
+    assert np.array_equal(index, want_index)
+    assert sums.shape == want.shape
+    assert sums.tobytes() == want.tobytes()

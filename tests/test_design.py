@@ -1,12 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rcpolar.design
 from rcpolar.channel import LlrDistribution
-from rcpolar.design import (BLER_FLOOR, HarqScheme, build_bler_curve,
+from rcpolar.design import (BLER_FLOOR, HarqScheme, _best_scheme,
+                            _greedy_rounds, _scan_rows, build_bler_curve,
                             design_scheme, scheme_cost_profile,
                             throughput_estimate)
 
-from oracles import throughput_reference
+from oracles import scan_reference, throughput_reference
 
 CHANNEL = LlrDistribution(mean=2.0)  # sigma = 1
 
@@ -102,7 +108,6 @@ def test_design_t2_beats_constrained_exhaustive():
 def test_candidate_scan_matches_direct_evaluation():
     # The incremental candidate scan must agree with evaluating the full
     # throughput formula on every sorted candidate set.
-    from rcpolar.design import _scan_candidates
     rng = np.random.default_rng(7)
     for _ in range(50):
         k = int(rng.integers(2, 10))
@@ -112,7 +117,8 @@ def test_candidate_scan_matches_direct_evaluation():
         size = int(rng.integers(0, 4))
         chosen = sorted(rng.choice(np.arange(m, q + 1), size=size,
                                    replace=False).tolist())
-        best_n, best_rho = _scan_candidates(k, m, e, chosen, m)
+        (best_n,), (best_rho,) = _scan_rows(
+            k, np.array([m]), e[None], q, np.array([chosen], dtype=np.int64))
         ref_best = None
         for n in range(m, q + 1):
             if n in chosen:
@@ -124,6 +130,66 @@ def test_candidate_scan_matches_direct_evaluation():
                 ref_best = (n, rho)
         assert best_n == ref_best[0]
         assert best_rho == pytest.approx(ref_best[1], rel=1e-12)
+
+
+# Curve values: ties, the BLER_FLOOR plateau, 1.0 and everything between.
+_bler = st.sampled_from((1.0, 0.5, 0.25, 1e-3, BLER_FLOOR)) \
+    | st.floats(BLER_FLOOR, 1.0)
+
+
+@st.composite
+def _design_curves(draw):
+    """Nonincreasing curves for consecutive m = k..q, a round budget, the
+    forced-first-length flag and a scan block size."""
+    k = draw(st.integers(1, 10))
+    q = k + draw(st.integers(0, 24))
+    curves = [np.array(sorted(draw(st.lists(_bler, min_size=q - m + 1,
+                                            max_size=q - m + 1)),
+                              reverse=True))
+              for m in range(k, q + 1)]
+    return (k, q, curves, draw(st.integers(1, 5)), draw(st.booleans()),
+            draw(st.sampled_from((1, 7, 64, 1 << 14))))
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_design_curves())
+@example((3, 5, [np.array([1.0, 0.5, 0.5]), np.array([0.5, 0.5]),
+                 np.array([0.5])], 3, False, 1))
+@example((2, 6, [np.full(7 - m, BLER_FLOOR) for m in range(2, 7)], 4, True,
+          7))
+def test_vectorised_scan_equals_reference(case):
+    # Every round of every m picks the length and throughput, bit for bit,
+    # of the one-m, segment-by-segment scan; the search keeps the first
+    # best m, whatever the scan block size.
+    k, q, curves, t_max, force, block = case
+    ms = np.arange(k, q + 1)
+    e = np.ones((ms.size, q - k + 1))
+    for row, curve in zip(e, curves):
+        row[:curve.size] = curve
+    picks, rho, rounds = _greedy_rounds(k, ms, e, q, t_max, force)
+    best = None
+    for i, (m, curve) in enumerate(zip(ms.tolist(), curves)):
+        chosen, eta = [], -np.inf
+        for t in range(t_max):
+            if force and t == 0:
+                n, r = m, k * (1.0 - curve[0]) / float(m)
+            else:
+                n, r = scan_reference(k, m, curve, chosen, m)
+            assert (picks[i, t], _bits(rho[i, t])) == (n, _bits(r)), (m, t)
+            if not r > eta:
+                assert np.all(rho[i, t + 1:] == -np.inf)
+                break
+            chosen, eta = sorted(chosen + [n]), r
+        assert rounds[i] == len(chosen)
+        if best is None or eta > best[0]:
+            best = (eta, m, tuple(chosen))
+    with mock.patch.object(rcpolar.design, "_SCAN_BLOCK_ELEMENTS", block):
+        got = _best_scheme(k, q, t_max, iter(curves), force)
+    assert (_bits(got[0]), got[1:]) == (_bits(best[0]), best[1:])
 
 
 def test_design_eta_estimate_consistent_with_curve():

@@ -23,10 +23,15 @@ CODE_GRID = ((72, 32, 64), (160, 64, 128), (300, 100, 200), (600, 256, 512),
              (5000, 512, 4096))
 GRID_DIGEST = "9e6f7ddc7483be6a64f9b06d6af3cf8fb60d838e3fd3940ea2d231e0cdb7cc89"
 
-# (k, t_max, q, snr_db) -> (s, eta_estimate)
+# (k, t_max, q, snr_db[, force_first_length_equals_m]) -> (s, eta_estimate)
 PINNED_DESIGNS = {
     (16, 3, 48, 0.0): ((24, 24, 25, 33), 0.5799527586325006),
     (32, 4, 96, 2.0): ((36, 37, 42, 54, 68), 0.7628205889366707),
+    # The `design` benchmark workload.
+    (128, 4, 384, 0.0): ((223, 223, 236, 258, 297), 0.5500178856757899),
+    (32, 4, 96, 2.0, True): ((36, 36, 40, 46, 60), 0.7687315706739444),
+    # pe underflows to 0, so every plan with a repetition is built twice.
+    (64, 3, 192, 20.0): ((64, 64), 0.999999999999999),
 }
 
 
@@ -50,10 +55,11 @@ def test_construction_grid_bit_identical():
 
 @pytest.mark.parametrize("key", sorted(PINNED_DESIGNS))
 def test_pinned_designs(key):
-    k, t_max, q, snr_db = key
+    k, t_max, q, snr_db, *force = key
     s, eta = PINNED_DESIGNS[key]
     channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
-    scheme = design_scheme(k, t_max, q, channel)
+    scheme = design_scheme(k, t_max, q, channel,
+                           force_first_length_equals_m=bool(force))
     assert scheme.s == s
     assert scheme.eta_estimate == pytest.approx(eta, rel=1e-9)
 
