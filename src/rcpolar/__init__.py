@@ -13,10 +13,9 @@ from .construct import (RepetitionPlan, build_repetition_plan, construct_rcp,
                         evaluate_bler)
 from .design import (BlerCurve, HarqScheme, build_bler_curve, design_scheme,
                      scheme_cost_profile, throughput_estimate)
-from .reliability import (ReliabilityTable, ga_evolve, pe_of, pe_from_mean,
+from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
-from .simulate import (SimReport, TrialOutcome, bler_monte_carlo, bound_check,
-                       code_family_for_scheme, run_campaign, run_trial)
+from .simulate import SimReport, bler_monte_carlo, bound_check, run_campaign
 
 __all__ = [
     "__version__",
@@ -27,8 +26,7 @@ __all__ = [
     "evaluate_bler",
     "BlerCurve", "HarqScheme", "build_bler_curve", "design_scheme",
     "scheme_cost_profile", "throughput_estimate",
-    "ReliabilityTable", "ga_evolve", "pe_of", "pe_from_mean",
-    "puncture_pattern", "select_info_set",
-    "SimReport", "TrialOutcome", "bler_monte_carlo", "bound_check",
-    "code_family_for_scheme", "run_campaign", "run_trial",
+    "ReliabilityTable", "ga_evolve", "pe_from_mean", "puncture_pattern",
+    "select_info_set",
+    "SimReport", "bler_monte_carlo", "bound_check", "run_campaign",
 ]

@@ -122,18 +122,6 @@ def observation_to_llr(y, params: ChannelParams):
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
 
 
-def transmit_with_rng(bits, params: ChannelParams, rng: np.random.Generator):
-    """BPSK-modulate ``bits``, add Gaussian noise from ``rng``, demodulate to LLRs.
-
-    Accepts a 1-D word or a 2-D batch of words; the noise draw consumes
-    exactly ``bits.size`` standard normals from ``rng``.
-    """
-    bits = np.asarray(bits)
-    signs = 1.0 - 2.0 * bits  # 0 -> +1, 1 -> -1
-    y = signs + params.sigma * rng.standard_normal(bits.shape)
-    return observation_to_llr(y, params)
-
-
 def transmit(bits, params: ChannelParams, rng_seed):
     """Send a binary word over the channel and return the received LLR word.
 
@@ -145,6 +133,8 @@ def transmit(bits, params: ChannelParams, rng_seed):
         Channel operating point.
     rng_seed : int | (int, int) | numpy Generator
         Noise stream selector; a fixed seed makes the call a pure function.
+        A Generator is used as-is, and exactly n standard normals are drawn
+        from it.
 
     Returns
     -------
@@ -156,7 +146,9 @@ def transmit(bits, params: ChannelParams, rng_seed):
         raise ValueError("transmit expects a nonempty 1-D bit vector")
     if not np.isin(bits, (0, 1)).all():
         raise ValueError("transmit expects binary input")
-    return transmit_with_rng(bits, params, noise_stream(rng_seed))
+    noise = noise_stream(rng_seed).standard_normal(bits.shape)
+    return observation_to_llr((1.0 - 2.0 * bits) + params.sigma * noise,
+                              params)
 
 
 def channel_llr_distribution(params: ChannelParams) -> LlrDistribution:

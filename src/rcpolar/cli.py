@@ -70,10 +70,14 @@ def _require(cfg: dict, *keys):
     return [cfg[k] for k in keys]
 
 
+def _finite(value) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _snr_list(value):
     values = value if isinstance(value, list) else [value]
-    if not all(type(v) in (int, float) and math.isfinite(v)
-               for v in values):
+    if not all(_finite(v) for v in values):
         raise ConfigError("snr_db must be a finite number or a list of them, "
                           f"got {value!r}")
     return [float(v) for v in values]
@@ -183,11 +187,15 @@ def _load_schemes(path: str):
     out = []
     try:
         for entry in entries:
-            s = entry["s"]
-            out.append((float(entry["snr_db"]), HarqScheme(
-                k=int(entry["k"]), m=int(s[0]),
-                lengths=tuple(int(v) for v in s[1:]),
-                eta_estimate=float(entry["eta_estimate"]))))
+            snr, k, s, eta = (entry[key] for key in
+                              ("snr_db", "k", "s", "eta_estimate"))
+            if not (_finite(snr) and _finite(eta) and type(k) is int
+                    and type(s) is list and all(type(v) is int for v in s)):
+                raise ValueError("snr_db and eta_estimate must be finite "
+                                 "numbers, k and s integers, got "
+                                 f"{entry!r}")
+            out.append((float(snr), HarqScheme(
+                k=k, m=s[0], lengths=tuple(s[1:]), eta_estimate=float(eta))))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad scheme in {path}: {exc}")
     return out

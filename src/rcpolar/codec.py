@@ -384,62 +384,43 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     return out, (leaves.T if batched else leaves[:, 0])
 
 
-def validate_family(codes) -> None:
-    """Raise ValueError unless ``codes`` is a nested family: one mother code
-    (frozen values included), strictly increasing lengths, and repetition
-    vectors that are prefixes of the longest one."""
-    if not codes:
-        raise ValueError("empty code family")
-    spec = codes[0].spec
-    prev_n = 0
-    for code in codes:
-        if code.spec is not spec and not (
-                code.spec.n0 == spec.n0
-                and np.array_equal(code.spec.info_set, spec.info_set)
-                and np.array_equal(code.spec.puncture_set, spec.puncture_set)
-                and np.array_equal(code.spec.frozen_values,
-                                   spec.frozen_values)):
-            raise ValueError("family members must share the mother code")
-        if code.n <= prev_n:
-            raise ValueError("family lengths must be strictly increasing")
-        prev_n = code.n
-    longest = codes[-1].rep_vector
-    for code in codes[:-1]:
-        if not np.array_equal(code.rep_vector,
-                              longest[: code.rep_vector.size]):
-            raise ValueError("repetition vectors must be nested prefixes")
+def sc_decode_nested(llrs, code: RcpCode, lengths) -> list:
+    """Decode every round of a (B, n) LLR batch over a nested family: round
+    t holds the first ``lengths[t]`` bits of ``code``, a strictly
+    increasing list inside ``[code.m, code.n]``.
 
-
-def sc_decode_nested(llrs, codes) -> list:
-    """Decode every prefix of a (B, n) LLR batch over a nested code family.
-
-    Returns ``[sc_decode(llrs[:, :c.n], c) for c in codes]``, with the same
-    decisions, in at most two :func:`sc_decode` calls.  The first round is
-    decoded once and keeps its leaf LLRs.  A later round decides each of
-    its repeated bits on that bit's leaf LLR plus the round's repetition
-    sum, the same two operands :func:`sc_decode` adds, as long as every
-    earlier decision is unchanged.  Rows where none of those decisions
-    differs from the first round's keep its result.  The other rows of all
-    later rounds are decoded again together, over the longest code, with
-    the repetitions a row's round has not sent set to LLR 0: erasures,
-    added after the round's own sum, that change no decision.  A family of
-    one code is decoded by plain :func:`sc_decode`, without leaf LLRs.
+    Returns ``[sc_decode(llrs[:, :n], code.prefix(n)) for n in lengths]``,
+    with the same decisions, in at most two :func:`sc_decode` calls.  The
+    first round is decoded once and keeps its leaf LLRs.  A later round
+    decides each of its repeated bits on that bit's leaf LLR plus the
+    round's repetition sum, the same two operands :func:`sc_decode` adds,
+    as long as every earlier decision is unchanged.  Rows where none of
+    those decisions differs from the first round's keep its result.  The
+    other rows of all later rounds are decoded again together, over the
+    last round's code, with the repetitions a row's round has not sent set
+    to LLR 0: erasures, added after the round's own sum, that change no
+    decision.  A single round is decoded by plain :func:`sc_decode`,
+    without leaf LLRs.
     """
-    validate_family(codes)
+    lengths = [int(n) for n in lengths]
+    if not (lengths and code.m <= lengths[0] and lengths[-1] <= code.n
+            and all(a < b for a, b in zip(lengths, lengths[1:]))):
+        raise ValueError("lengths must be strictly increasing within "
+                         f"[{code.m}, {code.n}], got {lengths}")
     llrs = np.asarray(llrs, dtype=float)
-    first, last = codes[0], codes[-1]
-    if len(codes) == 1:
+    first, last = code.prefix(lengths[0]), code.prefix(lengths[-1])
+    if len(lengths) == 1:
         return [sc_decode(llrs[:, : first.n], first)]
     base, leaf = sc_decode(llrs[:, : first.n], first, return_leaf_llrs=True)
-    info_set = first.spec.info_set
+    info_set = code.spec.info_set
     redo, pieces = [], []
-    for code in codes[1:]:
-        index, sums = _repetition_sums(llrs[:, : code.n], code)
+    for n in lengths[1:]:
+        index, sums = _repetition_sums(llrs, code.prefix(n))
         cols = np.searchsorted(info_set, index)
         flips = ((leaf[:, cols] + sums.T) < 0) != base[:, cols]
         rows = np.flatnonzero(flips.any(axis=1))
         piece = llrs[rows, : last.n]
-        piece[:, code.n:] = 0.0
+        piece[:, n:] = 0.0
         redo.append(rows)
         pieces.append(piece)
     batch = np.concatenate(pieces)

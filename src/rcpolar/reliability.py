@@ -6,11 +6,10 @@ error probabilities and the information-set selection.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_ndtr
-
-from .channel import LlrDistribution
 
 # The two analytic pieces of the GA reliability function
 #   phi(m) ~ exp(0.0218 - 0.4527 m^0.86)                      (small m)
@@ -94,11 +93,6 @@ def pe_from_mean(means):
     return out
 
 
-def pe_of(dist: LlrDistribution) -> float:
-    """Error probability of a single modelled bit channel."""
-    return float(pe_from_mean(dist.mean))
-
-
 @dataclass(frozen=True, eq=False)
 class ReliabilityTable:
     """Per-channel LLR means and error probabilities after polarization.
@@ -170,22 +164,31 @@ def ga_evolve(channel_means) -> ReliabilityTable:
     return ReliabilityTable(means=work, pe=pe_from_mean(work))
 
 
+@lru_cache(maxsize=None)
+def _bit_reversal(n0: int) -> np.ndarray:
+    """Read-only bit-reversal permutation of 0..n0-1, n0 a power of two."""
+    nbits = n0.bit_length() - 1
+    idx = np.arange(n0, dtype=np.int64)
+    rev = np.zeros_like(idx)
+    for b in range(nbits):
+        rev |= ((idx >> b) & 1) << (nbits - 1 - b)
+    rev.flags.writeable = False
+    return rev
+
+
 def puncture_pattern(n0: int, m: int) -> np.ndarray:
     """Quasi-uniform puncturing: positions to delete from an N0-length codeword.
 
     Returns the sorted set of the first ``n0 - m`` entries of the bit-reversal
     permutation of 0..n0-1.  Requires n0/2 < m <= n0 with n0 a power of two.
+    Bit reversal is its own inverse, so that set is the positions where the
+    permutation is below ``n0 - m``.
     """
     if n0 < 1 or (n0 & (n0 - 1)) != 0:
         raise ValueError(f"n0 must be a power of two, got {n0}")
     if not n0 // 2 < m <= n0:
         raise ValueError(f"need n0/2 < m <= n0, got m={m}, n0={n0}")
-    nbits = int(np.log2(n0))
-    idx = np.arange(n0 - m, dtype=np.int64)
-    rev = np.zeros_like(idx)
-    for b in range(nbits):
-        rev |= ((idx >> b) & 1) << (nbits - 1 - b)
-    return np.sort(rev)
+    return np.flatnonzero(_bit_reversal(int(n0)) < n0 - m)
 
 
 def select_info_set(table: ReliabilityTable, k: int) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelParams, channel_llr_distribution, noise_stream,
-                      observation_to_llr, transmit_with_rng, trial_draws)
-from .codec import rcp_encode, sc_decode, sc_decode_nested, validate_family
+                      observation_to_llr, trial_draws)
+from .codec import rcp_encode, sc_decode_nested
 from .construct import construct_rcp
 from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
 
@@ -32,23 +32,6 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
     denom = 1.0 + z * z / trials
     return float(z * np.sqrt(p * (1.0 - p) / trials
                              + z * z / (4.0 * trials * trials)) / denom)
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Result of one protocol run.
-
-    ``success_round`` is the first acknowledged round (1-based) or None if
-    the block was never delivered; ``bits_sent`` counts channel uses under
-    the protocol (transmission stops at the acknowledged round).
-    ``fail_flags[t-1]`` tells whether decoding with the bits of rounds 1..t
-    failed, for every round that was evaluated.
-    """
-
-    success_round: int | None
-    bits_sent: int
-    decoded_ok: bool
-    fail_flags: tuple
 
 
 @dataclass(frozen=True)
@@ -69,59 +52,6 @@ class SimReport:
     eta_analytic: float         # model-based throughput of the same scheme
     ci95: dict
     nesting_violations: int
-
-
-def code_family_for_scheme(scheme: HarqScheme, channel) -> tuple:
-    """Nested codes for each cumulative length of a scheme, and the
-    union-bound curve of the longest one, as ``(codes, curve)``.
-
-    Constructs the longest code once and slices repetition prefixes, so all
-    rounds share the mother code, information set and puncturing; the curve
-    is read off the same repetition plan.
-    """
-    full, plan, _ = construct_rcp(scheme.lengths[-1], scheme.k, scheme.m,
-                                  channel)
-    return ([full.prefix(n) for n in scheme.lengths],
-            bler_curve_from_plan(scheme.k, scheme.m, plan))
-
-
-def run_trial(codes, info_bits, params: ChannelParams, rng,
-              channel_fn=None, trial_index: int = 0,
-              measure_all_rounds: bool = False) -> TrialOutcome:
-    """Run the protocol once over a nested code family.
-
-    ``rng`` may be a seed or an already-advanced Generator; the channel noise
-    for all potential rounds is drawn in a single call, so outcomes do not
-    depend on how many rounds end up being used.  ``channel_fn`` replaces the
-    AWGN channel for fault injection; it receives
-    ``(codeword_bits, params, rng, trial_index)`` and returns the LLR word,
-    which must be finite.
-    """
-    validate_family(codes)
-    info_bits = np.asarray(info_bits, dtype=np.int8)
-    tx = rcp_encode(info_bits, codes[-1])
-    rng = noise_stream(rng)
-    if channel_fn is None:
-        llr = transmit_with_rng(tx, params, rng)
-    else:
-        llr = np.asarray(channel_fn(tx, params, rng, trial_index), dtype=float)
-        if not np.isfinite(llr).all():
-            raise ValueError(f"channel_fn gave non-finite LLRs, trial {trial_index}")
-
-    fail_flags = []
-    success_round = None
-    for t, code in enumerate(codes, start=1):
-        decoded = sc_decode(llr[: code.n], code)
-        ok = bool(np.array_equal(decoded, info_bits))
-        fail_flags.append(not ok)
-        if ok and success_round is None:
-            success_round = t
-            if not measure_all_rounds:
-                break
-    bits_sent = codes[success_round - 1].n if success_round else codes[-1].n
-    return TrialOutcome(success_round=success_round, bits_sent=bits_sent,
-                        decoded_ok=success_round is not None,
-                        fail_flags=tuple(fail_flags))
 
 
 def _empty_counts(t: int) -> dict:
@@ -154,21 +84,21 @@ def _merge(dst: dict, src: dict) -> None:
         dst[key] = dst[key] + val
 
 
-def _chunk_counts(codes, params: ChannelParams, base_seed: int,
+def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
                   lo: int, hi: int, channel_fn=None) -> dict:
-    """Simulate trials [lo, hi) with batched decoding.
+    """Simulate trials [lo, hi) with batched decoding: each trial sends
+    ``code``'s word and is decoded with the first ``lengths[t]`` bits.
 
     Trial i draws its block from ``noise_stream((base_seed, i))`` and then
     its channel noise (:func:`trial_draws` gives both for the whole range),
-    or hands that generator to ``channel_fn`` as :func:`run_trial` does.
+    or hands that generator, after the block draw, to ``channel_fn``.
     """
-    k = codes[0].k
-    n_total = codes[-1].n
+    k, n_total = code.k, code.n
     if channel_fn is None:
         bits, noise = trial_draws(base_seed, lo, hi, k, n_total)
         # One layout for the channel arithmetic: rcp_encode gives a
         # transposed view, the noise is row-major.
-        tx = np.ascontiguousarray(rcp_encode(bits, codes[-1]))
+        tx = np.ascontiguousarray(rcp_encode(bits, code))
         llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise,
                                  params)
     else:
@@ -177,7 +107,7 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
         rngs = [noise_stream((base_seed, i)) for i in range(lo, hi)]
         bits = np.stack([rng.integers(0, 2, size=k, dtype=np.int8)
                          for rng in rngs])
-        tx = rcp_encode(bits, codes[-1])
+        tx = rcp_encode(bits, code)
         llr = np.empty((hi - lo, n_total))
         for i, rng in enumerate(rngs):
             word = np.asarray(channel_fn(tx[i], params, rng, lo + i),
@@ -191,21 +121,22 @@ def _chunk_counts(codes, params: ChannelParams, base_seed: int,
             llr[i] = word
 
     fails = np.stack([np.any(decoded != bits, axis=1)
-                      for decoded in sc_decode_nested(llr, codes)], axis=1)
-    counts = _empty_counts(len(codes))
+                      for decoded in sc_decode_nested(llr, code, lengths)],
+                     axis=1)
+    counts = _empty_counts(len(lengths))
     _accumulate(counts, fails)
     return counts
 
 
-def _run_chunks(codes, params: ChannelParams, trials: int, base_seed: int,
-                threads: int, channel_fn=None) -> dict:
+def _run_chunks(code, lengths, params: ChannelParams, trials: int,
+                base_seed: int, threads: int, channel_fn=None) -> dict:
     """Counts of trials [0, trials) in chunks, over ``threads`` processes."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    chunk = max(32, min(8192, 1_500_000 // codes[-1].spec.n0))
+    chunk = max(32, min(8192, 1_500_000 // code.spec.n0))
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    args = (codes, params, base_seed)
-    counts = _empty_counts(len(codes))
+    args = (code, lengths, params, base_seed)
+    counts = _empty_counts(len(lengths))
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_chunk_counts, *args, lo, hi, channel_fn)
@@ -223,20 +154,24 @@ def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
                  channel_fn=None) -> SimReport:
     """Monte Carlo campaign for one scheme at one operating point.
 
+    Every round sends a prefix of one code, built once for the longest
+    length; the union-bound curve is read off the same repetition plan.
     Trial i draws its block and noise from the stream keyed by
     ``(base_seed, i)``, so the report is reproducible and independent of
-    chunking, thread count, and scheduling.  ``channel_fn`` replaces the
-    AWGN channel as in :func:`run_trial` (fault injection); it is called
-    once per trial and must return that trial's n finite LLRs.  With
-    ``threads > 1`` it runs in worker processes, so it must pickle (a
-    module-level function, not a lambda or closure).
+    chunking, thread count, and scheduling.  ``channel_fn(codeword_bits,
+    params, rng, trial_index)`` replaces the AWGN channel (fault
+    injection); it is called once per trial with that trial's generator
+    and must return the trial's n finite LLRs.  With ``threads > 1`` it
+    runs in worker processes, so it must pickle (a module-level function,
+    not a lambda or closure).
     """
     channel = channel_llr_distribution(params)
-    codes, curve = code_family_for_scheme(scheme, channel)
-    counts = _run_chunks(codes, params, trials, base_seed, threads,
-                         channel_fn)
+    code, plan, _ = construct_rcp(scheme.lengths[-1], scheme.k, scheme.m,
+                                  channel)
+    counts = _run_chunks(code, scheme.lengths, params, trials, base_seed,
+                         threads, channel_fn)
     return _report_from_counts(scheme, params, trials, base_seed, counts,
-                               curve)
+                               bler_curve_from_plan(scheme.k, scheme.m, plan))
 
 
 def _report_from_counts(scheme, params, trials, base_seed, counts,
@@ -352,7 +287,7 @@ def bler_monte_carlo(n: int, k: int, m: int, params: ChannelParams,
     """
     channel = channel_llr_distribution(params)
     code, _, analytic = construct_rcp(n, k, m, channel)
-    errors = int(_run_chunks([code], params, trials, base_seed,
+    errors = int(_run_chunks(code, (code.n,), params, trials, base_seed,
                              threads)["fails"][0])
     return {
         "n": n, "k": k, "m": m, "snr_db": params.snr_db,

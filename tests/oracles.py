@@ -4,15 +4,19 @@ and the golden-vector file format of the encoder regression tests.
 The references are deliberately written the slow, obvious way (dense matrix
 algebra, exhaustive enumeration, direct sampling, step-by-step loops) and
 share no code with the implementations under test, except the
-error-probability function that a bitwise comparison needs.
+error-probability function that a bitwise comparison needs, and the
+encoder, channel and one-round decoder that the per-trial protocol
+reference runs (each is checked against its own reference elsewhere).
 """
 
 import heapq
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
-from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode
+from rcpolar.channel import noise_stream, transmit
+from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode, sc_decode
 from rcpolar.reliability import pe_from_mean
 
 
@@ -254,6 +258,40 @@ def sc_decode_reference(llrs, code):
 
     descend(chan)
     return u_hat[:, spec.info_set], leaves
+
+
+@dataclass(frozen=True)
+class TrialOutcome:
+    """One protocol run: the first round that decodes (1-based, None if
+    none does), the bits sent up to it (all of them if none does), and per
+    round t whether decoding with the bits of rounds 1..t failed."""
+
+    success_round: int | None
+    bits_sent: int
+    fail_flags: tuple
+
+
+def run_trial(code, lengths, info_bits, params, rng, channel_fn=None,
+              trial_index=0) -> TrialOutcome:
+    """The protocol for one block, one round at a time: ``code``'s word is
+    sent over the AWGN channel with noise from ``noise_stream(rng)``, or
+    through ``channel_fn(bits, params, rng, trial_index)``, and round t is
+    decoded on its own from the first ``lengths[t]`` LLRs.  Every round is
+    decoded, also after the first success."""
+    if not lengths or any(a >= b for a, b in zip(lengths, lengths[1:])):
+        raise ValueError(f"lengths must be strictly increasing, got {lengths}")
+    rng = noise_stream(rng)
+    info_bits = np.asarray(info_bits, dtype=np.int8)
+    tx = rcp_encode(info_bits, code)
+    llr = (transmit(tx, params, rng) if channel_fn is None
+           else np.asarray(channel_fn(tx, params, rng, trial_index)))
+    fail_flags = tuple(
+        not np.array_equal(sc_decode(llr[:n], code.prefix(n)), info_bits)
+        for n in lengths)
+    first = fail_flags.index(False) + 1 if False in fail_flags else None
+    return TrialOutcome(success_round=first,
+                        bits_sent=lengths[first - 1 if first else -1],
+                        fail_flags=fail_flags)
 
 
 def campaign_statistics_reference(fail_flags):

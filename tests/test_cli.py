@@ -35,6 +35,12 @@ def test_invalid_parameters_exit_2(tmp_path):
     assert _run(tmp_path, "construct", cfg) == 2
 
 
+def _scheme_entry(**edit):
+    """A valid schemes.json entry with ``edit`` applied."""
+    return {"snr_db": 1.0, "k": 8, "s": [12, 12, 16], "eta_estimate": 0.5,
+            **edit}
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("construct", {"n": 8, "k": "four", "m": 8, "snr_db": 0.0}),
     ("construct", {"n": 8, "k": 4, "m": 8, "snr_db": "high"}),
@@ -55,8 +61,24 @@ def test_invalid_parameters_exit_2(tmp_path):
     ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": [0.0, float("nan")]}),
     ("construct", {"n": 8, "k": 4, "m": 8, "snr_db": True}),
     ("bler", {"codes": [[12, 4, 8]], "snr_db": float("inf"), "trials": 20}),
+    # schemes.json entries follow the same rules, checked before any run:
+    # no bool or string for a number, no float for an integer, and a NaN
+    # in a later entry stops the entries before it from running.
+    ("simulate", {"schemes": [_scheme_entry(snr_db=True)]}),
+    ("simulate", {"schemes": [_scheme_entry(snr_db="1.0")]}),
+    ("simulate", {"schemes": [_scheme_entry(k=8.7)]}),
+    ("simulate", {"schemes": [_scheme_entry(s=[12.9, 12, 16])]}),
+    ("simulate", {"schemes": [_scheme_entry(),
+                              _scheme_entry(snr_db=float("nan"))]}),
+    ("simulate", {"schemes": [_scheme_entry(eta_estimate=True)]}),
+    ("simulate", {"schemes": [_scheme_entry(eta_estimate=float("nan"))]}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
+    if command == "simulate":
+        path = tmp_path / "schemes.json"
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "schemes": cfg["schemes"]}))
+        cfg.update(schemes=str(path), trials=10)
     cfg["out"] = str(tmp_path / "o")
     assert _run(tmp_path, command, cfg) == 2
     assert "error:" in capsys.readouterr().err

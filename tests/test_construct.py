@@ -8,9 +8,8 @@ from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.construct import (build_repetition_plan, construct_rcp,
                                evaluate_bler, mother_code, mother_codes)
-from rcpolar.design import HarqScheme, build_bler_curve
-from rcpolar.simulate import (bler_monte_carlo, code_family_for_scheme,
-                              wilson_halfwidth)
+from rcpolar.design import HarqScheme, bler_curve_from_plan, build_bler_curve
+from rcpolar.simulate import bler_monte_carlo, wilson_halfwidth
 
 from oracles import repetition_plan_reference
 
@@ -273,14 +272,14 @@ def _scheme_at_snr(draw):
 @settings(max_examples=60, deadline=None)
 @given(_scheme_at_snr())
 def test_plans_and_code_families_nest_by_prefix(scheme_snr):
-    # Every round of a family is the code built for its own length, and
-    # shorter plans are prefixes of longer ones.
+    # Every round's prefix of the longest code is the code built for its
+    # own length, and shorter plans are prefixes of longer ones.
     scheme, snr_db = scheme_snr
     channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
-    family, curve = code_family_for_scheme(scheme, channel)
     longest, longest_plan, _ = construct_rcp(scheme.lengths[-1], scheme.k,
                                              scheme.m, channel)
-    for code, n in zip(family, scheme.lengths):
+    for n in scheme.lengths:
+        code = longest.prefix(n)
         ref, plan, _ = construct_rcp(n, scheme.k, scheme.m, channel)
         assert code.n == n
         assert np.array_equal(code.spec.info_set, ref.spec.info_set)
@@ -293,5 +292,6 @@ def test_plans_and_code_families_nest_by_prefix(scheme_snr):
         assert np.array_equal(plan.r, longest_plan.r[:reps])
         assert np.array_equal(plan.bler_trace,
                               longest_plan.bler_trace[:reps + 1])
+    curve = bler_curve_from_plan(scheme.k, scheme.m, longest_plan)
     assert np.array_equal(curve.e, build_bler_curve(
         scheme.k, scheme.m, scheme.lengths[-1], channel).e)

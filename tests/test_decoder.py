@@ -78,7 +78,7 @@ def test_sc_decode_leaves_no_reference_cycles():
 @st.composite
 def _nested_family(draw):
     """A nested family of 1-4 rounds over a random small punctured code,
-    with LLRs for a small batch."""
+    as ``(code, lengths)``, with LLRs for a small batch."""
     n0 = 2 ** draw(st.integers(1, 5))
     punct = draw(st.lists(st.integers(0, n0 - 1), unique=True,
                           max_size=n0 // 2 - 1 if n0 > 2 else 0))
@@ -96,12 +96,11 @@ def _nested_family(draw):
                                  max_size=first_reps + sum(more))),
                    dtype=np.int64)
     full = RcpCode(spec=spec, rep_vector=rep)
-    lengths = np.cumsum([m + first_reps, *more])
-    codes = [full.prefix(int(n)) for n in lengths]
+    lengths = [int(n) for n in np.cumsum([m + first_reps, *more])]
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rows = draw(st.integers(1, 8))
     llr = np.random.default_rng(seed).normal(0.5, 2.0, size=(rows, full.n))
-    return codes, llr
+    return full, lengths, llr
 
 
 def _example_family(rep, lengths):
@@ -109,11 +108,11 @@ def _example_family(rep, lengths):
                          puncture_set=np.array([1]))
     full = RcpCode(spec=spec, rep_vector=np.array(rep))
     llr = np.random.default_rng(3).normal(0.3, 1.5, size=(200, full.n))
-    return [full.prefix(n) for n in lengths], llr
+    return full, lengths, llr
 
 
 # Round 1 with and without repetitions, an index repeated in round 1 and
-# again later, and a single round.
+# again later, a last round short of the full code, and a single round.
 @example(_example_family([5, 3, 5, 6, 7, 3], (7, 9, 13)))
 @example(_example_family([5, 3, 5, 6, 7, 3], (8, 10, 13)))
 @example(_example_family([6, 6, 5, 6, 7, 3], (8, 9, 11)))
@@ -121,25 +120,25 @@ def _example_family(rep, lengths):
 @settings(max_examples=300, deadline=None)
 @given(_nested_family())
 def test_nested_decoding_equals_per_round_decoding(family):
-    codes, llr = family
-    nested = sc_decode_nested(llr, codes)
-    assert len(nested) == len(codes)
-    for decoded, code in zip(nested, codes):
-        assert np.array_equal(decoded, sc_decode(llr[:, : code.n], code))
+    full, lengths, llr = family
+    nested = sc_decode_nested(llr, full, lengths)
+    assert len(nested) == len(lengths)
+    for decoded, n in zip(nested, lengths):
+        assert np.array_equal(decoded, sc_decode(llr[:, :n], full.prefix(n)))
 
 
-def _flipped_rows(llr, codes):
+def _flipped_rows(llr, full, lengths):
     """Per later round, the rows where a decision on round 1's leaf LLRs
     plus that round's repetition sums (transmit order, from 0) differs
     from round 1's decision."""
-    base, leaf = sc_decode(llr[:, : codes[0].n], codes[0],
+    base, leaf = sc_decode(llr[:, : lengths[0]], full.prefix(lengths[0]),
                            return_leaf_llrs=True)
-    info_set = codes[0].spec.info_set
+    info_set = full.spec.info_set
     flipped = []
-    for code in codes[1:]:
+    for n in lengths[1:]:
         rep = np.zeros_like(leaf)
-        for t, index in enumerate(code.rep_vector):
-            rep[:, np.searchsorted(info_set, index)] += llr[:, code.m + t]
+        for t, index in enumerate(full.rep_vector[: n - full.m]):
+            rep[:, np.searchsorted(info_set, index)] += llr[:, full.m + t]
         flips = ((leaf + rep) < 0) != base
         flipped.append(np.flatnonzero(flips.any(axis=1)))
     return flipped
@@ -164,30 +163,29 @@ def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
     calls = _counting_decode(monkeypatch)
     for lengths in ((code.m, code.m + 10, code.n),
                     (code.m + 20, code.m + 40, code.n)):
-        codes = [code.prefix(n) for n in lengths]
-        first_reps = codes[0].rep_vector
-        for c in codes[1:]:
+        first_reps = code.rep_vector[: lengths[0] - code.m]
+        for n in lengths[1:]:
             assert first_reps.size == 0 or np.isin(
-                c.rep_vector[first_reps.size:], first_reps).any()
-        flipped = _flipped_rows(llr, codes)
+                code.rep_vector[first_reps.size: n - code.m], first_reps).any()
+        flipped = _flipped_rows(llr, code, lengths)
         assert all(rows.size < 64 for rows in flipped), (lengths, flipped)
         calls.clear()
-        sc_decode_nested(llr, codes)
+        sc_decode_nested(llr, code, lengths)
         assert calls == [64, sum(rows.size for rows in flipped)], lengths
 
 
-def _check_nested_family(monkeypatch, codes, llr):
+def _check_nested_family(monkeypatch, full, lengths, llr):
     """Every round of ``sc_decode_nested`` equals its own ``sc_decode`` and
     the recursive reference, in two calls with more than one later round
     re-decoded."""
-    flipped = _flipped_rows(llr, codes)
+    flipped = _flipped_rows(llr, full, lengths)
     assert sum(rows.size > 0 for rows in flipped) >= 2
     calls = _counting_decode(monkeypatch)
-    nested = sc_decode_nested(llr, codes)
+    nested = sc_decode_nested(llr, full, lengths)
     assert calls == [len(llr), sum(rows.size for rows in flipped)]
-    for decoded, code in zip(nested, codes):
-        assert np.array_equal(decoded, sc_decode(llr[:, : code.n], code))
-        ref_bits, _ = sc_decode_reference(llr[:, : code.n], code)
+    for decoded, n in zip(nested, lengths):
+        assert np.array_equal(decoded, sc_decode(llr[:, :n], full.prefix(n)))
+        ref_bits, _ = sc_decode_reference(llr[:, :n], full.prefix(n))
         assert np.array_equal(decoded, ref_bits)
 
 
@@ -200,9 +198,8 @@ def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
         puncture_set=np.array([2, 5]),
         frozen_values=np.array([1, 0, 1, 1, 0, 1, 1]))
     full = RcpCode(spec=spec, rep_vector=np.array([7, 10, 4, 7, 15, 12, 6]))
-    codes = [full.prefix(n) for n in (15, 17, 19, 21)]
     llr = np.random.default_rng(11).normal(0.5, 1.5, size=(200, full.n))
-    _check_nested_family(monkeypatch, codes, llr)
+    _check_nested_family(monkeypatch, full, (15, 17, 19, 21), llr)
 
 
 def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
@@ -212,25 +209,23 @@ def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
     spec = PolarCodeSpec(n0=8, info_set=np.array([0, 3, 5, 6, 7]),
                          puncture_set=np.array([0]))
     full = RcpCode(spec=spec, rep_vector=np.array([5, 3, 0, 6]))
-    codes = [full.prefix(n) for n in (8, 9, 10, 11)]
     llr = np.random.default_rng(12).normal(0.3, 1.5, size=(200, full.n))
-    _, leaf = sc_decode(llr[:, :8], codes[0], return_leaf_llrs=True)
+    _, leaf = sc_decode(llr[:, :8], full.prefix(8), return_leaf_llrs=True)
     assert (leaf[:, 0] == 0.0).all()
     assert np.signbit(leaf[:, 0]).any() and not np.signbit(leaf[:, 0]).all()
-    _check_nested_family(monkeypatch, codes, llr)
+    _check_nested_family(monkeypatch, full, (8, 9, 10, 11), llr)
 
 
-def test_nested_family_rejects_mixed_frozen_values():
-    # Later rounds are re-decoded over the longest code, so a family whose
-    # members differ only in their frozen values is not one mother code.
-    info = np.array([3, 5, 6, 7])
-    zero = PolarCodeSpec(n0=8, info_set=info)
-    one = PolarCodeSpec(n0=8, info_set=info,
-                        frozen_values=np.array([0, 1, 0, 0]))
-    codes = [RcpCode(spec=zero, rep_vector=np.array([5])),
-             RcpCode(spec=one, rep_vector=np.array([5, 6]))]
-    with pytest.raises(ValueError, match="mother code"):
-        sc_decode_nested(np.ones((2, 10)), codes)
+def test_nested_decoding_rejects_bad_lengths():
+    # Rounds are prefixes of one code, so lengths are all a family can get
+    # wrong: empty, repeated, decreasing, below m or beyond n.
+    spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
+                         puncture_set=np.array([1]))
+    full = RcpCode(spec=spec, rep_vector=np.array([5, 6, 7]))
+    llr = np.ones((2, full.n))
+    for lengths in ((), (8, 8), (9, 8), (6, 8), (8, 11), (7, 9, 10, 11)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sc_decode_nested(llr, full, lengths)
 
 
 @settings(max_examples=150, deadline=None)

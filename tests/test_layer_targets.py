@@ -1,6 +1,7 @@
 """The layer boundaries that the benchmark's trace mode wraps
 (``perfbench/spans.py``, ``TARGETS``) must exist in rcpolar, so that a rename
-fails here rather than in a traced benchmark run."""
+fails here rather than in a traced benchmark run; so must every name the
+package exports."""
 
 import importlib
 import importlib.util
@@ -22,3 +23,10 @@ def test_span_targets_resolve_to_rcpolar_callables():
     for mod, fn in targets:
         obj = getattr(importlib.import_module(f"rcpolar.{mod}"), fn, None)
         assert callable(obj), f"rcpolar.{mod}.{fn} is not a callable"
+
+
+def test_public_names_resolve():
+    package = importlib.import_module("rcpolar")
+    missing = [name for name in package.__all__
+               if not hasattr(package, name)]
+    assert package.__all__ and not missing

@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP,
-                             channel_llr_distribution, noise_stream,
-                             transmit_with_rng)
-from rcpolar.codec import rcp_encode
-from rcpolar.design import HarqScheme, design_scheme
+                             channel_llr_distribution, noise_stream, transmit)
+from rcpolar.construct import construct_rcp
+from rcpolar.design import HarqScheme, build_bler_curve, design_scheme
 from rcpolar import channel, construct, simulate
 from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
                               _report_from_counts, bler_monte_carlo,
-                              bound_check, code_family_for_scheme,
-                              run_campaign, run_trial)
+                              bound_check, run_campaign)
 
-from oracles import campaign_statistics_reference
+from oracles import campaign_statistics_reference, run_trial
 
 
 def _small_scheme():
@@ -20,9 +18,11 @@ def _small_scheme():
 
 
 def _family(scheme, snr_db=0.0):
+    """The scheme's longest code, whose prefixes are its rounds."""
     params = ChannelParams(snr_db=snr_db)
-    codes, _ = code_family_for_scheme(scheme, channel_llr_distribution(params))
-    return codes, params
+    code, _, _ = construct_rcp(scheme.lengths[-1], scheme.k, scheme.m,
+                               channel_llr_distribution(params))
+    return code, params
 
 
 def _erasure_channel(bits, params, rng, trial_index):
@@ -34,55 +34,51 @@ def _perfect_channel(bits, params, rng, trial_index):
 
 
 def _awgn_channel(bits, params, rng, trial_index):
-    return transmit_with_rng(bits, params, rng)
+    return transmit(bits, params, rng)
 
 
 def test_trial_succeeds_first_round_noiseless():
     scheme = _small_scheme()
-    codes, _ = _family(scheme)
+    code, _ = _family(scheme)
     params = ChannelParams(snr_db=200.0)
     info = np.ones(scheme.k, dtype=np.int8)
-    out = run_trial(codes, info, params, rng=1)
+    out = run_trial(code, scheme.lengths, info, params, rng=1)
     assert out.success_round == 1
     assert out.bits_sent == scheme.lengths[0]
-    assert out.decoded_ok
 
 
 def test_trial_fails_on_total_erasure():
     scheme = _small_scheme()
-    codes, params = _family(scheme)
+    code, params = _family(scheme)
     info = np.zeros(scheme.k, dtype=np.int8)
     info[0] = 1  # an erased channel decodes to all-zero, so this must fail
-    out = run_trial(codes, info, params, rng=2, channel_fn=_erasure_channel)
+    out = run_trial(code, scheme.lengths, info, params, rng=2,
+                    channel_fn=_erasure_channel)
     assert out.success_round is None
-    assert not out.decoded_ok
     assert out.bits_sent == scheme.lengths[-1]
     assert out.fail_flags == (True, True, True)
 
 
 def test_trial_replay_is_deterministic():
     scheme = _small_scheme()
-    codes, params = _family(scheme, snr_db=-1.0)
+    code, params = _family(scheme, snr_db=-1.0)
     info = np.arange(scheme.k, dtype=np.int8) % 2
-    a = run_trial(codes, info, params, rng=(9, 4), measure_all_rounds=True)
-    b = run_trial(codes, info, params, rng=(9, 4), measure_all_rounds=True)
+    a = run_trial(code, scheme.lengths, info, params, rng=(9, 4))
+    b = run_trial(code, scheme.lengths, info, params, rng=(9, 4))
     assert a == b
 
 
 def test_trial_rejects_bad_family():
+    # A family is the longest code and its round lengths, so a family that
+    # is not nested cannot be built; what is left to reject is empty,
+    # reversed, repeated, below-m and beyond-n lengths.
     scheme = _small_scheme()
-    codes, params = _family(scheme)
+    code, params = _family(scheme)
     info = np.zeros(scheme.k, dtype=np.int8)
-    with pytest.raises(ValueError):
-        run_trial(list(reversed(codes)), info, params, rng=0)
-    broken = [codes[0], codes[2].prefix(18)]
-    rep = broken[1].rep_vector.copy()
-    rep[0] = broken[1].spec.info_set[-1] if rep[0] != broken[1].spec.info_set[-1] \
-        else broken[1].spec.info_set[0]
-    from rcpolar.codec import RcpCode
-    broken[1] = RcpCode(spec=broken[1].spec, rep_vector=rep)
-    with pytest.raises(ValueError):
-        run_trial(broken, info, params, rng=0)
+    for lengths in ((), tuple(reversed(scheme.lengths)), (14, 14, 24),
+                    (10, 18), (14, 18, 25)):
+        with pytest.raises(ValueError):
+            run_trial(code, lengths, info, params, rng=0)
 
 
 def test_campaign_all_success_round_one():
@@ -140,14 +136,14 @@ def _phase_stub(lengths):
 def test_campaign_matches_per_trial_reference(scheme, snr_db, channel_fn):
     # Rebuild the statistics from run_trial over the same (base_seed, i)
     # streams, without the batched accumulation code.
-    codes, params = _family(scheme, snr_db)
+    code, params = _family(scheme, snr_db)
     trials, seed = 300, 21
     flags, bits_sent = [], 0
     for i in range(trials):
         rng = noise_stream((seed, i))
         info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
-        out = run_trial(codes, info, params, rng, channel_fn=channel_fn,
-                        trial_index=i, measure_all_rounds=True)
+        out = run_trial(code, scheme.lengths, info, params, rng,
+                        channel_fn=channel_fn, trial_index=i)
         flags.append(out.fail_flags)
         bits_sent += out.bits_sent
     report = run_campaign(scheme, params, trials, seed, channel_fn=channel_fn)
@@ -202,7 +198,7 @@ def test_campaign_synthetic_outcomes_match_hand_accounting():
 
 def test_campaign_eta_equals_per_trial_accounting():
     scheme = _small_scheme()
-    codes, params = _family(scheme, snr_db=-2.0)
+    code, params = _family(scheme, snr_db=-2.0)
     trials = 300
     report = run_campaign(scheme, params, trials=trials, base_seed=6)
     delivered = 0
@@ -210,8 +206,8 @@ def test_campaign_eta_equals_per_trial_accounting():
     for i in range(trials):
         rng = noise_stream((6, i))
         info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
-        out = run_trial(codes, info, params, rng=rng, measure_all_rounds=True)
-        delivered += scheme.k * int(out.decoded_ok)
+        out = run_trial(code, scheme.lengths, info, params, rng=rng)
+        delivered += scheme.k * int(out.success_round is not None)
         used += out.bits_sent
     assert report.eta == pytest.approx(delivered / used, rel=1e-12)
     assert report.e_k == pytest.approx(delivered / trials, rel=1e-12)
@@ -220,16 +216,11 @@ def test_campaign_eta_equals_per_trial_accounting():
 
 def test_campaign_batched_matches_per_trial_path():
     scheme = _small_scheme()
-    codes, params = _family(scheme, snr_db=-2.0)
+    params = ChannelParams(snr_db=-2.0)
     trials = 200
     batched = run_campaign(scheme, params, trials=trials, base_seed=7)
-
-    def real_channel(bits, params, rng, trial_index):
-        from rcpolar.channel import transmit_with_rng
-        return transmit_with_rng(bits, params, rng)
-
     looped = run_campaign(scheme, params, trials=trials, base_seed=7,
-                          channel_fn=real_channel)
+                          channel_fn=_awgn_channel)
     assert batched == looped
 
 
@@ -344,24 +335,11 @@ def test_monte_carlo_rejects_trials_below_one(trials):
         run_campaign(_small_scheme(), params, trials=trials, base_seed=0)
 
 
-def test_trial_rejects_non_finite_channel_output():
-    scheme = _small_scheme()
-    codes, params = _family(scheme)
-    info = np.zeros(scheme.k, dtype=np.int8)
-
-    def nan_channel(bits, params, rng, trial_index):
-        out = np.ones(bits.size)
-        out[-1] = np.nan
-        return out
-
-    with pytest.raises(ValueError, match="channel_fn"):
-        run_trial(codes, info, params, rng=0, channel_fn=nan_channel)
-
-
 def test_report_rejects_trial_count_mismatch():
     scheme = _small_scheme()
     params = ChannelParams(snr_db=0.0)
-    _, curve = code_family_for_scheme(scheme, channel_llr_distribution(params))
+    curve = build_bler_curve(scheme.k, scheme.m, scheme.lengths[-1],
+                             channel_llr_distribution(params))
     counts = _empty_counts(len(scheme.lengths))
     counts["trials"] = 9
     with pytest.raises(ValueError):
@@ -371,11 +349,12 @@ def test_report_rejects_trial_count_mismatch():
 def test_chunk_counts_independent_of_chunk_split():
     # Re-keying one generator per chunk must carry nothing from one trial
     # or chunk into the next.
-    codes, params = _family(_small_scheme(), snr_db=-2.0)
-    whole = _chunk_counts(codes, params, 17, 0, 100)
-    split = _empty_counts(len(codes))
+    scheme = _small_scheme()
+    code, params = _family(scheme, snr_db=-2.0)
+    whole = _chunk_counts(code, scheme.lengths, params, 17, 0, 100)
+    split = _empty_counts(scheme.t)
     for lo, hi in ((0, 37), (37, 38), (38, 100)):
-        _merge(split, _chunk_counts(codes, params, 17, lo, hi))
+        _merge(split, _chunk_counts(code, scheme.lengths, params, 17, lo, hi))
     assert whole["trials"] == 100
     assert whole.keys() == split.keys()
     for key in whole:
@@ -386,23 +365,22 @@ def _uint32_then_awgn_channel(bits, params, rng, trial_index):
     # The uint32 draw takes the 32-bit half that the block draw left
     # buffered when it used an odd number of 32-bit words.
     rng.integers(0, 2 ** 32, dtype=np.uint32)
-    return transmit_with_rng(bits, params, rng)
+    return transmit(bits, params, rng)
 
 
 def test_campaign_channel_fn_gets_buffered_generator_state():
     # k = 36 needs 9 uint32 words for the block, so half a word stays
     # buffered; a generator advanced by raw 64-bit words would lack it.
     scheme = HarqScheme(k=36, m=60, lengths=(60, 66, 72), eta_estimate=0.5)
-    codes, params = _family(scheme, snr_db=-1.0)
+    code, params = _family(scheme, snr_db=-1.0)
     trials, seed = 200, 23
     flags = []
     for i in range(trials):
         rng = noise_stream((seed, i))
         info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
-        flags.append(run_trial(codes, info, params, rng,
+        flags.append(run_trial(code, scheme.lengths, info, params, rng,
                                channel_fn=_uint32_then_awgn_channel,
-                               trial_index=i,
-                               measure_all_rounds=True).fail_flags)
+                               trial_index=i).fail_flags)
     report = run_campaign(scheme, params, trials, seed,
                           channel_fn=_uint32_then_awgn_channel)
     pr_e, pr_first, violations = campaign_statistics_reference(flags)
@@ -423,9 +401,12 @@ def test_chunk_counts_builds_one_generator_per_chunk(monkeypatch):
 
     monkeypatch.setattr(channel, "noise_stream", counting)
     monkeypatch.setattr(simulate, "noise_stream", counting)
-    codes, params = _family(_small_scheme(), snr_db=-2.0)
-    _chunk_counts(codes, params, 3, 40, 90)
+    scheme = _small_scheme()
+    code, params = _family(scheme, snr_db=-2.0)
+    _chunk_counts(code, scheme.lengths, params, 3, 40, 90)
     assert calls == [(3, 40)]
     calls.clear()
-    _chunk_counts(codes, params, 3, 40, 90, channel_fn=_awgn_channel)
+    # A channel_fn that makes no noise_stream call of its own.
+    _chunk_counts(code, scheme.lengths, params, 3, 40, 90,
+                  channel_fn=_erasure_channel)
     assert calls == [(3, i) for i in range(40, 90)]
