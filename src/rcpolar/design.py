@@ -272,9 +272,11 @@ def scheme_cost_profile(k: int, q: int, t_max: int = 2,
                         channel: LlrDistribution | None = None) -> dict:
     """Instrumented operation counts of a full scheme search.
 
-    Returns the number of density-update operations performed: "ga_updates"
-    for polarization-stage updates and "convolutions" for repetition-channel
-    updates, plus their sum under "total".
+    Returns modelled density-update counts: "ga_updates" for
+    polarization-stage updates, one per channel of every mother code and
+    stage (M n0 log2 n0, far more than the node-state GA evaluates), and
+    "convolutions" for repetition-channel updates, plus their sum under
+    "total".
     """
     if channel is None:
         channel = LlrDistribution(mean=2.0)

@@ -116,52 +116,85 @@ class ReliabilityTable:
             fp.write(f"{i},{float(m)!r},{float(p)!r}\n")
 
 
-def ga_evolve(channel_means) -> ReliabilityTable:
-    """Evolve per-use channel LLR means through the polarization transform.
+def ga_evolve(n0: int, ms, mean: float) -> ReliabilityTable:
+    """GA tables of the quasi-uniformly punctured mother codes of length n0.
 
     Parameters
     ----------
-    channel_means : array-like, shape (N0,) or (M, N0)
-        Gaussian LLR mean of every channel use, in codeword order; punctured
-        positions carry 0.  N0 must be a power of two.  A 2-D array stacks M
-        independent mother codes of the same length; each row evolves exactly
-        as it would on its own.
+    n0 : int
+        Mother length, a power of two.
+    ms : sequence of int
+        Code lengths in (n0/2, n0]; row i is the mother code with the
+        positions ``puncture_pattern(n0, ms[i])`` carrying mean 0.
+    mean : float
+        Gaussian LLR mean of every unpunctured channel use.
 
     Returns
     -------
     ReliabilityTable
-        Means and error probabilities of the N0 synthesized channels, indexed
-        in input-bit order: index i is the channel seen by bit u_i.  Arrays
-        have the shape of ``channel_means``.
+        Means and error probabilities of the n0 synthesized channels, shape
+        (len(ms), n0), indexed in input-bit order: index i is the channel
+        seen by bit u_i.
 
-    The recursion pairs use j with use j + block/2 inside each block; the
-    check-type output feeds the first half of the bit indices and the
-    variable-type output (means add) the second half, matching the codec's
-    natural-order transform.  Each stage evolves every row at once, on
-    contiguous copies of the two half-blocks.  Peak memory is about 9 times
-    the input (traced), so callers stacking many rows pass them in blocks.
+    Position j pairs with j + L/2 inside each node of length L (the root is
+    the codeword); the check-type output is the node's first child and the
+    variable-type output (means add) its second, as in the codec's
+    natural-order transform.  Under quasi-uniform puncturing a node of a row
+    holds, in bit-reversed order, P zeros, then one value at position P,
+    then the node's bulk value, which all rows share.  The check child has
+    ceil(P/2) zeros and the variable child floor(P/2); a value at P that
+    differs from the bulk needs its own check update only where P is even.
+    Each stage makes one check-update call, and the table equals the
+    position-by-position recursion bit for bit.
     """
-    means = np.array(channel_means, dtype=float)
-    if means.ndim not in (1, 2):
-        raise ValueError(f"need a 1-D or 2-D array of means, got {means.ndim}-D")
-    n0 = means.shape[-1]
     if n0 < 1 or (n0 & (n0 - 1)) != 0:
-        raise ValueError(f"length must be a power of two, got {n0}")
-    if not np.all(means >= 0):
-        raise ValueError("channel means must be nonnegative (NaN is rejected)")
-    n_rows = means.size // n0
-    work = means
-    half = n0
-    while half > 1:
-        half >>= 1
-        pairs = work.reshape(n_rows, n0 // (2 * half), 2, half)
-        upper = np.ascontiguousarray(pairs[:, :, 0])
-        lower = np.ascontiguousarray(pairs[:, :, 1])
-        work = np.empty_like(pairs)
-        work[:, :, 0] = check_mean_update(upper, lower)
-        work[:, :, 1] = upper + lower
-    work = work.reshape(means.shape)
-    return ReliabilityTable(means=work, pe=pe_from_mean(work))
+        raise ValueError(f"n0 must be a power of two, got {n0}")
+    ms = np.asarray(ms)
+    if ms.ndim != 1 or ms.dtype.kind not in "iu" \
+            or not np.all((n0 // 2 < ms) & (ms <= n0)):
+        raise ValueError(f"need integers n0/2 < m <= n0, got {ms} for n0={n0}")
+    ms = ms.astype(np.int64)
+    mean = float(mean)
+    if not 0.0 <= mean < np.inf:
+        raise ValueError(f"channel mean must be finite and nonnegative, "
+                         f"got {mean}")
+    # Per node: the shared bulk, and per row the zero count P and the
+    # value at position P (the bulk where nothing differs).
+    bulk = np.array([mean])
+    zeros = (n0 - ms)[:, None]
+    first = np.full(zeros.shape, mean)
+    while bulk.size < n0:
+        width = bulk.size
+        odd = (zeros & 1).astype(bool)
+        at = np.broadcast_to(bulk, first.shape)
+        # In the check child, the value at even P meets the bulk; at odd P
+        # it meets the last zero and the child starts with bulk.
+        meets = (first != at) & ~odd
+        check = check_mean_update(np.concatenate([bulk, first[meets]]),
+                                  np.concatenate([bulk, at[meets]]))
+        check_first = np.broadcast_to(check[:width], first.shape).copy()
+        check_first[meets] = check[width:]
+        # In the variable child, the value at even P adds the bulk; at odd
+        # P it adds the last zero, which leaves it as it is.
+        first = _children(check_first, np.where(odd, first, first + at))
+        zeros = _children(zeros - (zeros >> 1), zeros >> 1)
+        bulk = _children(check[:width], bulk + bulk)
+    means = np.where(zeros > 0, 0.0, first)
+    # pe is elementwise: evaluate it once per distinct leaf value.
+    special = (means != bulk) & (zeros == 0)
+    pe = pe_from_mean(np.concatenate([bulk, means[special]]))
+    leaf_pe = np.where(zeros > 0, 0.5, pe[:n0])
+    leaf_pe[special] = pe[n0:]
+    return ReliabilityTable(means=means, pe=leaf_pe)
+
+
+def _children(check, var):
+    """Per-node values of the next stage: node b's check child is node 2b
+    and its variable child node 2b + 1 (along the last axis)."""
+    out = np.empty(check.shape[:-1] + (2 * check.shape[-1],), check.dtype)
+    out[..., 0::2] = check
+    out[..., 1::2] = var
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@ and the golden-vector file format of the encoder regression tests.
 
 The references are deliberately written the slow, obvious way (dense matrix
 algebra, exhaustive enumeration, direct sampling, step-by-step loops) and
-share no code with the implementations under test, except the
-error-probability function that a bitwise comparison needs, and the
-encoder, channel and one-round decoder that the per-trial protocol
+share no code with the implementations under test, except the GA check
+update and the error-probability function that a bitwise comparison needs,
+and the encoder, channel and one-round decoder that the per-trial protocol
 reference runs (each is checked against its own reference elsewhere).
 """
 
@@ -17,7 +17,8 @@ import numpy as np
 
 from rcpolar.channel import noise_stream, transmit
 from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode, sc_decode
-from rcpolar.reliability import pe_from_mean
+from rcpolar.reliability import (ReliabilityTable, check_mean_update,
+                                 pe_from_mean)
 
 
 def dense_generator(n0: int) -> np.ndarray:
@@ -84,6 +85,55 @@ def mc_density_evolution(sigma: float, n0: int, samples: int,
         err += np.array([np.sum(x < 0) + 0.5 * np.sum(x == 0) for x in leaves])
         done += batch
     return err / done
+
+
+def ga_reference(channel_means) -> ReliabilityTable:
+    """Evolve per-use channel LLR means through the polarization transform,
+    position by position: the bit-for-bit reference of
+    ``reliability.ga_evolve``, and GA for arbitrary per-use means.
+
+    Parameters
+    ----------
+    channel_means : array-like, shape (N0,) or (M, N0)
+        Gaussian LLR mean of every channel use, in codeword order; punctured
+        positions carry 0.  N0 must be a power of two.  A 2-D array stacks M
+        independent mother codes of the same length; each row evolves exactly
+        as it would on its own.
+
+    Returns
+    -------
+    ReliabilityTable
+        Means and error probabilities of the N0 synthesized channels, indexed
+        in input-bit order: index i is the channel seen by bit u_i.  Arrays
+        have the shape of ``channel_means``.
+
+    The recursion pairs use j with use j + block/2 inside each block; the
+    check-type output feeds the first half of the bit indices and the
+    variable-type output (means add) the second half, matching the codec's
+    natural-order transform.  Each stage evolves every row at once, on
+    contiguous copies of the two half-blocks.
+    """
+    means = np.array(channel_means, dtype=float)
+    if means.ndim not in (1, 2):
+        raise ValueError(f"need a 1-D or 2-D array of means, got {means.ndim}-D")
+    n0 = means.shape[-1]
+    if n0 < 1 or (n0 & (n0 - 1)) != 0:
+        raise ValueError(f"length must be a power of two, got {n0}")
+    if not np.all(means >= 0):
+        raise ValueError("channel means must be nonnegative (NaN is rejected)")
+    n_rows = means.size // n0
+    work = means
+    half = n0
+    while half > 1:
+        half >>= 1
+        pairs = work.reshape(n_rows, n0 // (2 * half), 2, half)
+        upper = np.ascontiguousarray(pairs[:, :, 0])
+        lower = np.ascontiguousarray(pairs[:, :, 1])
+        work = np.empty_like(pairs)
+        work[:, :, 0] = check_mean_update(upper, lower)
+        work[:, :, 1] = upper + lower
+    work = work.reshape(means.shape)
+    return ReliabilityTable(means=work, pe=pe_from_mean(work))
 
 
 def posterior_decision_llr(chan_llrs, index: int, prefix) -> float:

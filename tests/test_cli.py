@@ -9,7 +9,7 @@ from rcpolar.channel import ChannelParams, channel_llr_distribution
 from rcpolar.cli import main
 from rcpolar.codec import code_to_dict
 from rcpolar.construct import construct_rcp
-from rcpolar.reliability import ga_evolve, puncture_pattern
+from rcpolar.reliability import ReliabilityTable, ga_evolve, puncture_pattern
 
 
 def _run(tmp_path, command, cfg, extra=()):
@@ -153,10 +153,9 @@ def test_construct_files_match_library(tmp_path):
     punct = puncture_pattern(64, 56)
     assert punct.size == 8
     assert doc["code"]["puncture_set"] == punct.tolist()
-    means = np.full(64, channel.mean)
-    means[punct] = 0.0
+    table = ga_evolve(64, [56], channel.mean)
     expect = io.StringIO()
-    ga_evolve(means).to_csv(expect)
+    ReliabilityTable(means=table.means[0], pe=table.pe[0]).to_csv(expect)
     rows = [line for line in (out / "reliability.csv").read_text().splitlines()
             if not line.startswith("#")]
     assert rows == expect.getvalue().splitlines()

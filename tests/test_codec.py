@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcpolar.channel import LLR_CLAMP, LlrDistribution
-from rcpolar.codec import (PolarCodeSpec, RcpCode, code_from_dict,
-                           code_to_dict, polar_encode, rcp_encode, sc_decode)
+from rcpolar.codec import (PolarCodeSpec, RcpCode, _check_node,
+                           code_from_dict, code_to_dict, polar_encode,
+                           rcp_encode, sc_decode)
 from rcpolar.construct import construct_rcp
 
 from oracles import (bits_to_hex, check_golden_vectors, encode_dense,
@@ -329,3 +330,26 @@ def test_code_dict_round_trip_property(code):
         assert back.spec.frozen_values is None
     else:
         assert np.array_equal(back.spec.frozen_values, code.spec.frozen_values)
+
+
+def test_check_node_sign_follows_the_rounded_magnitude():
+    # Where min(|a|,|b|) is tiny, the magnitude term rounds below zero and
+    # the output's sign is the opposite of sign(a)sign(b).  Taking the sign
+    # from a*b (np.copysign) would flip these outputs, and in one of 300
+    # random punctured codes (n0 = 256, k = 190, 55 punctures) it flipped a
+    # decision.
+    pairs = [(4.991027286150588e-16, 0.18714042048728724),
+             (-5.2297866061945584e-17, 0.07652366058703126),
+             (2.716263821839304e-16, -0.26496590106185197)]
+    expect = [-1.1102230246251565e-16, 1.1102230246251565e-16,
+              1.1102230246251565e-16]
+    parent = np.array(pairs).T.copy()
+    out, s = np.empty((1, 3)), np.empty((1, 3))
+    _check_node(parent, out, np.empty_like(parent), s)
+    assert out[0].tolist() == expect
+    for (a, b), value in zip(pairs, expect):
+        single = np.empty((1, 1))
+        _check_node(np.array([[a], [b]]), single, np.empty((2, 1)),
+                    np.empty((1, 1)))
+        assert single[0, 0] == value
+        assert np.copysign(value, a * b) == -value

@@ -4,12 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rcpolar.channel import LlrDistribution
+from rcpolar.channel import (ChannelParams, LlrDistribution,
+                             channel_llr_distribution)
 from rcpolar.reliability import (ReliabilityTable, _log_phi, _log_phi_inv,
                                  check_mean_update, ga_evolve, pe_from_mean,
                                  puncture_pattern, select_info_set)
 
-from oracles import bit_reverse, mc_density_evolution
+from oracles import bit_reverse, ga_reference, mc_density_evolution
+
+
+def _unpunctured(n0, mean):
+    """The GA table of the unpunctured mother code: row 0 of ga_evolve."""
+    table = ga_evolve(n0, [n0], mean)
+    return ReliabilityTable(means=table.means[0], pe=table.pe[0])
 
 
 def test_pe_trivial_points():
@@ -79,26 +86,32 @@ def test_check_update_monotone_where_phi_at_most_one(raised, other):
 
 
 def test_ga_degenerate_all_zero():
-    table = ga_evolve(np.zeros(8))
+    table = ga_reference(np.zeros(8))
     assert np.array_equal(table.means, np.zeros(8))
     assert np.array_equal(table.pe, np.full(8, 0.5))
 
 
 def test_ga_two_channels_variable_rule():
     for m in (0.5, 2.0, 11.0):
-        table = ga_evolve(np.array([m, m]))
+        table = ga_reference(np.array([m, m]))
         assert table.means[1] == pytest.approx(2 * m)
 
 
 def test_ga_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ga_evolve(np.ones(6))
-    with pytest.raises(ValueError):
-        ga_evolve(np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        ga_evolve(np.array([np.nan, 1.0]))
-    with pytest.raises(ValueError):
-        ga_evolve(np.ones((2, 2, 2)))
+    for n0, ms, mean in [
+        (6, [5], 1.0),           # n0 not a power of two
+        (0, [], 1.0),
+        (8, [4], 1.0),           # m at n0/2
+        (8, [9], 1.0),           # m above n0
+        (8, [8, 3], 1.0),        # one bad m among good ones
+        (8, [7.5], 1.0),         # m not an integer
+        (8, 8, 1.0),             # ms not a sequence
+        (8, [8], -1.0),
+        (8, [8], np.nan),
+        (8, [8], np.inf),
+    ]:
+        with pytest.raises(ValueError):
+            ga_evolve(n0, ms, mean)
 
 
 _stack_mean = st.just(0.0) | st.floats(0.0, 1e4)
@@ -111,18 +124,61 @@ def test_batched_ga_rows_match_single_rows_bitwise(log_n0, rows, data):
     stack = np.array(data.draw(st.lists(
         st.lists(_stack_mean, min_size=n0, max_size=n0),
         min_size=rows, max_size=rows)))
-    table = ga_evolve(stack)
+    table = ga_reference(stack)
     assert table.means.shape == table.pe.shape == (rows, n0)
     assert table.size == n0
     for row, means, pe in zip(stack, table.means, table.pe):
-        single = ga_evolve(row)
+        single = ga_reference(row)
         assert means.tobytes() == single.means.tobytes()
         assert pe.tobytes() == single.pe.tobytes()
 
 
+# Raw-channel means for the node-state GA: erased, the smallest subnormal,
+# log-uniform in [1e-3, 1e3], and 2/sigma^2 at SNRs up to 20 dB, where pe
+# underflows to 0 on the best channels.
+_SNR_MEANS = [channel_llr_distribution(ChannelParams(snr_db=snr)).mean
+              for snr in (-3.0, 0.0, 1.5, 6.0, 20.0)]
+_ga_channel_mean = (st.sampled_from([0.0, 5e-324] + _SNR_MEANS)
+                    | st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+def _punctured_means(n0, ms, mean):
+    """Per-use means of each m's mother code: 0 on the first n0 - m
+    positions of the bit-reversal order, ``mean`` elsewhere."""
+    nbits = n0.bit_length() - 1
+    order = np.array([bit_reverse(i, nbits) for i in range(n0)], dtype=int)
+    means = np.full((len(ms), n0), mean)
+    for row, m in zip(means, ms):
+        row[order[:n0 - m]] = 0.0
+    return means
+
+
+def _assert_matches_reference(n0, ms, mean):
+    table = ga_evolve(n0, ms, mean)
+    ref = ga_reference(_punctured_means(n0, ms, mean))
+    assert table.means.shape == table.pe.shape == (len(ms), n0)
+    assert table.means.tobytes() == ref.means.tobytes(), (n0, ms, mean)
+    assert table.pe.tobytes() == ref.pe.tobytes(), (n0, ms, mean)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12), _ga_channel_mean, st.data())
+def test_ga_matches_position_by_position_reference(log_n0, mean, data):
+    n0 = 1 << log_n0
+    ms = data.draw(st.lists(st.integers(n0 // 2 + 1, n0), min_size=1,
+                            max_size=min(64, max(1, (1 << 14) // n0))))
+    _assert_matches_reference(n0, ms, mean)
+
+
+def test_ga_matches_reference_for_every_m():
+    for n0 in (1 << b for b in range(10)):
+        for mean in [0.0, 5e-324, 1e-3, 1e3] + _SNR_MEANS:
+            _assert_matches_reference(n0, range(n0 // 2 + 1, n0 + 1), mean)
+
+
 def test_ga_matches_sampled_density_evolution_n4():
     sigma = 1.0
-    table = ga_evolve(np.full(4, 2.0 / sigma ** 2))
+    table = _unpunctured(4, 2.0 / sigma ** 2)
     mc = mc_density_evolution(sigma, 4, 10 ** 6, seed=5)
     for ga_pe, mc_pe in zip(table.pe, mc):
         if mc_pe >= 1e-4:
@@ -134,8 +190,8 @@ def test_ga_monotone_in_channel_quality():
     for _ in range(20):
         base = rng.uniform(0.0, 6.0, size=16)
         better = base + rng.uniform(0.0, 2.0, size=16)
-        pe_base = ga_evolve(base).pe
-        pe_better = ga_evolve(better).pe
+        pe_base = ga_reference(base).pe
+        pe_better = ga_reference(better).pe
         assert np.all(pe_better <= pe_base + 1e-12)
 
 
@@ -144,16 +200,16 @@ def test_ga_polarizes_with_doubling():
     raw_pe = pe_from_mean(LlrDistribution(mean=2.0 / sigma ** 2).mean)
     prev_max_mean = 0.0
     for n0 in (2, 4, 8, 16, 32, 64):
-        table = ga_evolve(np.full(n0, 2.0 / sigma ** 2))
+        table = _unpunctured(n0, 2.0 / sigma ** 2)
         assert table.pe.min() <= raw_pe <= table.pe.max()
         assert table.means.max() > prev_max_mean
         prev_max_mean = table.means.max()
 
 
 def test_ga_deterministic():
-    means = np.linspace(0.1, 4.0, 32)
-    a = ga_evolve(means)
-    b = ga_evolve(means)
+    ms = range(17, 33)
+    a = ga_evolve(32, ms, 1.7)
+    b = ga_evolve(32, ms, 1.7)
     assert np.array_equal(a.means, b.means)
     assert np.array_equal(a.pe, b.pe)
 
@@ -201,7 +257,7 @@ def test_puncture_pattern_beats_median_of_all_patterns():
     def bound(pattern):
         means = np.full(8, 2.0 / sigma ** 2)
         means[list(pattern)] = 0.0
-        table = ga_evolve(means)
+        table = ga_reference(means)
         info = select_info_set(table, k)
         return table.pe[info].sum()
 
@@ -212,7 +268,7 @@ def test_puncture_pattern_beats_median_of_all_patterns():
 
 
 def test_select_info_set_trivial_and_ties():
-    table = ga_evolve(np.full(8, 2.0))
+    table = _unpunctured(8, 2.0)
     assert select_info_set(table, 8).tolist() == list(range(8))
     flat = ReliabilityTable(means=np.ones(8), pe=np.full(8, 0.25))
     assert select_info_set(flat, 3).tolist() == [0, 1, 2]
@@ -222,7 +278,7 @@ def test_select_info_set_trivial_and_ties():
 
 def test_select_info_set_matches_sampled_ranking():
     sigma = 1.0
-    table = ga_evolve(np.full(8, 2.0 / sigma ** 2))
+    table = _unpunctured(8, 2.0 / sigma ** 2)
     mc = mc_density_evolution(sigma, 8, 10 ** 6, seed=9)
     for k in (2, 4, 6):
         ours = set(select_info_set(table, k).tolist())
@@ -231,7 +287,7 @@ def test_select_info_set_matches_sampled_ranking():
 
 
 def test_reliability_csv_round_trip(tmp_path):
-    table = ga_evolve(np.full(8, 2.0))
+    table = _unpunctured(8, 2.0)
     path = tmp_path / "table.csv"
     with open(path, "w") as fp:
         table.to_csv(fp)

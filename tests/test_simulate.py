@@ -262,9 +262,9 @@ def test_campaign_builds_one_mother_code(monkeypatch):
     calls = []
     original = construct.ga_evolve
 
-    def counting(means):
-        calls.append(np.shape(means))
-        return original(means)
+    def counting(n0, ms, mean):
+        calls.append((n0, len(ms)))
+        return original(n0, ms, mean)
 
     monkeypatch.setattr(construct, "ga_evolve", counting)
     run_campaign(_small_scheme(), ChannelParams(snr_db=0.0), trials=40,
