@@ -15,7 +15,7 @@ from . import __version__
 from .channel import ChannelParams, channel_llr_distribution
 from .codec import RcpCode, code_to_dict
 from .construct import evaluate_bler, mother_code
-from .design import HarqScheme, build_bler_curve, design_scheme
+from .design import HarqScheme, design_scheme
 from .simulate import bler_monte_carlo, bound_check, run_campaign
 
 SCHEMA_VERSION = 1
@@ -60,6 +60,8 @@ def _load_config(args) -> dict:
         if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
             raise ConfigError(f"{key} must be an integer >= {least}, "
                               f"got {cfg[key]!r}")
+    if "out" in cfg and type(cfg["out"]) is not str:
+        raise ConfigError(f"out must be a string, got {cfg['out']!r}")
     return cfg
 
 
@@ -144,14 +146,16 @@ def cmd_design(cfg: dict) -> int:
         raise ConfigError(f"force_n1_equals_m must be true or false, "
                           f"got {force!r}")
     snrs = _snr_list(snr_db)
+    names = [f"bler_curve_snr{snr:g}.csv" for snr in snrs]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"snr_db values {snrs} share a curve file name")
     out = _out_dir(cfg)
     schemes = []
-    for snr in snrs:
+    for snr, name in zip(snrs, names):
         channel = channel_llr_distribution(ChannelParams(snr_db=snr))
-        scheme = design_scheme(k, t_max, q, channel,
-                               force_first_length_equals_m=force)
-        curve = build_bler_curve(scheme.k, scheme.m, q, channel)
-        curve_path = out / f"bler_curve_snr{snr:g}.csv"
+        scheme, curve = design_scheme(k, t_max, q, channel,
+                                      force_first_length_equals_m=force)
+        curve_path = out / name
         with open(curve_path, "w") as fp:
             _csv_header(fp, "design", cfg)
             fp.write("n,bler\n")

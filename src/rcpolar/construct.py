@@ -43,7 +43,7 @@ class RepetitionPlan:
 
 
 def build_repetition_plan(info_set, base_means, n_minus_m,
-                          channel: LlrDistribution, counters=None):
+                          channel: LlrDistribution):
     """Assign repetition slots to information channels, for one mother code
     or for M stacked ones.
 
@@ -59,8 +59,6 @@ def build_repetition_plan(info_set, base_means, n_minus_m,
     channel : LlrDistribution
         Raw-channel model; each assignment adds ``channel.mean`` to the
         chosen channel's mean.
-    counters : dict, optional
-        "convolutions" is incremented once per assignment.
 
     Returns
     -------
@@ -159,10 +157,6 @@ def build_repetition_plan(info_set, base_means, n_minus_m,
                 updated_means=upd_means[i], updated_pe=upd_pe[i],
                 bler_trace=trace[i, :n_reps[i] + 1])
         todo = todo[redo]
-
-    if counters is not None:
-        counters["convolutions"] = counters.get("convolutions", 0) \
-            + int(reps.sum())
     return plans if np.ndim(info_set) == 2 else plans[0]
 
 
@@ -266,20 +260,20 @@ def evaluate_bler(code: RcpCode, plan: RepetitionPlan) -> BlerEstimate:
     return float(min(1.0, plan.updated_pe.sum()))
 
 
-def mother_codes(k: int, ms, n: int, channel: LlrDistribution,
-                 counters=None):
+def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     """The punctured mother codes behind every (n', k, m) code with n' <= n,
-    for each m in ``ms``, yielded in order as ``(spec, table, plan)``.
+    for each m in ``ms``, yielded in order as ``(table, plan)``.
 
-    ``spec`` is the mother-code spec, ``table`` the GA table of the punctured
-    mother code, and ``plan`` the greedy repetition plan for n - m slots.
-    The mother length is the smallest power of two >= m; puncturing is
-    quasi-uniform; the information set holds the k most reliable synthesized
-    channels.  Shorter codes are prefixes of the plan (``plan.bler_trace``,
-    ``RcpCode.prefix``).  Consecutive m with the same mother length share one
-    block of at most ``_GA_BLOCK_ELEMENTS`` channel means: one batched GA
-    pass, one row-wise stable argsort for the information sets and one
-    :func:`build_repetition_plan` call over the block's stacked rows.
+    ``table`` is the GA table of the punctured mother code and ``plan`` the
+    greedy repetition plan for n - m slots; ``plan.info_set`` is the
+    information set.  The mother length is the smallest power of two >= m;
+    puncturing is quasi-uniform; the information set holds the k most
+    reliable synthesized channels.  Shorter codes are prefixes of the plan
+    (``plan.bler_trace``, ``RcpCode.prefix``).  Consecutive m with the same
+    mother length share one block of at most ``_GA_BLOCK_ELEMENTS`` channel
+    means: one batched GA pass, one row-wise stable argsort for the
+    information sets and one :func:`build_repetition_plan` call over the
+    block's stacked rows.  :func:`mother_code` turns one of them into a code.
     """
     ms = [int(m) for m in ms]
     for m in ms:
@@ -289,36 +283,33 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution,
         same_n0 = list(same_n0)
         rows = max(1, _GA_BLOCK_ELEMENTS // n0)
         for block in (same_n0[i:i + rows] for i in range(0, len(same_n0), rows)):
-            yield from _mother_code_block(k, block, n0, n, channel, counters)
+            yield from _mother_code_block(k, block, n0, n, channel)
 
 
-def _mother_code_block(k, ms, n0, n, channel, counters):
+def _mother_code_block(k, ms, n0, n, channel):
     """mother_codes for values of m sharing mother length n0: one GA pass,
     one row-wise information-set ranking and one batched plan build."""
-    puncts = [puncture_pattern(n0, m) for m in ms]
     tables = ga_evolve(n0, ms, channel.mean)
-    if counters is not None:
-        counters["ga_updates"] = counters.get("ga_updates", 0) \
-            + len(ms) * n0 * int(np.log2(n0))
     info_sets = select_info_set(tables, k)
     plans = build_repetition_plan(
         info_sets, np.take_along_axis(tables.means, info_sets, axis=1),
-        n - np.asarray(ms), channel, counters=counters)
-    for punct, row_means, row_pe, info_set, plan in zip(
-            puncts, tables.means, tables.pe, info_sets, plans):
-        table = ReliabilityTable(means=row_means, pe=row_pe)
-        spec = PolarCodeSpec(n0=n0, info_set=info_set, puncture_set=punct)
-        yield spec, table, plan
+        n - np.asarray(ms), channel)
+    for row_means, row_pe, plan in zip(tables.means, tables.pe, plans):
+        yield ReliabilityTable(means=row_means, pe=row_pe), plan
 
 
 def _mother_length(m: int) -> int:
     return 1 << max(0, int(np.ceil(np.log2(m))))
 
 
-def mother_code(k: int, m: int, n: int, channel: LlrDistribution,
-                counters=None):
-    """:func:`mother_codes` for one m: ``(spec, table, plan)``."""
-    return next(mother_codes(k, [m], n, channel, counters=counters))
+def mother_code(k: int, m: int, n: int, channel: LlrDistribution):
+    """:func:`mother_codes` for one m, with its mother-code spec:
+    ``(spec, table, plan)``."""
+    table, plan = next(mother_codes(k, [m], n, channel))
+    n0 = _mother_length(m)
+    spec = PolarCodeSpec(n0=n0, info_set=plan.info_set,
+                         puncture_set=puncture_pattern(n0, m))
+    return spec, table, plan
 
 
 def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
-from .construct import mother_code, mother_codes
+from .construct import _mother_length, mother_codes
 
 # Block-error values are floored here so throughput denominators stay stable.
 BLER_FLOOR = 1e-15
@@ -79,7 +79,7 @@ def build_bler_curve(k: int, m: int, q: int,
     additional length costs one density update, so the whole curve costs the
     same as the longest code.
     """
-    _, _, plan = mother_code(k, m, q, channel)
+    _, plan = next(mother_codes(k, [m], q, channel))
     return bler_curve_from_plan(k, m, plan)
 
 
@@ -203,9 +203,10 @@ def _greedy_rounds(k: int, m: np.ndarray, e: np.ndarray, q: int, t_max: int,
 
 
 def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
-                  force_first_length_equals_m: bool = False,
-                  counters=None) -> HarqScheme:
-    """Greedy search for a transmission scheme with at most ``t_max`` rounds.
+                  force_first_length_equals_m: bool = False) -> tuple:
+    """Greedy search for a transmission scheme with at most ``t_max`` rounds:
+    ``(scheme, curve)``, with ``curve`` the :class:`BlerCurve` of
+    ``scheme.m`` over n = m..q that the search read.
 
     For every polar-bit budget m in k..q the block error curve over all
     lengths is read from that m's repetition plan, built by
@@ -228,19 +229,19 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
 
-    ms = range(k, q + 1)
-    curves = (bler_curve_from_plan(k, m, plan).e for m, (_, _, plan)
-              in zip(ms, mother_codes(k, ms, q, channel, counters=counters)))
-    eta, m, lengths = _best_scheme(k, q, t_max, curves,
-                                   force_first_length_equals_m)
-    return HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=eta)
+    curves = (bler_curve_from_plan(k, m, plan).e for m, (_, plan)
+              in enumerate(mother_codes(k, range(k, q + 1), q, channel), k))
+    eta, m, lengths, e = _best_scheme(k, q, t_max, curves,
+                                      force_first_length_equals_m)
+    return (HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=eta),
+            BlerCurve(k=k, m=m, e=e))
 
 
 def _best_scheme(k: int, q: int, t_max: int, curves,
                  force_first_length_equals_m: bool = False) -> tuple:
     """The search of :func:`design_scheme` over the curves ``e`` of
     m = k, k+1, ..., q (``e[j]`` is the block error rate of length m + j):
-    ``(eta, m, lengths)`` of the best scheme.
+    ``(eta, m, lengths, e)`` of the best scheme, ``e`` its m's curve.
 
     Curves are stacked, padded to the longest, into blocks of at most
     ``_SCAN_BLOCK_ELEMENTS`` entries; a block's best row is its first
@@ -263,25 +264,27 @@ def _best_scheme(k: int, q: int, t_max: int, curves,
         i = int(np.argmax(eta))
         if best is None or eta[i] > best[0]:
             best = (float(eta[i]), int(ms[i]),
-                    tuple(sorted(int(n) for n in picks[i, :rounds[i]])))
+                    tuple(sorted(int(n) for n in picks[i, :rounds[i]])),
+                    e[i, :q - ms[i] + 1].copy())
         lo = int(ms[-1]) + 1
     return best
 
 
-def scheme_cost_profile(k: int, q: int, t_max: int = 2,
-                        channel: LlrDistribution | None = None) -> dict:
-    """Instrumented operation counts of a full scheme search.
+def scheme_cost_profile(k: int, q: int) -> dict:
+    """Modelled density-update counts of a full scheme search over
+    m = k..q, in closed form.
 
-    Returns modelled density-update counts: "ga_updates" for
-    polarization-stage updates, one per channel of every mother code and
-    stage (M n0 log2 n0, far more than the node-state GA evaluates), and
-    "convolutions" for repetition-channel updates, plus their sum under
-    "total".
+    "ga_updates" counts polarization-stage updates, one per channel of every
+    mother code and stage: the sum of n0 log2 n0 over m, with n0 the mother
+    length of m (far more than the node-state GA evaluates).
+    "convolutions" counts repetition-channel updates, the sum of q - m;
+    "total" is their sum.
     """
-    if channel is None:
-        channel = LlrDistribution(mean=2.0)
-    counters: dict = {}
-    design_scheme(k, t_max, q, channel, counters=counters)
-    counters["total"] = counters.get("ga_updates", 0) \
-        + counters.get("convolutions", 0)
-    return counters
+    if not 1 <= k <= q:
+        raise ValueError(f"need 1 <= k <= q, got k={k}, q={q}")
+    ms = range(k, q + 1)
+    ga_updates = sum(_mother_length(m) * int(np.log2(_mother_length(m)))
+                     for m in ms)
+    convolutions = sum(q - m for m in ms)
+    return {"ga_updates": ga_updates, "convolutions": convolutions,
+            "total": ga_updates + convolutions}

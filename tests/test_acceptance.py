@@ -102,7 +102,7 @@ def bound_campaigns():
     out = {}
     for snr in BOUND_SNRS:
         params = ChannelParams(snr_db=snr)
-        scheme = design_scheme(256, 2, 1024, channel_llr_distribution(params))
+        scheme, _ = design_scheme(256, 2, 1024, channel_llr_distribution(params))
         report = run_campaign(scheme, params, trials=100_000, base_seed=404)
         out[snr] = bound_check(report)
     return out
@@ -145,7 +145,7 @@ def _snr_at_capacity(target: float) -> float:
 @pytest.mark.parametrize("snr_db,q", [(-1.0, 2560), (1.5, 2048), (4.0, 2048)])
 def test_criterion_6_capacity_gap(snr_db, q):
     params = ChannelParams(snr_db=snr_db)
-    scheme = design_scheme(1024, 4, q, channel_llr_distribution(params))
+    scheme, _ = design_scheme(1024, 4, q, channel_llr_distribution(params))
     report = run_campaign(scheme, params, trials=10_000, base_seed=606)
     gap = snr_db - _snr_at_capacity(report.eta)
     ok = gap <= 2.0
@@ -218,7 +218,7 @@ def test_criterion_7_longer_repetition_needs_more_bit_energy():
 def test_criterion_8_design_matches_exhaustive_search():
     channel = LlrDistribution(mean=2.0)  # sigma = 1
     k, q = 8, 16
-    scheme = design_scheme(k, 1, q, channel)
+    scheme, _ = design_scheme(k, 1, q, channel)
     best = None
     for m in range(k, q + 1):
         curve = build_bler_curve(k, m, q, channel)
@@ -230,7 +230,7 @@ def test_criterion_8_design_matches_exhaustive_search():
 
     # T=2: greedy must reach the optimum over extensions of its own T=1 pick.
     k2, q2 = 8, 20
-    scheme2 = design_scheme(k2, 2, q2, channel)
+    scheme2, _ = design_scheme(k2, 2, q2, channel)
     constrained = 0.0
     for m in range(k2, q2 + 1):
         curve = build_bler_curve(k2, m, q2, channel)

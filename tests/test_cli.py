@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import rcpolar.construct
 import rcpolar.simulate
 from rcpolar.channel import ChannelParams, channel_llr_distribution
 from rcpolar.cli import main
@@ -72,6 +73,11 @@ def _scheme_entry(**edit):
                               _scheme_entry(snr_db=float("nan"))]}),
     ("simulate", {"schemes": [_scheme_entry(eta_estimate=True)]}),
     ("simulate", {"schemes": [_scheme_entry(eta_estimate=float("nan"))]}),
+    # Two SNRs whose curve files would share one name.
+    ("design", {"k": 8, "t_max": 2, "q": 24,
+                "snr_db": [0.3, 0.30000000000000004]}),
+    ("design", {"k": 8, "t_max": 2, "q": 24,
+                "snr_db": [1.0000001, 1.0000002]}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     if command == "simulate":
@@ -83,6 +89,39 @@ def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     assert _run(tmp_path, command, cfg) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["5", "true", '["x"]'])
+def test_non_string_out_exits_2(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["design", "--set", "k=8", "--set", "t_max=1", "--set", "q=12",
+               "--set", "snr_db=0.0", "--set", f"out={out}"])
+    assert rc == 2
+    assert "out must be a string" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_design_reads_curves_not_codes(tmp_path, monkeypatch):
+    # One GA pass per block of mother codes (n0 = 32, 64 and 128 here), and
+    # the chosen m's curve comes from the search: no extra pass, no
+    # puncture pattern and no code spec.
+    calls = {"ga_evolve": 0, "puncture_pattern": 0, "PolarCodeSpec": 0}
+
+    def counting(name):
+        original = getattr(rcpolar.construct, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(rcpolar.construct, name, wrapper)
+
+    for name in calls:
+        counting(name)
+    cfg = {"k": 32, "t_max": 2, "q": 96, "snr_db": 0.0,
+           "out": str(tmp_path / "d")}
+    assert _run(tmp_path, "design", cfg) == 0
+    assert calls == {"ga_evolve": 3, "puncture_pattern": 0,
+                     "PolarCodeSpec": 0}
 
 
 @pytest.mark.parametrize("force,s", [(False, [8, 11, 15]),
@@ -267,6 +306,17 @@ PINNED_PIPELINE = {
              "eta": 0.029206956455237375},
     "errors": [21, 14],
     "bler_analytic": [0.005698076730842801, 0.007761292941557695],
+    # bler_curve_snr1.csv, n = 8..32
+    "bler_curve": [
+        0.5265876289412779, 0.28019309974942685, 0.19927735742951805,
+        0.14197863771895772, 0.10456148827518298, 0.06831142022041041,
+        0.052229701966818226, 0.04028450352516784, 0.03212518797681428,
+        0.024197655073436176, 0.019605614642946433, 0.015878998737965094,
+        0.013067443633480015, 0.01102610163944827, 0.009072754257271347,
+        0.007172680528506439, 0.006050310904621682, 0.004928135119382368,
+        0.004011446156744496, 0.003314398157109486, 0.002804248647137274,
+        0.002315587326025732, 0.0018399501209572034, 0.001555866060325184,
+        0.0012718301180765488],
 }
 
 
@@ -287,6 +337,11 @@ def test_pinned_pipeline_outputs(tmp_path):
                            .read_text())["schemes"]
     assert scheme["s"] == ref["s"]
     assert scheme["eta_estimate"] == rel(ref["eta_estimate"], rel=1e-9)
+    assert scheme["bler_curve_path"] == "bler_curve_snr1.csv"
+    curve = [line for line in (tmp_path / "d" / "bler_curve_snr1.csv")
+             .read_text().splitlines() if not line.startswith("#")]
+    assert curve == ["n,bler"] + [f"{n},{e!r}" for n, e in
+                                  enumerate(ref["bler_curve"], 8)]
 
     trials = 400
     assert _run(tmp_path, "simulate", {

@@ -65,13 +65,13 @@ def test_curve_floor_and_monotonicity():
 
 
 def test_design_single_candidate():
-    scheme = design_scheme(6, 1, 6, CHANNEL)
+    scheme, _ = design_scheme(6, 1, 6, CHANNEL)
     assert scheme.s == (6, 6)
 
 
 def test_design_t1_matches_exhaustive_search():
     k, q = 8, 16
-    scheme = design_scheme(k, 1, q, CHANNEL)
+    scheme, _ = design_scheme(k, 1, q, CHANNEL)
 
     best = None  # (eta, m, n), scanned in the same tie-break order
     for m in range(k, q + 1):
@@ -88,7 +88,7 @@ def test_design_t2_beats_constrained_exhaustive():
     # The greedy two-round result must reach the optimum over all schemes
     # that extend the best single-length pick for the same m.
     k, q = 8, 20
-    scheme = design_scheme(k, 2, q, CHANNEL)
+    scheme, _ = design_scheme(k, 2, q, CHANNEL)
 
     best = 0.0
     for m in range(k, q + 1):
@@ -191,11 +191,28 @@ def test_vectorised_scan_equals_reference(case):
             best = (eta, m, tuple(chosen))
     with mock.patch.object(rcpolar.design, "_SCAN_BLOCK_ELEMENTS", block):
         got = _best_scheme(k, q, t_max, iter(curves), force)
-    assert (_bits(got[0]), got[1:]) == (_bits(best[0]), best[1:])
+    assert (_bits(got[0]), got[1:3]) == (_bits(best[0]), best[1:])
+    # The winning m's curve comes back as it was read, without its padding.
+    assert got[3].tobytes() == curves[got[1] - k].tobytes()
+
+
+@pytest.mark.parametrize("k,t_max,q,snr_db,force", [
+    (32, 2, 400, -3.0, False),   # m = 96 lies in the second scan block
+    (128, 4, 384, 0.0, False),   # the benchmark's design, m = 223 likewise
+    (32, 3, 96, 0.0, True),
+    (64, 3, 192, 20.0, False),   # pe underflows: the curve sits on the floor
+])
+def test_design_returns_the_chosen_curve(k, t_max, q, snr_db, force):
+    channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
+    scheme, curve = design_scheme(k, t_max, q, channel,
+                                  force_first_length_equals_m=force)
+    assert (curve.k, curve.m) == (k, scheme.m)
+    assert curve.e.tobytes() == build_bler_curve(k, scheme.m, q,
+                                                 channel).e.tobytes()
 
 
 def test_design_eta_estimate_consistent_with_curve():
-    scheme = design_scheme(8, 3, 24, CHANNEL)
+    scheme, _ = design_scheme(8, 3, 24, CHANNEL)
     curve = build_bler_curve(scheme.k, scheme.m, 24, CHANNEL)
     blers = [curve.pr_e(n) for n in scheme.lengths]
     assert scheme.eta_estimate == pytest.approx(
@@ -203,13 +220,13 @@ def test_design_eta_estimate_consistent_with_curve():
 
 
 def test_design_deterministic():
-    a = design_scheme(8, 3, 24, CHANNEL)
-    b = design_scheme(8, 3, 24, CHANNEL)
+    a, _ = design_scheme(8, 3, 24, CHANNEL)
+    b, _ = design_scheme(8, 3, 24, CHANNEL)
     assert a == b
 
 
 def test_design_dominates_single_length_schemes():
-    scheme = design_scheme(8, 3, 24, CHANNEL)
+    scheme, _ = design_scheme(8, 3, 24, CHANNEL)
     curve = build_bler_curve(8, scheme.m, 24, CHANNEL)
     for n in range(scheme.m, 25):
         eta1 = 8 * (1.0 - curve.pr_e(n)) / n
@@ -217,19 +234,20 @@ def test_design_dominates_single_length_schemes():
 
 
 def test_design_eta_nondecreasing_in_round_budget():
-    etas = [design_scheme(8, t, 24, CHANNEL).eta_estimate for t in (1, 2, 3, 4)]
+    etas = [design_scheme(8, t, 24, CHANNEL)[0].eta_estimate
+            for t in (1, 2, 3, 4)]
     assert all(b >= a - 1e-12 for a, b in zip(etas, etas[1:]))
 
 
 def test_design_respects_scheme_invariants():
-    scheme = design_scheme(12, 4, 48, CHANNEL)
+    scheme, _ = design_scheme(12, 4, 48, CHANNEL)
     assert 12 <= scheme.m <= scheme.lengths[0] <= 48
     assert all(b > a for a, b in zip(scheme.lengths, scheme.lengths[1:]))
     assert 0 < scheme.eta_estimate <= scheme.k / scheme.lengths[0]
 
 
 def test_design_force_first_length():
-    scheme = design_scheme(8, 3, 24, CHANNEL, force_first_length_equals_m=True)
+    scheme, _ = design_scheme(8, 3, 24, CHANNEL, force_first_length_equals_m=True)
     assert scheme.lengths[0] == scheme.m
 
 

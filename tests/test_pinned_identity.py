@@ -58,7 +58,7 @@ def test_pinned_designs(key):
     k, t_max, q, snr_db, *force = key
     s, eta = PINNED_DESIGNS[key]
     channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
-    scheme = design_scheme(k, t_max, q, channel,
+    scheme, _ = design_scheme(k, t_max, q, channel,
                            force_first_length_equals_m=bool(force))
     assert scheme.s == s
     assert scheme.eta_estimate == pytest.approx(eta, rel=1e-9)

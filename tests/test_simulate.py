@@ -310,7 +310,7 @@ def test_bound_check_exact_on_nested_synthetic_events():
 def test_throughput_below_capacity():
     from rcpolar.channel import bawgn_capacity
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
-    scheme = design_scheme(16, 2, 64, channel)
+    scheme, _ = design_scheme(16, 2, 64, channel)
     params = ChannelParams(snr_db=0.0)
     report = run_campaign(scheme, params, trials=2000, base_seed=14)
     cap = bawgn_capacity(params)
