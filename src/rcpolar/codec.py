@@ -3,15 +3,15 @@ extended with repetition bits.
 
 Conventions (pinned so that golden vectors stay stable):
   * natural-order transform on both sides -- no bit-reversal permutation;
-  * frozen bits default to all-zero;
+  * frozen bits are zero: on a symmetric channel such as the BI-AWGN their
+    values do not change the error probability (Arikan 2009);
   * punctured positions enter the decoder as LLR exactly 0 (erasures);
   * repetition LLRs are added at the input-bit decision site of the mapped
     information index, i.e. after the full tree update for that bit.
 
 Dead blocks: an aligned block of leaves that holds no information bit
 decides nothing, so :func:`sc_decode` computes no LLR inside it (Rate-0
-nodes, Alamdar-Yazdi & Kschischang 2011).  It writes the block's partial
-sums directly: the block's own polar transform of its frozen values.
+nodes, Alamdar-Yazdi & Kschischang 2011).  Its partial sums are all zero.
 
 Invariant behind :func:`sc_decode_nested`: repetition LLRs enter only at
 decision sites, so the tree LLRs at input bit i depend on the channel LLRs
@@ -41,14 +41,11 @@ class PolarCodeSpec:
     puncture_set : ndarray
         Sorted codeword positions that are never transmitted; the surviving
         m = n0 - |puncture_set| positions satisfy m > n0/2.
-    frozen_values : ndarray or None
-        Values of the frozen bits in index order; None means all-zero.
     """
 
     n0: int
     info_set: np.ndarray
     puncture_set: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-    frozen_values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n0 < 1 or (self.n0 & (self.n0 - 1)) != 0:
@@ -69,11 +66,6 @@ class PolarCodeSpec:
                 raise ValueError(f"{name} indices out of range")
         if punct.size >= self.n0 - self.n0 // 2:
             raise ValueError("at most n0/2 - 1 positions may be punctured")
-        if self.frozen_values is not None:
-            fv = np.asarray(self.frozen_values, dtype=np.int8)
-            if fv.size != self.n0 - info.size:
-                raise ValueError("frozen_values length must match frozen set size")
-            object.__setattr__(self, "frozen_values", fv)
 
     @property
     def k(self) -> int:
@@ -83,10 +75,6 @@ class PolarCodeSpec:
     def m(self) -> int:
         """Number of transmitted (polar) codeword bits."""
         return int(self.n0 - self.puncture_set.size)
-
-    @property
-    def frozen_set(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n0, dtype=np.int64), self.info_set)
 
     @property
     def transmitted_positions(self) -> np.ndarray:
@@ -140,8 +128,6 @@ def _expand_u(info_bits, spec: PolarCodeSpec):
         raise ValueError(f"expected {spec.k} information bits, got {info_bits.shape[-1]}")
     u = np.zeros((spec.n0, info_bits.shape[0] if batched else 1), dtype=np.int8)
     u[spec.info_set] = info_bits.T if batched else info_bits[:, None]
-    if spec.frozen_values is not None:
-        u[spec.frozen_set] = spec.frozen_values[:, None]
     return u, batched
 
 
@@ -150,11 +136,9 @@ def _butterfly(u):
     (n0, B) array ``u``: one XOR of each block's halves per stage."""
     x = u.copy()
     n0 = x.shape[0]
-    step = 1
-    while step < n0:
-        pairs = x.reshape(n0 // (2 * step), 2, -1)
+    for s in range(n0.bit_length() - 1):
+        pairs = x.reshape(n0 >> (s + 1), 2, -1)
         pairs[:, 0] ^= pairs[:, 1]
-        step <<= 1
     return x
 
 
@@ -233,20 +217,13 @@ def _schedule(spec: PolarCodeSpec):
     every dead block, the maximal aligned leaf blocks without one.
 
     Returns ``(start, level, row)`` per visit (a block at level s covers
-    2^s leaves; ``row`` is the info-set row of a bit, -1 for a block) and
-    the (n0,) partial sums, as (-1)^x, that each dead block's frozen values
-    re-encode to through the block's own polar transform.  One pass per
-    level: a block is dead if both its halves are, and maximal if its
-    parent is not.
+    2^s leaves; ``row`` is the info-set row of a bit, -1 for a block).  One
+    pass per level: a block is dead if both its halves are, and maximal if
+    its parent is not.
     """
     n0, k = spec.n0, spec.k
     dead = np.ones(n0, dtype=bool)
     dead[spec.info_set] = False
-    # x holds the level-s transform of every aligned block of width 2^s.
-    x = np.zeros(n0, dtype=np.int8)
-    if spec.frozen_values is not None:
-        x[spec.frozen_set] = spec.frozen_values
-    block_x = np.zeros(n0, dtype=np.int8)
     starts, levels = [spec.info_set], [np.zeros(k, dtype=np.int64)]
     for s in range(n0.bit_length() - 1):
         parent = dead[0::2] & dead[1::2]
@@ -254,10 +231,6 @@ def _schedule(spec: PolarCodeSpec):
         first = np.flatnonzero(maximal)
         starts.append(first << s)
         levels.append(np.full(first.size, s))
-        covered = np.repeat(maximal, 1 << s)
-        block_x[covered] = x[covered]
-        pairs = x.reshape(n0 >> (s + 1), 2, -1)
-        pairs[:, 0] ^= pairs[:, 1]
         dead = parent
     start = np.concatenate(starts)
     row = np.full(start.size, -1)
@@ -265,7 +238,7 @@ def _schedule(spec: PolarCodeSpec):
     order = np.argsort(start)
     visits = zip(start[order].tolist(),
                  np.concatenate(levels)[order].tolist(), row[order].tolist())
-    return list(visits), 1.0 - 2.0 * block_x
+    return list(visits)
 
 
 def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
@@ -327,7 +300,7 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.
     signs = np.empty((n0, b))
 
-    visits, dead_signs = _schedule(spec)
+    visits = _schedule(spec)
     u_hat = np.empty((spec.k, b), dtype=np.int8)
     leaves = np.empty((spec.k, b)) if return_leaf_llrs else None
     decision = np.empty(b)
@@ -355,7 +328,7 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
 
         end = i + (1 << s)
         if j < 0:
-            signs[i:end] = dead_signs[i:end, None]
+            signs[i:end] = 1.0
         else:
             if leaves is not None:
                 leaves[j] = leaf
@@ -435,26 +408,41 @@ def sc_decode_nested(llrs, code: RcpCode, lengths) -> list:
 
 
 def code_to_dict(code: RcpCode) -> dict:
-    """JSON-ready form; ``frozen_values`` appears only when the spec sets it."""
-    d = {
-        "n": code.n,
-        "k": code.k,
-        "m": code.m,
-        "n0": code.spec.n0,
-        "info_set": code.spec.info_set.tolist(),
-        "puncture_set": code.spec.puncture_set.tolist(),
-        "rep_vector": code.rep_vector.tolist(),
-    }
-    if code.spec.frozen_values is not None:
-        d["frozen_values"] = code.spec.frozen_values.tolist()
-    return d
+    """JSON-ready form: the code's n, k and m, then what rebuilds it."""
+    return {"n": code.n, "k": code.k, "m": code.m, "n0": int(code.spec.n0),
+            "info_set": code.spec.info_set.tolist(),
+            "puncture_set": code.spec.puncture_set.tolist(),
+            "rep_vector": code.rep_vector.tolist()}
+
+
+def _json_int(value, key: str) -> int:
+    if type(value) is not int:  # a float or a bool would be rounded
+        raise ValueError(f"{key} must hold JSON integers, got {value!r}")
+    return value
+
+
+def _json_ints(d: dict, key: str) -> np.ndarray:
+    if type(d[key]) is not list:
+        raise ValueError(f"{key} must be a list, got {d[key]!r}")
+    return np.array([_json_int(v, key) for v in d[key]], dtype=np.int64)
 
 
 def code_from_dict(d: dict) -> RcpCode:
-    spec = PolarCodeSpec(
-        n0=int(d["n0"]),
-        info_set=np.array(d["info_set"], dtype=np.int64),
-        puncture_set=np.array(d["puncture_set"], dtype=np.int64),
-        frozen_values=d.get("frozen_values"),
-    )
-    return RcpCode(spec=spec, rep_vector=np.array(d["rep_vector"], dtype=np.int64))
+    """The code that :func:`code_to_dict` wrote.  Raises ValueError on a
+    value that is not a JSON integer, on an ``n``, ``k`` or ``m`` that the
+    rebuilt code does not have, and on ``frozen_values`` (older files) that
+    are not n0 - k zeros."""
+    spec = PolarCodeSpec(n0=_json_int(d["n0"], "n0"),
+                         info_set=_json_ints(d, "info_set"),
+                         puncture_set=_json_ints(d, "puncture_set"))
+    code = RcpCode(spec=spec, rep_vector=_json_ints(d, "rep_vector"))
+    for key in ("n", "k", "m"):
+        if _json_int(d[key], key) != getattr(code, key):
+            raise ValueError(f"{key} is {d[key]}, the code has "
+                             f"{getattr(code, key)}")
+    if "frozen_values" in d:
+        frozen = _json_ints(d, "frozen_values")
+        if frozen.size != spec.n0 - spec.k or frozen.any():
+            raise ValueError("frozen bits are zero: frozen_values must be "
+                             f"{spec.n0 - spec.k} zeros")
+    return code

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelParams, channel_llr_distribution, noise_stream,
+from .channel import (ChannelParams, channel_llr_distribution,
                       observation_to_llr, trial_draws)
 from .codec import rcp_encode, sc_decode_nested
 from .construct import construct_rcp
@@ -89,36 +89,22 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
     """Simulate trials [lo, hi) with batched decoding: each trial sends
     ``code``'s word and is decoded with the first ``lengths[t]`` bits.
 
-    Trial i draws its block from ``noise_stream((base_seed, i))`` and then
-    its channel noise (:func:`trial_draws` gives both for the whole range),
-    or hands that generator, after the block draw, to ``channel_fn``.
+    :func:`trial_draws` gives every trial's block and noise, keyed by
+    ``(base_seed, i)``; ``channel_fn(words, params, np.arange(lo, hi))``,
+    if given, replaces the AWGN step (see :func:`run_campaign`).
     """
-    k, n_total = code.k, code.n
+    bits, noise = trial_draws(base_seed, lo, hi, code.k, code.n)
+    # One layout for the channel arithmetic: rcp_encode gives a transposed
+    # view, the noise is row-major.
+    tx = np.ascontiguousarray(rcp_encode(bits, code))
     if channel_fn is None:
-        bits, noise = trial_draws(base_seed, lo, hi, k, n_total)
-        # One layout for the channel arithmetic: rcp_encode gives a
-        # transposed view, the noise is row-major.
-        tx = np.ascontiguousarray(rcp_encode(bits, code))
         llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise,
                                  params)
     else:
-        # User code receives each trial's generator after its block draw,
-        # buffered 32-bit half included, so it gets a fresh stream per trial.
-        rngs = [noise_stream((base_seed, i)) for i in range(lo, hi)]
-        bits = np.stack([rng.integers(0, 2, size=k, dtype=np.int8)
-                         for rng in rngs])
-        tx = rcp_encode(bits, code)
-        llr = np.empty((hi - lo, n_total))
-        for i, rng in enumerate(rngs):
-            word = np.asarray(channel_fn(tx[i], params, rng, lo + i),
-                              dtype=float)
-            if word.shape != (n_total,):
-                raise ValueError(f"channel_fn gave shape {word.shape}, "
-                                 f"expected ({n_total},), trial {lo + i}")
-            if not np.isfinite(word).all():
-                raise ValueError("channel_fn gave non-finite LLRs, "
-                                 f"trial {lo + i}")
-            llr[i] = word
+        llr = np.asarray(channel_fn(tx, params, np.arange(lo, hi)), float)
+        if llr.shape != tx.shape or not np.isfinite(llr).all():
+            raise ValueError(f"channel_fn gave shape {llr.shape} or a non-"
+                             f"finite LLR, expected {tx.shape} finite LLRs")
 
     fails = np.stack([np.any(decoded != bits, axis=1)
                       for decoded in sc_decode_nested(llr, code, lengths)],
@@ -130,15 +116,17 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
 
 def _run_chunks(code, lengths, params: ChannelParams, trials: int,
                 base_seed: int, threads: int, channel_fn=None) -> dict:
-    """Counts of trials [0, trials) in chunks, over ``threads`` processes."""
+    """Counts of trials [0, trials) in chunks, over min(threads, chunks)
+    processes."""
     if trials < 1:
         raise ValueError("need at least one trial")
     chunk = max(32, min(8192, 1_500_000 // code.spec.n0))
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     args = (code, lengths, params, base_seed)
     counts = _empty_counts(len(lengths))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(ranges))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chunk_counts, *args, lo, hi, channel_fn)
                        for lo, hi in ranges]
             for fut in futures:
@@ -158,12 +146,11 @@ def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
     length; the union-bound curve is read off the same repetition plan.
     Trial i draws its block and noise from the stream keyed by
     ``(base_seed, i)``, so the report is reproducible and independent of
-    chunking, thread count, and scheduling.  ``channel_fn(codeword_bits,
-    params, rng, trial_index)`` replaces the AWGN channel (fault
-    injection); it is called once per trial with that trial's generator
-    and must return the trial's n finite LLRs.  With ``threads > 1`` it
-    runs in worker processes, so it must pickle (a module-level function,
-    not a lambda or closure).
+    chunking, thread count, and scheduling.  ``channel_fn(words, params,
+    trials)`` replaces the AWGN step (fault injection): it gets a chunk's
+    (B, n) int8 transmitted words and their (B,) trial indices and returns
+    (B, n) finite LLRs.  With ``threads > 1`` it runs in worker processes,
+    so it must pickle (a module-level function, not a lambda or closure).
     """
     channel = channel_llr_distribution(params)
     code, plan, _ = construct_rcp(scheme.lengths[-1], scheme.k, scheme.m,

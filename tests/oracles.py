@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcpolar.channel import noise_stream, transmit
+from rcpolar.channel import transmit
 from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode, sc_decode
 from rcpolar.reliability import (ReliabilityTable, check_mean_update,
                                  pe_from_mean)
@@ -278,9 +278,6 @@ def sc_decode_reference(llrs, code):
     rep_sum = np.zeros((b, spec.n0))
     if code.rep_vector.size:
         np.add.at(rep_sum, (slice(None), code.rep_vector), llrs[:, spec.m:])
-    frozen_bits = np.zeros(spec.n0, dtype=np.int8)
-    if spec.frozen_values is not None:
-        frozen_bits[spec.frozen_set] = spec.frozen_values
     info = np.zeros(spec.n0, dtype=bool)
     info[spec.info_set] = True
 
@@ -295,10 +292,8 @@ def sc_decode_reference(llrs, code):
             i = pos
             pos += 1
             leaves[:, i] = block[:, 0]
-            if info[i]:
+            if info[i]:  # frozen bits stay 0
                 u_hat[:, i] = (block[:, 0] + rep_sum[:, i]) < 0
-            else:
-                u_hat[:, i] = frozen_bits[i]
             return u_hat[:, i:i + 1].copy()
         half = width // 2
         la, lb = block[:, :half], block[:, half:]
@@ -325,16 +320,17 @@ def run_trial(code, lengths, info_bits, params, rng, channel_fn=None,
               trial_index=0) -> TrialOutcome:
     """The protocol for one block, one round at a time: ``code``'s word is
     sent over the AWGN channel with noise from ``noise_stream(rng)``, or
-    through ``channel_fn(bits, params, rng, trial_index)``, and round t is
-    decoded on its own from the first ``lengths[t]`` LLRs.  Every round is
-    decoded, also after the first success."""
+    through a campaign's batched hook as a batch of one row,
+    ``channel_fn(tx[None], params, np.array([trial_index]))[0]``, and round
+    t is decoded on its own from the first ``lengths[t]`` LLRs.  Every
+    round is decoded, also after the first success."""
     if not lengths or any(a >= b for a, b in zip(lengths, lengths[1:])):
         raise ValueError(f"lengths must be strictly increasing, got {lengths}")
-    rng = noise_stream(rng)
     info_bits = np.asarray(info_bits, dtype=np.int8)
     tx = rcp_encode(info_bits, code)
     llr = (transmit(tx, params, rng) if channel_fn is None
-           else np.asarray(channel_fn(tx, params, rng, trial_index)))
+           else np.asarray(channel_fn(tx[None], params,
+                                      np.array([trial_index]))[0]))
     fail_flags = tuple(
         not np.array_equal(sc_decode(llr[:n], code.prefix(n)), info_bits)
         for n in lengths)

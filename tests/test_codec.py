@@ -276,17 +276,47 @@ def test_golden_vectors_regression_file():
     assert results and all(ok for _, ok in results)
 
 
-def test_code_json_round_trip_keeps_frozen_values():
+def _dict_code():
+    """n0 = 8, k = 4, one puncture and two repetitions: n = 9, m = 7."""
     spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
-                         frozen_values=np.array([1, 0, 1, 0]))
-    code = RcpCode(spec=spec, rep_vector=np.array([3, 7]))
-    back = code_from_dict(code_to_dict(code))
-    assert back.spec.frozen_values is not None
-    assert back.spec.frozen_values.tolist() == [1, 0, 1, 0]
+                         puncture_set=np.array([0]))
+    return RcpCode(spec=spec, rep_vector=np.array([3, 7]))
+
+
+def test_frozen_bits_are_zero():
+    # Frozen values are not a parameter; a dict may carry them only as zeros.
+    with pytest.raises(TypeError):
+        PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
+                      frozen_values=np.array([0, 0, 0, 0]))
+    code = _dict_code()
+    back = code_from_dict({**code_to_dict(code), "frozen_values": [0] * 4})
     info = np.array([1, 0, 1, 1], dtype=np.int8)
     assert np.array_equal(rcp_encode(info, back), rcp_encode(info, code))
-    plain = code_from_dict(code_to_dict(RcpCode(spec=_plain_spec(4, [1, 3]))))
-    assert plain.spec.frozen_values is None
+    assert rcp_encode(np.zeros(4, dtype=np.int8), code).tolist() == [0] * 9
+
+
+def test_code_from_dict_rejects_nonzero_frozen_values():
+    d = code_to_dict(_dict_code())
+    for frozen in ([1, 0, 2, 5], [1, 0, 1, 0], [0, 0, 0], [0.0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="frozen_values"):
+            code_from_dict({**d, "frozen_values": frozen})
+
+
+LOSSY_OR_MISMATCHED = [
+    ("n0", 8.9), ("n0", 8.0), ("info_set", [3.7, 5, 6, 7]),
+    ("puncture_set", [0.5]), ("puncture_set", [False]),
+    ("rep_vector", [3, 7.2]), ("n", 10), ("k", 5), ("m", 6), ("m", 7.0),
+]
+
+
+@pytest.mark.parametrize("key, value", LOSSY_OR_MISMATCHED,
+                         ids=[f"{k}={v}" for k, v in LOSSY_OR_MISMATCHED])
+def test_code_from_dict_rejects_lossy_or_mismatched_input(key, value):
+    # Each would otherwise be rounded, or read past, into another code.
+    d = code_to_dict(_dict_code())
+    assert code_from_dict(d).n == 9
+    with pytest.raises(ValueError, match=key):
+        code_from_dict({**d, key: value})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -302,19 +332,15 @@ def test_sc_decode_rejects_non_finite_llrs(bad):
 
 @st.composite
 def _specified_code(draw):
-    """A small code with or without punctures, repetitions and nonzero
-    frozen values."""
+    """A small code with or without punctures and repetitions."""
     n0 = 2 ** draw(st.integers(0, 6))
     punct = sorted(draw(st.lists(st.integers(0, n0 - 1), unique=True,
                                  max_size=max(0, n0 // 2 - 1))))
     k = draw(st.integers(1, n0 - len(punct)))
     info = sorted(draw(st.permutations(range(n0)))[:k])
-    frozen = draw(st.none() | st.lists(st.integers(0, 1), min_size=n0 - k,
-                                       max_size=n0 - k))
     rep = draw(st.lists(st.sampled_from(info), max_size=8))
     spec = PolarCodeSpec(n0=n0, info_set=np.array(info),
-                         puncture_set=np.array(punct, dtype=np.int64),
-                         frozen_values=frozen)
+                         puncture_set=np.array(punct, dtype=np.int64))
     return RcpCode(spec=spec, rep_vector=np.array(rep, dtype=np.int64))
 
 
@@ -326,10 +352,7 @@ def test_code_dict_round_trip_property(code):
     assert np.array_equal(back.spec.info_set, code.spec.info_set)
     assert np.array_equal(back.spec.puncture_set, code.spec.puncture_set)
     assert np.array_equal(back.rep_vector, code.rep_vector)
-    if code.spec.frozen_values is None:
-        assert back.spec.frozen_values is None
-    else:
-        assert np.array_equal(back.spec.frozen_values, code.spec.frozen_values)
+    assert (back.n, back.k, back.m) == (code.n, code.k, code.m)
 
 
 def test_check_node_sign_follows_the_rounded_magnitude():

@@ -280,8 +280,6 @@ def test_plans_and_code_families_nest_by_prefix(scheme_snr):
         assert code.n == n
         assert np.array_equal(code.spec.info_set, ref.spec.info_set)
         assert np.array_equal(code.spec.puncture_set, ref.spec.puncture_set)
-        assert code.spec.frozen_values is None
-        assert ref.spec.frozen_values is None
         assert np.array_equal(code.rep_vector, ref.rep_vector)
         reps = n - scheme.m
         assert np.array_equal(ref.rep_vector, longest.rep_vector[:reps])

@@ -25,19 +25,15 @@ LEAF_RTOL = 1e-12
 
 
 def _corpus(n0, rows, seed):
-    """A code with punctures, duplicate repetitions and nonzero frozen bits,
-    and channel LLRs for ``rows`` random blocks where about 1% of the
-    entries each are exactly 0, +LLR_CLAMP and -LLR_CLAMP."""
+    """A code with punctures and duplicate repetitions, and channel LLRs
+    for ``rows`` random blocks where about 1% of the entries each are
+    exactly 0, +LLR_CLAMP and -LLR_CLAMP."""
     n, k, m, snr_db = CORPUS_CODES[n0]
     params = ChannelParams(snr_db=snr_db)
     base, _, _ = construct_rcp(n, k, m, channel_llr_distribution(params))
     rng = np.random.default_rng(seed)
-    spec = PolarCodeSpec(
-        n0=n0, info_set=base.spec.info_set,
-        puncture_set=base.spec.puncture_set,
-        frozen_values=rng.integers(0, 2, size=n0 - k))
-    rep = rng.choice(spec.info_set, size=n - m, replace=True)
-    code = RcpCode(spec=spec, rep_vector=rep)
+    rep = rng.choice(base.spec.info_set, size=n - m, replace=True)
+    code = RcpCode(spec=base.spec, rep_vector=rep)
     bits = rng.integers(0, 2, size=(rows, k), dtype=np.int8)
     y = 1.0 - 2.0 * rcp_encode(bits, code)
     llr = observation_to_llr(y + params.sigma * rng.standard_normal(y.shape),
@@ -54,7 +50,6 @@ def test_corpus_matches_recursive_reference(n0):
     code, llr = _corpus(n0, max(CORPUS_BATCHES), seed=n0)
     assert code.spec.puncture_set.size > 0
     assert np.unique(code.rep_vector).size < code.rep_vector.size
-    assert code.spec.frozen_values.any()
     for value in (0.0, LLR_CLAMP, -LLR_CLAMP):
         assert (llr == value).any()
     for b in CORPUS_BATCHES:
@@ -190,13 +185,11 @@ def _check_nested_family(monkeypatch, full, lengths, llr):
 
 
 def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
-    # Leaves 0-3 and 8-9 are dead blocks of width 4 and 2 whose nonzero
-    # frozen values re-encode to x = (1, 1, 0, 1) and (0, 1) within each
-    # block; leaf 5 is a single frozen leaf.
+    # Leaves 0-3 and 8-9 are dead blocks of width 4 and 2, whose partial
+    # sums are all zero; leaf 5 is a single frozen leaf.
     spec = PolarCodeSpec(
         n0=16, info_set=np.array([4, 6, 7, 10, 11, 12, 13, 14, 15]),
-        puncture_set=np.array([2, 5]),
-        frozen_values=np.array([1, 0, 1, 1, 0, 1, 1]))
+        puncture_set=np.array([2, 5]))
     full = RcpCode(spec=spec, rep_vector=np.array([7, 10, 4, 7, 15, 12, 6]))
     llr = np.random.default_rng(11).normal(0.5, 1.5, size=(200, full.n))
     _check_nested_family(monkeypatch, full, (15, 17, 19, 21), llr)

@@ -1,14 +1,18 @@
+from concurrent.futures import Future, ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP,
-                             channel_llr_distribution, noise_stream, transmit)
+                             channel_llr_distribution, noise_stream,
+                             observation_to_llr)
+from rcpolar.codec import rcp_encode
 from rcpolar.construct import construct_rcp
 from rcpolar.design import HarqScheme, build_bler_curve, design_scheme
 from rcpolar import channel, construct, simulate
 from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
-                              _report_from_counts, bler_monte_carlo,
-                              bound_check, run_campaign)
+                              _report_from_counts, _run_chunks,
+                              bler_monte_carlo, bound_check, run_campaign)
 
 from oracles import campaign_statistics_reference, run_trial
 
@@ -25,16 +29,24 @@ def _family(scheme, snr_db=0.0):
     return code, params
 
 
-def _erasure_channel(bits, params, rng, trial_index):
-    return np.zeros(bits.size)
+# Fault-injection hooks take a chunk's (B, n) words and its trial indices
+# and return (B, n) LLRs.
+
+def _erasure_channel(words, params, trials):
+    return np.zeros(words.shape)
 
 
-def _perfect_channel(bits, params, rng, trial_index):
-    return np.where(np.asarray(bits) == 0, LLR_CLAMP, -LLR_CLAMP)
+def _perfect_channel(words, params, trials):
+    return np.where(words == 0, LLR_CLAMP, -LLR_CLAMP)
 
 
-def _awgn_channel(bits, params, rng, trial_index):
-    return transmit(bits, params, rng)
+def _trial_keyed_channel(words, params, trials):
+    # AWGN keyed by the trial index alone, on streams apart from the
+    # campaign's: a chunk handed the wrong indices gets other LLRs.
+    noise = np.stack([noise_stream((99, int(i))).standard_normal(words.shape[1])
+                      for i in trials])
+    return observation_to_llr((1.0 - 2.0 * words) + params.sigma * noise,
+                              params)
 
 
 def test_trial_succeeds_first_round_noiseless():
@@ -84,11 +96,13 @@ def test_trial_rejects_bad_family():
 def test_campaign_all_success_round_one():
     scheme = _small_scheme()
     params = ChannelParams(snr_db=200.0)
-    report = run_campaign(scheme, params, trials=200, base_seed=3)
-    assert report.pr_first_success[0] == 1.0
-    assert report.eta == pytest.approx(scheme.k / scheme.lengths[0])
-    assert report.e_k == scheme.k
-    assert report.e_n == scheme.lengths[0]
+    for channel_fn in (None, _perfect_channel):
+        report = run_campaign(scheme, params, trials=200, base_seed=3,
+                              channel_fn=channel_fn)
+        assert report.pr_first_success[0] == 1.0
+        assert report.eta == pytest.approx(scheme.k / scheme.lengths[0])
+        assert report.e_k == scheme.k
+        assert report.e_n == scheme.lengths[0]
 
 
 def test_campaign_all_fail():
@@ -116,23 +130,24 @@ def _accumulation_scheme():
 
 
 def _phase_stub(lengths):
-    def stub(bits, params, rng, trial_index):
-        s = 1.0 - 2.0 * float(bits[0])  # sign of the true bit's LLR
-        phase = trial_index % 4
-        out = np.full(len(bits), -s)  # every prefix sum wrong: never succeeds
-        if phase < 3:
-            target = lengths[phase]
-            out[target - 1] = s * (2.0 * target + 1.0)  # flips the sum from here on
-            out[target:] = s
+    def stub(words, params, trials):
+        out = np.empty(words.shape)
+        for row, word, trial in zip(out, words, trials):
+            s = 1.0 - 2.0 * float(word[0])  # sign of the true bit's LLR
+            row[:] = -s  # every prefix sum wrong: never succeeds
+            phase = trial % 4
+            if phase < 3:
+                target = lengths[phase]
+                row[target - 1] = s * (2.0 * target + 1.0)  # flips the sum from here on
+                row[target:] = s
         return out
     return stub
 
 
 @pytest.mark.parametrize("scheme, snr_db, channel_fn", [
     (_small_scheme(), -2.0, None),
-    (_small_scheme(), -2.0, _awgn_channel),
     (_accumulation_scheme(), 0.0, _phase_stub(_accumulation_scheme().lengths)),
-], ids=["awgn", "awgn-channel_fn", "phase-stub"])
+], ids=["awgn", "phase-stub"])
 def test_campaign_matches_per_trial_reference(scheme, snr_db, channel_fn):
     # Rebuild the statistics from run_trial over the same (base_seed, i)
     # streams, without the batched accumulation code.
@@ -154,28 +169,34 @@ def test_campaign_matches_per_trial_reference(scheme, snr_db, channel_fn):
     assert report.e_n == bits_sent / trials
 
 
-def _nan_channel(bits, params, rng, trial_index):
-    out = np.ones(bits.size)
-    out[-1] = np.nan
+def _nan_channel(words, params, trials):
+    out = np.ones(words.shape)
+    out[-1, -1] = np.nan
     return out
 
 
-def _scalar_channel(bits, params, rng, trial_index):
+def _scalar_channel(words, params, trials):
     return np.float64(1.0)
 
 
-def _one_llr_channel(bits, params, rng, trial_index):
+def _one_llr_channel(words, params, trials):
     return np.ones(1)
 
 
-def _long_channel(bits, params, rng, trial_index):
-    return np.ones(bits.size + 1)
+def _one_word_channel(words, params, trials):
+    return np.ones(words.shape[1])
+
+
+def _long_channel(words, params, trials):
+    return np.ones((words.shape[0], words.shape[1] + 1))
 
 
 @pytest.mark.parametrize("channel_fn", [_nan_channel, _scalar_channel,
-                                        _one_llr_channel, _long_channel])
+                                        _one_llr_channel, _one_word_channel,
+                                        _long_channel])
 def test_campaign_rejects_bad_channel_output(channel_fn):
-    # A 0-d or length-1 word would otherwise broadcast across its row.
+    # A 0-d, length-1 or one-word output would otherwise broadcast across
+    # the chunk.
     with pytest.raises(ValueError, match="channel_fn"):
         run_campaign(_small_scheme(), ChannelParams(snr_db=0.0), trials=5,
                      base_seed=0, channel_fn=channel_fn)
@@ -214,25 +235,67 @@ def test_campaign_eta_equals_per_trial_accounting():
     assert report.e_n == pytest.approx(used / trials, rel=1e-12)
 
 
-def test_campaign_batched_matches_per_trial_path():
-    scheme = _small_scheme()
-    params = ChannelParams(snr_db=-2.0)
-    trials = 200
-    batched = run_campaign(scheme, params, trials=trials, base_seed=7)
-    looped = run_campaign(scheme, params, trials=trials, base_seed=7,
-                          channel_fn=_awgn_channel)
-    assert batched == looped
+class _RecordingPool(ProcessPoolExecutor):
+    """A real process pool that records the worker counts it is given."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+        super().__init__(max_workers=max_workers)
 
 
-def test_campaign_worker_count_invariance():
+def test_campaign_worker_count_invariance(monkeypatch):
+    # 9000 trials of an n0 = 16 code are two chunks (8192 + 808), so two
+    # worker processes each get one; the trial-keyed hook checks that the
+    # workers see the same trial indices as the in-process loop.
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
     scheme = _small_scheme()
     params = ChannelParams(snr_db=-1.0)
-    for channel_fn in (None, _awgn_channel):
-        a = run_campaign(scheme, params, trials=240, base_seed=8, threads=1,
+    for channel_fn in (None, _trial_keyed_channel):
+        a = run_campaign(scheme, params, trials=9000, base_seed=8, threads=1,
                          channel_fn=channel_fn)
-        b = run_campaign(scheme, params, trials=240, base_seed=8, threads=2,
+        b = run_campaign(scheme, params, trials=9000, base_seed=8, threads=2,
                          channel_fn=channel_fn)
         assert a == b
+    assert _RecordingPool.workers == [2, 2]
+
+
+class _InlinePool:
+    """Stands in for the process pool: records its worker count and runs
+    every submission at once, in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_run_chunks_starts_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "workers", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlinePool)
+    scheme = _small_scheme()
+    code, params = _family(scheme, snr_db=-1.0)
+    # n0 = 16 gives chunks of 8192 trials: 3 chunks, then 1.
+    for trials, workers in ((2 * 8192 + 1, [3]), (100, [])):
+        _InlinePool.workers.clear()
+        many = _run_chunks(code, scheme.lengths, params, trials, 8, threads=64)
+        assert _InlinePool.workers == workers
+        one = _run_chunks(code, scheme.lengths, params, trials, 8, threads=1)
+        for key in one:
+            assert np.array_equal(many[key], one[key]), key
 
 
 def test_campaign_event_chain_containment():
@@ -361,37 +424,9 @@ def test_chunk_counts_independent_of_chunk_split():
         assert np.array_equal(whole[key], split[key]), key
 
 
-def _uint32_then_awgn_channel(bits, params, rng, trial_index):
-    # The uint32 draw takes the 32-bit half that the block draw left
-    # buffered when it used an odd number of 32-bit words.
-    rng.integers(0, 2 ** 32, dtype=np.uint32)
-    return transmit(bits, params, rng)
-
-
-def test_campaign_channel_fn_gets_buffered_generator_state():
-    # k = 36 needs 9 uint32 words for the block, so half a word stays
-    # buffered; a generator advanced by raw 64-bit words would lack it.
-    scheme = HarqScheme(k=36, m=60, lengths=(60, 66, 72), eta_estimate=0.5)
-    code, params = _family(scheme, snr_db=-1.0)
-    trials, seed = 200, 23
-    flags = []
-    for i in range(trials):
-        rng = noise_stream((seed, i))
-        info = rng.integers(0, 2, size=scheme.k, dtype=np.int8)
-        flags.append(run_trial(code, scheme.lengths, info, params, rng,
-                               channel_fn=_uint32_then_awgn_channel,
-                               trial_index=i).fail_flags)
-    report = run_campaign(scheme, params, trials, seed,
-                          channel_fn=_uint32_then_awgn_channel)
-    pr_e, pr_first, violations = campaign_statistics_reference(flags)
-    assert report.pr_e == pr_e
-    assert report.pr_first_success == pr_first
-    assert report.nesting_violations == violations
-
-
 def test_chunk_counts_builds_one_generator_per_chunk(monkeypatch):
-    # The default path re-keys one generator per chunk; only channel_fn
-    # receives a generator of its own per trial.
+    # One sampling path: a chunk re-keys one generator, hooked or not.
+    assert not hasattr(simulate, "noise_stream")
     calls = []
     original = channel.noise_stream
 
@@ -400,13 +435,32 @@ def test_chunk_counts_builds_one_generator_per_chunk(monkeypatch):
         return original(seed)
 
     monkeypatch.setattr(channel, "noise_stream", counting)
-    monkeypatch.setattr(simulate, "noise_stream", counting)
     scheme = _small_scheme()
     code, params = _family(scheme, snr_db=-2.0)
-    _chunk_counts(code, scheme.lengths, params, 3, 40, 90)
-    assert calls == [(3, 40)]
-    calls.clear()
-    # A channel_fn that makes no noise_stream call of its own.
-    _chunk_counts(code, scheme.lengths, params, 3, 40, 90,
-                  channel_fn=_erasure_channel)
-    assert calls == [(3, i) for i in range(40, 90)]
+    # The erasure hook makes no noise_stream call of its own.
+    for channel_fn in (None, _erasure_channel):
+        calls.clear()
+        _chunk_counts(code, scheme.lengths, params, 3, 40, 90,
+                      channel_fn=channel_fn)
+        assert calls == [(3, 40)]
+
+
+def test_chunk_counts_hands_the_hook_words_and_trial_indices():
+    scheme = _small_scheme()
+    code, params = _family(scheme, snr_db=-2.0)
+    seen = []
+
+    def hook(words, params, trials):
+        seen.append((words.copy(), trials.copy()))
+        return _perfect_channel(words, params, trials)
+
+    counts = _chunk_counts(code, scheme.lengths, params, 3, 40, 90,
+                           channel_fn=hook)
+    assert counts["fails"].tolist() == [0, 0, 0]
+    (words, trials), = seen
+    assert words.dtype == np.int8 and words.shape == (50, code.n)
+    assert trials.tolist() == list(range(40, 90))
+    for row, i in zip(words, trials):
+        info = noise_stream((3, int(i))).integers(0, 2, size=code.k,
+                                                  dtype=np.int8)
+        assert np.array_equal(row, rcp_encode(info, code))
