@@ -12,7 +12,7 @@ from .codec import (PolarCodeSpec, RcpCode, polar_encode, rcp_encode,
 from .construct import (RepetitionPlan, build_repetition_plan, construct_rcp,
                         evaluate_bler)
 from .design import (BlerCurve, HarqScheme, build_bler_curve, design_scheme,
-                     scheme_cost_profile, throughput_estimate)
+                     throughput_estimate)
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
 from .simulate import SimReport, bler_monte_carlo, bound_check, run_campaign
@@ -25,7 +25,7 @@ __all__ = [
     "RepetitionPlan", "build_repetition_plan", "construct_rcp",
     "evaluate_bler",
     "BlerCurve", "HarqScheme", "build_bler_curve", "design_scheme",
-    "scheme_cost_profile", "throughput_estimate",
+    "throughput_estimate",
     "ReliabilityTable", "ga_evolve", "pe_from_mean", "puncture_pattern",
     "select_info_set",
     "SimReport", "bler_monte_carlo", "bound_check", "run_campaign",

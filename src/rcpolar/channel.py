@@ -9,8 +9,6 @@ import numpy as np
 # probability around 4e-18, far beyond any decision-relevant scale.
 LLR_CLAMP = 40.0
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -22,6 +20,15 @@ class ChannelParams:
     """
 
     snr_db: float
+
+    def __post_init__(self):
+        try:
+            var = self.noise_var
+        except OverflowError:  # 10.0 ** x for x above about 308
+            var = float("inf")
+        if not 0.0 < var < float("inf"):
+            raise ValueError(f"snr_db {self.snr_db!r} gives noise variance "
+                             f"{var!r}, not finite and positive")
 
     @property
     def sigma(self) -> float:
@@ -54,36 +61,29 @@ class LlrDistribution:
 
 
 def _philox_keys(base: int, lo: int, count: int) -> np.ndarray:
-    """Philox keys of the streams ``(base, lo), ..., (base, lo + count - 1)``.
-
-    Row j is ``[base mod 2^64, (lo + j) mod 2^64]`` as uint64; the index
-    column wraps modulo 2^64 like the masked Python integer would.
+    """Philox keys of the streams ``(base, lo), ..., (base, lo + count - 1)``:
+    row j is ``[base, lo + j]`` as uint64.  A seed or index outside
+    [0, 2^64) raises ``ValueError`` instead of aliasing another stream.
     """
+    if not (0 <= base < 2 ** 64 and 0 <= lo <= lo + count <= 2 ** 64):
+        raise ValueError(f"streams ({base}, {lo}) .. ({base}, {lo + count - 1})"
+                         " need a seed and indices in [0, 2^64)")
     keys = np.empty((count, 2), dtype=np.uint64)
-    keys[:, 0] = base & _MASK64
-    keys[:, 1] = np.arange(count, dtype=np.uint64) + np.uint64(lo & _MASK64)
+    keys[:, 0] = base
+    keys[:, 1] = np.arange(lo, lo + count, dtype=np.uint64)
     return keys
 
 
 def noise_stream(seed) -> np.random.Generator:
-    """Deterministic random stream for channel noise.
+    """Deterministic random stream of the trial ``seed = (base_seed, index)``.
 
-    ``seed`` may be an existing Generator (used as-is), an int, or an
-    ``(int, int)`` pair.  Pairs map to distinct Philox keys, so the streams
-    for ``(base_seed, 0), (base_seed, 1), ...`` are statistically independent
-    and reproducible regardless of scheduling; this is the seed-derivation
-    rule used for parallel Monte Carlo trials.  :func:`trial_draws` gives
-    the same numbers for a range of trials by re-keying one generator with
-    the same rule.
+    Pairs map to distinct Philox keys, so the streams for ``(base_seed, 0),
+    (base_seed, 1), ...`` are statistically independent and reproducible
+    regardless of scheduling; this is the seed-derivation rule used for
+    parallel Monte Carlo trials.  :func:`trial_draws` gives the same numbers
+    for a range of trials by re-keying one generator with the same rule.
     """
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, tuple):
-        base, idx = seed
-    else:
-        base, idx = int(seed), 0
-    return np.random.Generator(
-        np.random.Philox(key=_philox_keys(base, idx, 1)[0]))
+    return np.random.Generator(np.random.Philox(key=_philox_keys(*seed, 1)[0]))
 
 
 def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
@@ -96,8 +96,8 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
     of building a new one, and each block is read from ``ceil(k/8)`` raw
     64-bit words: for a range of 2, numpy's bounded int8 draw returns the
     top bit of each byte, bytes taken low first from each 32-bit half, low
-    half first; the normals start at the next word.  A property test checks
-    this against ``integers`` exactly.
+    half first; the normals start at the next word, so the blocks are the
+    same at any n.  A property test checks both against numpy exactly.
     """
     count = hi - lo
     rng = noise_stream((base_seed, lo))
@@ -122,32 +122,16 @@ def observation_to_llr(y, params: ChannelParams):
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
 
 
-def transmit(bits, params: ChannelParams, rng_seed):
-    """Send a binary word over the channel and return the received LLR word.
-
-    Parameters
-    ----------
-    bits : array-like of {0, 1}, shape (n,)
-        Word to transmit, n >= 1.
-    params : ChannelParams
-        Channel operating point.
-    rng_seed : int | (int, int) | numpy Generator
-        Noise stream selector; a fixed seed makes the call a pure function.
-        A Generator is used as-is, and exactly n standard normals are drawn
-        from it.
-
-    Returns
-    -------
-    ndarray of float, shape (n,)
-        Per-use LLRs, finite (clamped to +/-LLR_CLAMP).
+def transmit(words, noise, params: ChannelParams):
+    """LLRs of binary ``words`` sent as BPSK (0 -> +1, 1 -> -1) through
+    the channel with unit-variance ``noise`` of the same shape, scaled by
+    ``params.sigma``; clamped to +/-LLR_CLAMP.  A pure function.
     """
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size == 0:
-        raise ValueError("transmit expects a nonempty 1-D bit vector")
-    if not np.isin(bits, (0, 1)).all():
-        raise ValueError("transmit expects binary input")
-    noise = noise_stream(rng_seed).standard_normal(bits.shape)
-    return observation_to_llr((1.0 - 2.0 * bits) + params.sigma * noise,
+    words = np.asarray(words)
+    if np.shape(noise) != words.shape or (words != words.astype(bool)).any():
+        raise ValueError("transmit expects binary words and noise of their "
+                         f"shape, got {words.shape} and {np.shape(noise)}")
+    return observation_to_llr((1.0 - 2.0 * words) + params.sigma * noise,
                               params)
 
 

@@ -6,6 +6,7 @@ version.  Exit codes: 0 ok, 2 bad usage/config, 3 runtime failure.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -21,10 +22,11 @@ from .simulate import bler_monte_carlo, bound_check, run_campaign
 SCHEMA_VERSION = 1
 # Scheme SNRs are matched to the requested ones to within this many dB.
 SNR_MATCH_DB = 1e-9
-# Config keys that must hold integers, with the least value each may take
-# (a seed is reduced mod 2^64, so any integer is one).
+# Config keys that must hold integers, with the least value each may take.
+# A seed is also below 2^64: it keys 64-bit Philox streams, and a larger one
+# would alias a smaller one.
 _INT_KEYS = {"n": 1, "k": 1, "m": 1, "q": 1, "t_max": 1, "trials": 1,
-             "threads": 1, "seed": float("-inf")}
+             "threads": 1, "seed": 0}
 
 
 class ConfigError(Exception):
@@ -60,6 +62,8 @@ def _load_config(args) -> dict:
         if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
             raise ConfigError(f"{key} must be an integer >= {least}, "
                               f"got {cfg[key]!r}")
+    if cfg["seed"] >= 2 ** 64:
+        raise ConfigError(f"seed must be below 2^64, got {cfg['seed']}")
     if "out" in cfg and type(cfg["out"]) is not str:
         raise ConfigError(f"out must be a string, got {cfg['out']!r}")
     return cfg
@@ -73,16 +77,24 @@ def _require(cfg: dict, *keys):
 
 
 def _finite(value) -> bool:
-    """A finite JSON number; a bool is not one."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """A JSON number with a finite float value; a bool is not one."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _snr_list(value):
+    """The SNRs of a number or a list of numbers, each one that
+    :class:`ChannelParams` takes."""
     values = value if isinstance(value, list) else [value]
-    if not all(_finite(v) for v in values):
-        raise ConfigError("snr_db must be a finite number or a list of them, "
-                          f"got {value!r}")
-    return [float(v) for v in values]
+    if all(_finite(v) for v in values):
+        try:
+            return [ChannelParams(snr_db=float(v)).snr_db for v in values]
+        except ValueError:
+            pass
+    raise ConfigError("snr_db must be a finite number with a finite, positive "
+                      f"noise variance, or a list of them, got {value!r}")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -198,7 +210,7 @@ def _load_schemes(path: str):
                 raise ValueError("snr_db and eta_estimate must be finite "
                                  "numbers, k and s integers, got "
                                  f"{entry!r}")
-            out.append((float(snr), HarqScheme(
+            out.append((ChannelParams(snr_db=float(snr)), HarqScheme(
                 k=k, m=s[0], lengths=tuple(s[1:]), eta_estimate=float(eta))))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad scheme in {path}: {exc}")
@@ -208,59 +220,42 @@ def _load_schemes(path: str):
 def cmd_simulate(cfg: dict) -> int:
     schemes_path, trials = _require(cfg, "schemes", "trials")
     wanted = _snr_list(cfg["snr_db"]) if "snr_db" in cfg else None
-    schemes = [(snr, scheme) for snr, scheme in _load_schemes(str(schemes_path))
+    schemes = [(params, scheme)
+               for params, scheme in _load_schemes(str(schemes_path))
                if wanted is None
-               or any(abs(snr - w) <= SNR_MATCH_DB for w in wanted)]
+               or any(abs(params.snr_db - w) <= SNR_MATCH_DB for w in wanted)]
     if not schemes:
         raise ConfigError("no scheme matched the requested snr_db values")
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]
 
-    results = []
-    for snr, scheme in schemes:
-        params = ChannelParams(snr_db=snr)
-        print(f"simulating snr {snr:+.2f} dB, {trials} trials", file=sys.stderr)
-        report = run_campaign(scheme, params, trials, seed, threads=threads)
-        check = bound_check(report)
-        results.append((report, check))
-
     doc = _envelope("simulate", cfg)
     doc["reports"] = []
-    for report, check in results:
-        doc["reports"].append({
-            "snr_db": report.snr_db,
-            "k": report.k,
-            "s": [report.m, *report.lengths],
-            "trials": report.trials,
-            "base_seed": report.base_seed,
-            "pr_e": list(report.pr_e),
-            "pr_first_success": list(report.pr_first_success),
-            "e_k": report.e_k,
-            "e_n": report.e_n,
-            "eta": report.eta,
-            "eta_analytic": report.eta_analytic,
-            "ci95": {key: (list(v) if isinstance(v, tuple) else v)
-                     for key, v in report.ci95.items()},
-            "nesting_violations": report.nesting_violations,
-            "bound_check": {
-                "rows": [vars(row) for row in check.rows],
-                "eta_holds": check.eta_holds,
-                "all_hold": check.all_hold,
-            },
-        })
+    for params, scheme in schemes:
+        print(f"simulating snr {params.snr_db:+.2f} dB, {trials} trials",
+              file=sys.stderr)
+        report = run_campaign(scheme, params, trials, seed, threads=threads)
+        check = bound_check(report)
+        # Every SimReport field, with (m, lengths) written as s.
+        entry = dataclasses.asdict(report)
+        entry["s"] = [entry.pop("m"), *entry.pop("lengths")]
+        entry["bound_check"] = {
+            "rows": [dataclasses.asdict(row) for row in check.rows],
+            "eta_holds": check.eta_holds, "all_hold": check.all_hold}
+        doc["reports"].append(entry)
     _write_json(out / "report.json", doc)
 
     with open(out / "report.csv", "w") as fp:
         _csv_header(fp, "simulate", cfg)
         fp.write("snr_db,t,pr_e,pr_first_success,eta,ci_pr_e,"
                  "ci_pr_first_success,ci_eta\n")
-        for report, _ in results:
-            for t in range(1, len(report.pr_e) + 1):
-                fp.write(f"{report.snr_db},{t},{report.pr_e[t-1]!r},"
-                         f"{report.pr_first_success[t-1]!r},{report.eta!r},"
-                         f"{report.ci95['pr_e'][t-1]!r},"
-                         f"{report.ci95['pr_first_success'][t-1]!r},"
-                         f"{report.ci95['eta']!r}\n")
+        for rep in doc["reports"]:
+            ci = rep["ci95"]
+            for t in range(1, len(rep["pr_e"]) + 1):
+                fp.write(f"{rep['snr_db']},{t},{rep['pr_e'][t-1]!r},"
+                         f"{rep['pr_first_success'][t-1]!r},{rep['eta']!r},"
+                         f"{ci['pr_e'][t-1]!r},{ci['pr_first_success'][t-1]!r},"
+                         f"{ci['eta']!r}\n")
     return 0
 
 

@@ -16,9 +16,6 @@ from .codec import PolarCodeSpec, RcpCode
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
 
-# Union-bound block error estimates are plain floats in [0, 1].
-BlerEstimate = float
-
 # Channel means per GA pass in mother_codes (32 values of m at n0 = 512, 8 at
 # 2048): the GA of such a block peaks at about 0.7 MiB (traced).
 _GA_BLOCK_ELEMENTS = 1 << 14
@@ -253,7 +250,7 @@ def _channel_steps(base: np.ndarray, c: float, depth: np.ndarray):
         key[rise + 1] = key[rise]
 
 
-def evaluate_bler(code: RcpCode, plan: RepetitionPlan) -> BlerEstimate:
+def evaluate_bler(code: RcpCode, plan: RepetitionPlan) -> float:
     """Union-bound block error estimate: sum of final per-channel pe, clipped to 1."""
     if plan.r.size != code.rep_vector.size or not np.array_equal(plan.r, code.rep_vector):
         raise ValueError("plan does not match the code's repetition vector")

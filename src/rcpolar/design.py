@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
-from .construct import _mother_length, mother_codes
+from .construct import mother_codes
 
 # Block-error values are floored here so throughput denominators stay stable.
 BLER_FLOOR = 1e-15
@@ -269,22 +269,3 @@ def _best_scheme(k: int, q: int, t_max: int, curves,
         lo = int(ms[-1]) + 1
     return best
 
-
-def scheme_cost_profile(k: int, q: int) -> dict:
-    """Modelled density-update counts of a full scheme search over
-    m = k..q, in closed form.
-
-    "ga_updates" counts polarization-stage updates, one per channel of every
-    mother code and stage: the sum of n0 log2 n0 over m, with n0 the mother
-    length of m (far more than the node-state GA evaluates).
-    "convolutions" counts repetition-channel updates, the sum of q - m;
-    "total" is their sum.
-    """
-    if not 1 <= k <= q:
-        raise ValueError(f"need 1 <= k <= q, got k={k}, q={q}")
-    ms = range(k, q + 1)
-    ga_updates = sum(_mother_length(m) * int(np.log2(_mother_length(m)))
-                     for m in ms)
-    convolutions = sum(q - m for m in ms)
-    return {"ga_updates": ga_updates, "convolutions": convolutions,
-            "total": ga_updates + convolutions}

@@ -10,13 +10,14 @@ of every round, not only up to the first acknowledgement, so that
 per-round failure probabilities are measured as true marginals.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelParams, channel_llr_distribution,
-                      observation_to_llr, trial_draws)
+from .channel import (ChannelParams, channel_llr_distribution, transmit,
+                      trial_draws)
 from .codec import rcp_encode, sc_decode_nested
 from .construct import construct_rcp
 from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
@@ -91,15 +92,16 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
 
     :func:`trial_draws` gives every trial's block and noise, keyed by
     ``(base_seed, i)``; ``channel_fn(words, params, np.arange(lo, hi))``,
-    if given, replaces the AWGN step (see :func:`run_campaign`).
+    if given, replaces the AWGN step (see :func:`run_campaign`), and then
+    no noise is drawn.
     """
-    bits, noise = trial_draws(base_seed, lo, hi, code.k, code.n)
+    bits, noise = trial_draws(base_seed, lo, hi, code.k,
+                              code.n if channel_fn is None else 0)
     # One layout for the channel arithmetic: rcp_encode gives a transposed
     # view, the noise is row-major.
     tx = np.ascontiguousarray(rcp_encode(bits, code))
     if channel_fn is None:
-        llr = observation_to_llr((1.0 - 2.0 * tx) + params.sigma * noise,
-                                 params)
+        llr = transmit(tx, noise, params)
     else:
         llr = np.asarray(channel_fn(tx, params, np.arange(lo, hi)), float)
         if llr.shape != tx.shape or not np.isfinite(llr).all():
@@ -116,15 +118,15 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
 
 def _run_chunks(code, lengths, params: ChannelParams, trials: int,
                 base_seed: int, threads: int, channel_fn=None) -> dict:
-    """Counts of trials [0, trials) in chunks, over min(threads, chunks)
-    processes."""
+    """Counts of trials [0, trials) in chunks, over min(threads, chunks,
+    usable cores) processes."""
     if trials < 1:
         raise ValueError("need at least one trial")
     chunk = max(32, min(8192, 1_500_000 // code.spec.n0))
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     args = (code, lengths, params, base_seed)
     counts = _empty_counts(len(lengths))
-    workers = min(threads, len(ranges))
+    workers = min(threads, len(ranges), len(os.sched_getaffinity(0)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_chunk_counts, *args, lo, hi, channel_fn)

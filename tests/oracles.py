@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcpolar.channel import transmit
+from rcpolar.channel import noise_stream, transmit
 from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode, sc_decode
 from rcpolar.reliability import (ReliabilityTable, check_mean_update,
                                  pe_from_mean)
@@ -319,7 +319,8 @@ class TrialOutcome:
 def run_trial(code, lengths, info_bits, params, rng, channel_fn=None,
               trial_index=0) -> TrialOutcome:
     """The protocol for one block, one round at a time: ``code``'s word is
-    sent over the AWGN channel with noise from ``noise_stream(rng)``, or
+    sent over the AWGN channel with noise from ``rng``, a Generator or a
+    ``(base_seed, index)`` pair for :func:`noise_stream`, or
     through a campaign's batched hook as a batch of one row,
     ``channel_fn(tx[None], params, np.array([trial_index]))[0]``, and round
     t is decoded on its own from the first ``lengths[t]`` LLRs.  Every
@@ -328,9 +329,13 @@ def run_trial(code, lengths, info_bits, params, rng, channel_fn=None,
         raise ValueError(f"lengths must be strictly increasing, got {lengths}")
     info_bits = np.asarray(info_bits, dtype=np.int8)
     tx = rcp_encode(info_bits, code)
-    llr = (transmit(tx, params, rng) if channel_fn is None
-           else np.asarray(channel_fn(tx[None], params,
-                                      np.array([trial_index]))[0]))
+    if channel_fn is None:
+        if not isinstance(rng, np.random.Generator):
+            rng = noise_stream(rng)
+        llr = transmit(tx, rng.standard_normal(tx.shape), params)
+    else:
+        llr = np.asarray(channel_fn(tx[None], params,
+                                    np.array([trial_index]))[0])
     fail_flags = tuple(
         not np.array_equal(sc_decode(llr[:n], code.prefix(n)), info_bits)
         for n in lengths)

@@ -10,12 +10,14 @@ import time
 import numpy as np
 import pytest
 
+from rcpolar import reliability
 from rcpolar.channel import (ChannelParams, LLR_CLAMP, LlrDistribution,
                              bawgn_capacity, channel_llr_distribution)
 from rcpolar.codec import RcpCode, rcp_encode, sc_decode
-from rcpolar.construct import construct_rcp
-from rcpolar.design import build_bler_curve, design_scheme, scheme_cost_profile
-from rcpolar.reliability import ga_evolve, pe_from_mean, puncture_pattern
+from rcpolar.construct import construct_rcp, mother_codes
+from rcpolar.design import build_bler_curve, design_scheme
+from rcpolar.reliability import (check_mean_update, ga_evolve, pe_from_mean,
+                                 puncture_pattern)
 from rcpolar.simulate import (bler_monte_carlo, bound_check, run_campaign,
                               wilson_halfwidth)
 
@@ -257,15 +259,33 @@ def test_criterion_8_design_matches_exhaustive_search():
 
 # -- 9. search cost scaling ----------------------------------------------------
 
-def test_criterion_9_cost_scaling():
+def test_criterion_9_cost_scaling(monkeypatch):
+    # The work of the mother-code pass a scheme search over m = k..q runs,
+    # measured: GA check-update evaluations plus repetition updates (one
+    # per slot of every plan).
     k = 8
     qs = [64, 128, 256, 512]
-    totals = [scheme_cost_profile(k, q)["total"] for q in qs]
+    channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
+    evaluated = []
+
+    def counting(m_a, m_b):
+        evaluated.append(np.broadcast(np.asarray(m_a), np.asarray(m_b)).size)
+        return check_mean_update(m_a, m_b)
+
+    monkeypatch.setattr(reliability, "check_mean_update", counting)
+    totals = []
+    for q in qs:
+        evaluated.clear()
+        slots = sum(plan.r.size for _, plan
+                    in mother_codes(k, range(k, q + 1), q, channel))
+        assert evaluated, "no check update went through the wrapper"
+        totals.append(sum(evaluated) + slots)
     model = np.array([q * q * np.log2(q) for q in qs], dtype=float)
     c = float(np.dot(totals, model) / np.dot(model, model))
     deviation = np.abs(np.array(totals, dtype=float) - c * model) / (c * model)
     worst = float(deviation.max())
     ok = worst < 0.30
     _report("C9 cost scaling", ok,
-            f"c={c:.3f}, worst per-point deviation {worst:.2%}")
+            f"measured work {totals}, c={c:.3f}, worst per-point "
+            f"deviation {worst:.2%}")
     assert worst < 0.30

@@ -78,6 +78,18 @@ def _scheme_entry(**edit):
                 "snr_db": [0.3, 0.30000000000000004]}),
     ("design", {"k": 8, "t_max": 2, "q": 24,
                 "snr_db": [1.0000001, 1.0000002]}),
+    # Finite SNRs whose noise variance underflows to 0 or overflows, and a
+    # JSON integer beyond the float range.
+    ("construct", {"n": 8, "k": 4, "m": 8, "snr_db": 1e308}),
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": [0.0, -1e308]}),
+    ("simulate", {"schemes": [_scheme_entry(snr_db=1e308)]}),
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": -1e308, "trials": 20}),
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": 10 ** 400}),
+    # A seed keys 64-bit streams: -1 and 2^64 would alias 2^64 - 1 and 0.
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
+              "seed": -1}),
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
+              "seed": 2 ** 64}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     if command == "simulate":
@@ -348,6 +360,14 @@ def test_pinned_pipeline_outputs(tmp_path):
         "schemes": str(tmp_path / "d" / "schemes.json"), "trials": trials,
         "seed": 11, "out": str(tmp_path / "s")}) == 0
     (rep,) = json.loads((tmp_path / "s" / "report.json").read_text())["reports"]
+    assert rep.keys() == {"snr_db", "k", "s", "trials", "base_seed", "pr_e",
+                          "pr_first_success", "e_k", "e_n", "eta",
+                          "eta_analytic", "ci95", "nesting_violations",
+                          "bound_check"}
+    assert rep["bound_check"].keys() == {"rows", "eta_holds", "all_hold"}
+    assert [row.keys() for row in rep["bound_check"]["rows"]] == 3 * [
+        {"t", "marginal_decrease", "first_success", "slack", "holds"}]
+    assert rep["s"] == ref["s"] and rep["k"] == 8 and rep["trials"] == trials
     assert rep["pr_e"] == [c / trials for c in ref["fails"]]
     assert rep["pr_first_success"] == [c / trials
                                        for c in ref["first_success"]]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import rcpolar.codec
 from rcpolar.channel import (LLR_CLAMP, ChannelParams,
-                             channel_llr_distribution, observation_to_llr)
+                             channel_llr_distribution, transmit)
 from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, sc_decode,
                            sc_decode_nested)
 from rcpolar.construct import construct_rcp
@@ -35,9 +35,8 @@ def _corpus(n0, rows, seed):
     rep = rng.choice(base.spec.info_set, size=n - m, replace=True)
     code = RcpCode(spec=base.spec, rep_vector=rep)
     bits = rng.integers(0, 2, size=(rows, k), dtype=np.int8)
-    y = 1.0 - 2.0 * rcp_encode(bits, code)
-    llr = observation_to_llr(y + params.sigma * rng.standard_normal(y.shape),
-                             params)
+    tx = rcp_encode(bits, code)
+    llr = transmit(tx, rng.standard_normal(tx.shape), params)
     special = rng.random(llr.shape)
     llr[special < 0.01] = 0.0
     llr[(special >= 0.01) & (special < 0.02)] = LLR_CLAMP

@@ -11,8 +11,7 @@ from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.design import (BLER_FLOOR, HarqScheme, _best_scheme,
                             _greedy_rounds, _scan_rows, build_bler_curve,
-                            design_scheme, scheme_cost_profile,
-                            throughput_estimate)
+                            design_scheme, throughput_estimate)
 
 from oracles import scan_reference, throughput_reference
 
@@ -266,28 +265,6 @@ def test_scheme_vector_layout():
         HarqScheme(k=4, m=6, lengths=(8, 8), eta_estimate=0.3)
     with pytest.raises(ValueError):
         HarqScheme(k=8, m=6, lengths=(8,), eta_estimate=0.3)
-
-
-def test_cost_profile_matches_closed_form():
-    # One polarization pass per m plus one repetition update per extra
-    # length: sum over m of (m~ log2 m~ + q - m), m~ the next power of two.
-    for k, q in ((8, 16), (8, 64), (16, 48)):
-        counts = scheme_cost_profile(k, q)
-        expect = 0
-        for m in range(k, q + 1):
-            m_bar = 1 << int(np.ceil(np.log2(m)))
-            expect += m_bar * int(np.log2(m_bar)) + (q - m)
-        assert counts["total"] == expect
-
-
-def test_cost_profile_scaling_budget():
-    k = 8
-    qs = [64, 128, 256]
-    totals = [scheme_cost_profile(k, q)["total"] for q in qs]
-    for q, bigger, smaller in zip(qs[1:], totals[1:], totals[:-1]):
-        ratio = bigger / smaller
-        bound = 4.0 * (np.log2(q) / np.log2(q // 2)) * 1.3
-        assert ratio <= bound
 
 
 def test_design_check_updates_per_tree_node(monkeypatch):

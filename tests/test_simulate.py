@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP,
-                             channel_llr_distribution, noise_stream,
-                             observation_to_llr)
+                             channel_llr_distribution, noise_stream, transmit)
 from rcpolar.codec import rcp_encode
 from rcpolar.construct import construct_rcp
 from rcpolar.design import HarqScheme, build_bler_curve, design_scheme
@@ -45,8 +44,7 @@ def _trial_keyed_channel(words, params, trials):
     # campaign's: a chunk handed the wrong indices gets other LLRs.
     noise = np.stack([noise_stream((99, int(i))).standard_normal(words.shape[1])
                       for i in trials])
-    return observation_to_llr((1.0 - 2.0 * words) + params.sigma * noise,
-                              params)
+    return transmit(words, noise, params)
 
 
 def test_trial_succeeds_first_round_noiseless():
@@ -54,7 +52,7 @@ def test_trial_succeeds_first_round_noiseless():
     code, _ = _family(scheme)
     params = ChannelParams(snr_db=200.0)
     info = np.ones(scheme.k, dtype=np.int8)
-    out = run_trial(code, scheme.lengths, info, params, rng=1)
+    out = run_trial(code, scheme.lengths, info, params, rng=(1, 0))
     assert out.success_round == 1
     assert out.bits_sent == scheme.lengths[0]
 
@@ -64,7 +62,7 @@ def test_trial_fails_on_total_erasure():
     code, params = _family(scheme)
     info = np.zeros(scheme.k, dtype=np.int8)
     info[0] = 1  # an erased channel decodes to all-zero, so this must fail
-    out = run_trial(code, scheme.lengths, info, params, rng=2,
+    out = run_trial(code, scheme.lengths, info, params, rng=(2, 0),
                     channel_fn=_erasure_channel)
     assert out.success_round is None
     assert out.bits_sent == scheme.lengths[-1]
@@ -90,7 +88,7 @@ def test_trial_rejects_bad_family():
     for lengths in ((), tuple(reversed(scheme.lengths)), (14, 14, 24),
                     (10, 18), (14, 18, 25)):
         with pytest.raises(ValueError):
-            run_trial(code, lengths, info, params, rng=0)
+            run_trial(code, lengths, info, params, rng=(0, 0))
 
 
 def test_campaign_all_success_round_one():
@@ -245,10 +243,18 @@ class _RecordingPool(ProcessPoolExecutor):
         super().__init__(max_workers=max_workers)
 
 
+def _usable_cores(monkeypatch, cores):
+    """Make ``os.sched_getaffinity`` report ``cores`` usable cores."""
+    monkeypatch.setattr(simulate.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)))
+
+
 def test_campaign_worker_count_invariance(monkeypatch):
     # 9000 trials of an n0 = 16 code are two chunks (8192 + 808), so two
-    # worker processes each get one; the trial-keyed hook checks that the
-    # workers see the same trial indices as the in-process loop.
+    # worker processes each get one, on any machine; the trial-keyed hook
+    # checks that the workers see the same trial indices as the in-process
+    # loop.
+    _usable_cores(monkeypatch, 2)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
     scheme = _small_scheme()
@@ -284,12 +290,15 @@ class _InlinePool:
 
 
 def test_run_chunks_starts_no_more_workers_than_chunks(monkeypatch):
+    # Nor more than the usable cores.
     monkeypatch.setattr(_InlinePool, "workers", [])
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlinePool)
     scheme = _small_scheme()
     code, params = _family(scheme, snr_db=-1.0)
     # n0 = 16 gives chunks of 8192 trials: 3 chunks, then 1.
-    for trials, workers in ((2 * 8192 + 1, [3]), (100, [])):
+    for cores, trials, workers in ((64, 2 * 8192 + 1, [3]),
+                                   (2, 2 * 8192 + 1, [2]), (64, 100, [])):
+        _usable_cores(monkeypatch, cores)
         _InlinePool.workers.clear()
         many = _run_chunks(code, scheme.lengths, params, trials, 8, threads=64)
         assert _InlinePool.workers == workers
