@@ -7,10 +7,8 @@ __version__ = "0.1.0"
 from .channel import (ChannelParams, LlrDistribution, LLR_CLAMP,
                       bawgn_capacity, channel_llr_distribution, noise_stream,
                       transmit)
-from .codec import (PolarCodeSpec, RcpCode, polar_encode, rcp_encode,
-                    sc_decode)
-from .construct import (RepetitionPlan, build_repetition_plan, construct_rcp,
-                        evaluate_bler)
+from .codec import PolarCodeSpec, RcpCode, rcp_encode, sc_decode
+from .construct import RepetitionPlan, build_repetition_plan, construct_rcp
 from .design import (BlerCurve, HarqScheme, build_bler_curve, design_scheme,
                      throughput_estimate)
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
@@ -21,9 +19,8 @@ __all__ = [
     "__version__",
     "ChannelParams", "LlrDistribution", "LLR_CLAMP", "bawgn_capacity",
     "channel_llr_distribution", "noise_stream", "transmit",
-    "PolarCodeSpec", "RcpCode", "polar_encode", "rcp_encode", "sc_decode",
+    "PolarCodeSpec", "RcpCode", "rcp_encode", "sc_decode",
     "RepetitionPlan", "build_repetition_plan", "construct_rcp",
-    "evaluate_bler",
     "BlerCurve", "HarqScheme", "build_bler_curve", "design_scheme",
     "throughput_estimate",
     "ReliabilityTable", "ga_evolve", "pe_from_mean", "puncture_pattern",

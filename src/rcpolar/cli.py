@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import __version__
 from .channel import ChannelParams, channel_llr_distribution
-from .codec import RcpCode, code_to_dict
-from .construct import evaluate_bler, mother_code
+from .codec import code_to_dict
+from .construct import construct_rcp
 from .design import HarqScheme, design_scheme
 from .simulate import bler_monte_carlo, bound_check, run_campaign
 
@@ -23,7 +23,8 @@ SCHEMA_VERSION = 1
 # Scheme SNRs are matched to the requested ones to within this many dB.
 SNR_MATCH_DB = 1e-9
 # Config keys that must hold integers, with the least value each may take.
-# A seed is also below 2^64: it keys 64-bit Philox streams, and a larger one
+# Each is below 2^63, since lengths and counts are held in numpy int64; a
+# seed is below 2^64 instead: it keys 64-bit Philox streams, and a larger one
 # would alias a smaller one.
 _INT_KEYS = {"n": 1, "k": 1, "m": 1, "q": 1, "t_max": 1, "trials": 1,
              "threads": 1, "seed": 0}
@@ -59,13 +60,14 @@ def _load_config(args) -> dict:
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
     for key, least in _INT_KEYS.items():
-        if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
-            raise ConfigError(f"{key} must be an integer >= {least}, "
-                              f"got {cfg[key]!r}")
-    if cfg["seed"] >= 2 ** 64:
-        raise ConfigError(f"seed must be below 2^64, got {cfg['seed']}")
-    if "out" in cfg and type(cfg["out"]) is not str:
-        raise ConfigError(f"out must be a string, got {cfg['out']!r}")
+        bits = 64 if key == "seed" else 63
+        if key in cfg and (type(cfg[key]) is not int
+                           or not least <= cfg[key] < 2 ** bits):
+            raise ConfigError(f"{key} must be an integer in [{least}, "
+                              f"2^{bits}), got {cfg[key]!r}")
+    if "out" in cfg and (type(cfg["out"]) is not str or "\0" in cfg["out"]):
+        raise ConfigError(f"out must be a string without NUL, got "
+                          f"{cfg['out']!r}")
     return cfg
 
 
@@ -88,13 +90,14 @@ def _snr_list(value):
     """The SNRs of a number or a list of numbers, each one that
     :class:`ChannelParams` takes."""
     values = value if isinstance(value, list) else [value]
-    if all(_finite(v) for v in values):
+    if values and all(_finite(v) for v in values):
         try:
             return [ChannelParams(snr_db=float(v)).snr_db for v in values]
         except ValueError:
             pass
     raise ConfigError("snr_db must be a finite number with a finite, positive "
-                      f"noise variance, or a list of them, got {value!r}")
+                      "noise variance, or a nonempty list of them, got "
+                      f"{value!r}")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -117,11 +120,17 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_header(fp, command: str, cfg: dict) -> None:
-    fp.write(f"# schema_version={SCHEMA_VERSION}\n")
-    fp.write(f"# tool=rcpolar {__version__}\n")
-    fp.write(f"# command={command}\n")
-    fp.write(f"# config={json.dumps(cfg, sort_keys=True)}\n")
+def _write_csv(path: Path, command: str, cfg: dict, columns, rows) -> None:
+    """The envelope as "#" lines, the column line, then one line per row of
+    Python ints and floats, each written as its repr."""
+    with open(path, "w") as fp:
+        fp.write(f"# schema_version={SCHEMA_VERSION}\n"
+                 f"# tool=rcpolar {__version__}\n"
+                 f"# command={command}\n"
+                 f"# config={json.dumps(cfg, sort_keys=True)}\n")
+        fp.write(",".join(columns) + "\n")
+        for row in rows:
+            fp.write(",".join(map(repr, row)) + "\n")
 
 
 def cmd_construct(cfg: dict) -> int:
@@ -133,17 +142,15 @@ def cmd_construct(cfg: dict) -> int:
     params = ChannelParams(snr_db=_snr_list(snr_db)[0])
     out = _out_dir(cfg)
     channel = channel_llr_distribution(params)
-    spec, table, plan = mother_code(k, m, n, channel)
-    code = RcpCode(spec=spec, rep_vector=plan.r)
+    code, plan, table = construct_rcp(n, k, m, channel)
 
     doc = _envelope("construct", cfg)
     doc["code"] = code_to_dict(code)
-    doc["bler_estimate"] = evaluate_bler(code, plan)
+    doc["bler_estimate"] = plan.union_bound
     _write_json(out / "code.json", doc)
-
-    with open(out / "reliability.csv", "w") as fp:
-        _csv_header(fp, "construct", cfg)
-        table.to_csv(fp)
+    _write_csv(out / "reliability.csv", "construct", cfg,
+               ("index", "mean", "pe"),
+               zip(range(table.size), table.means.tolist(), table.pe.tolist()))
     print(f"wrote {out / 'code.json'} and {out / 'reliability.csv'}",
           file=sys.stderr)
     return 0
@@ -168,11 +175,8 @@ def cmd_design(cfg: dict) -> int:
         scheme, curve = design_scheme(k, t_max, q, channel,
                                       force_first_length_equals_m=force)
         curve_path = out / name
-        with open(curve_path, "w") as fp:
-            _csv_header(fp, "design", cfg)
-            fp.write("n,bler\n")
-            for i, e in enumerate(curve.e):
-                fp.write(f"{curve.m + i},{float(e)!r}\n")
+        _write_csv(curve_path, "design", cfg, ("n", "bler"),
+                   enumerate(curve.e.tolist(), curve.m))
         schemes.append({
             "snr_db": snr,
             "k": scheme.k,
@@ -194,7 +198,8 @@ def _load_schemes(path: str):
     try:
         doc = json.loads(Path(path).read_text())
         entries = doc["schemes"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    # ValueError covers a JSON syntax error and a path with a NUL byte.
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read schemes from {path}: {exc}")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"{path} has schema_version "
@@ -245,28 +250,27 @@ def cmd_simulate(cfg: dict) -> int:
         doc["reports"].append(entry)
     _write_json(out / "report.json", doc)
 
-    with open(out / "report.csv", "w") as fp:
-        _csv_header(fp, "simulate", cfg)
-        fp.write("snr_db,t,pr_e,pr_first_success,eta,ci_pr_e,"
-                 "ci_pr_first_success,ci_eta\n")
-        for rep in doc["reports"]:
-            ci = rep["ci95"]
-            for t in range(1, len(rep["pr_e"]) + 1):
-                fp.write(f"{rep['snr_db']},{t},{rep['pr_e'][t-1]!r},"
-                         f"{rep['pr_first_success'][t-1]!r},{rep['eta']!r},"
-                         f"{ci['pr_e'][t-1]!r},{ci['pr_first_success'][t-1]!r},"
-                         f"{ci['eta']!r}\n")
+    _write_csv(out / "report.csv", "simulate", cfg,
+               ("snr_db", "t", "pr_e", "pr_first_success", "eta", "ci_pr_e",
+                "ci_pr_first_success", "ci_eta"),
+               ((rep["snr_db"], t, pr_e, first, rep["eta"], ci_pr_e, ci_first,
+                 rep["ci95"]["eta"])
+                for rep in doc["reports"]
+                for t, (pr_e, first, ci_pr_e, ci_first) in enumerate(zip(
+                    rep["pr_e"], rep["pr_first_success"],
+                    rep["ci95"]["pr_e"], rep["ci95"]["pr_first_success"]), 1)))
     return 0
 
 
 def cmd_bler(cfg: dict) -> int:
     codes, snr_db, trials = _require(cfg, "codes", "snr_db", "trials")
-    if not isinstance(codes, list) or not all(
+    if not isinstance(codes, list) or not codes or not all(
             isinstance(c, list) and len(c) == 3
             and all(type(v) is int for v in c) and 1 <= c[1] <= c[2] <= c[0]
             for c in codes):
-        raise ConfigError("codes must be [n, k, m] integer triples with "
-                          f"1 <= k <= m <= n, got {codes!r}")
+        raise ConfigError("codes must be a nonempty list of [n, k, m] "
+                          f"integer triples with 1 <= k <= m <= n, got "
+                          f"{codes!r}")
     snrs = _snr_list(snr_db)
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]
@@ -277,13 +281,10 @@ def cmd_bler(cfg: dict) -> int:
             print(f"bler ({n},{k},{m}) at {snr:+.2f} dB", file=sys.stderr)
             rows.append(bler_monte_carlo(n, k, m, params, trials, seed,
                                          threads=threads))
-    with open(out / "bler.csv", "w") as fp:
-        _csv_header(fp, "bler", cfg)
-        fp.write("snr_db,n,k,m,trials,errors,bler,ci95,bler_analytic\n")
-        for row in rows:
-            fp.write(f"{row['snr_db']},{row['n']},{row['k']},{row['m']},"
-                     f"{row['trials']},{row['errors']},{row['bler']!r},"
-                     f"{row['ci95']!r},{row['bler_analytic']!r}\n")
+    columns = ("snr_db", "n", "k", "m", "trials", "errors", "bler", "ci95",
+               "bler_analytic")
+    _write_csv(out / "bler.csv", "bler", cfg, columns,
+               ([row[c] for c in columns] for row in rows))
     return 0
 
 

@@ -120,43 +120,26 @@ class RcpCode:
         return RcpCode(spec=self.spec, rep_vector=self.rep_vector[: n - self.m])
 
 
-def _expand_u(info_bits, spec: PolarCodeSpec):
-    """(n0, B) input words, one per column, and whether the input is a batch."""
+def rcp_encode(info_bits, code: RcpCode):
+    """Encode shape (k,) or a batch (B, k) into the transmitted word:
+    surviving polar bits, then repetitions.
+
+    The polar word is x = u F^(kron n) over GF(2) in natural order, built on
+    (n0, B) input words, one per column, by one XOR of each block's halves
+    per stage.
+    """
+    spec = code.spec
     info_bits = np.asarray(info_bits, dtype=np.int8)
     batched = info_bits.ndim == 2
     if info_bits.shape[-1] != spec.k:
         raise ValueError(f"expected {spec.k} information bits, got {info_bits.shape[-1]}")
     u = np.zeros((spec.n0, info_bits.shape[0] if batched else 1), dtype=np.int8)
     u[spec.info_set] = info_bits.T if batched else info_bits[:, None]
-    return u, batched
-
-
-def _butterfly(u):
-    """x = u F^(kron n) over GF(2), natural order, for the columns of the
-    (n0, B) array ``u``: one XOR of each block's halves per stage."""
     x = u.copy()
-    n0 = x.shape[0]
-    for s in range(n0.bit_length() - 1):
-        pairs = x.reshape(n0 >> (s + 1), 2, -1)
+    for s in range(spec.n0.bit_length() - 1):
+        pairs = x.reshape(spec.n0 >> (s + 1), 2, -1)
         pairs[:, 0] ^= pairs[:, 1]
-    return x
-
-
-def polar_encode(info_bits, spec: PolarCodeSpec):
-    """Encode information bits into the full n0-length mother codeword.
-
-    Accepts shape (k,) or a batch (B, k); the output has matching leading shape.
-    """
-    u, batched = _expand_u(info_bits, spec)
-    x = _butterfly(u)
-    return x.T if batched else x[:, 0]
-
-
-def rcp_encode(info_bits, code: RcpCode):
-    """Encode into the transmitted word: surviving polar bits, then repetitions."""
-    u, batched = _expand_u(info_bits, code.spec)
-    x = _butterfly(u)
-    tx = np.concatenate([x[code.spec.transmitted_positions], u[code.rep_vector]])
+    tx = np.concatenate([x[spec.transmitted_positions], u[code.rep_vector]])
     return tx.T if batched else tx[:, 0]
 
 

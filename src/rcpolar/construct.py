@@ -38,6 +38,14 @@ class RepetitionPlan:
     updated_pe: np.ndarray
     bler_trace: np.ndarray
 
+    @property
+    def union_bound(self) -> float:
+        """Union-bound block error estimate: the final per-channel pe summed
+        and clipped to 1.  It can differ from ``bler_trace[-1]`` in the last
+        ulps: the two sum in different orders, and the BLER curve also floors
+        the trace at 1e-15."""
+        return float(min(1.0, self.updated_pe.sum()))
+
 
 def build_repetition_plan(info_set, base_means, n_minus_m,
                           channel: LlrDistribution):
@@ -250,13 +258,6 @@ def _channel_steps(base: np.ndarray, c: float, depth: np.ndarray):
         key[rise + 1] = key[rise]
 
 
-def evaluate_bler(code: RcpCode, plan: RepetitionPlan) -> float:
-    """Union-bound block error estimate: sum of final per-channel pe, clipped to 1."""
-    if plan.r.size != code.rep_vector.size or not np.array_equal(plan.r, code.rep_vector):
-        raise ValueError("plan does not match the code's repetition vector")
-    return float(min(1.0, plan.updated_pe.sum()))
-
-
 def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     """The punctured mother codes behind every (n', k, m) code with n' <= n,
     for each m in ``ms``, yielded in order as ``(table, plan)``.
@@ -270,7 +271,8 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     mother length share one block of at most ``_GA_BLOCK_ELEMENTS`` channel
     means: one batched GA pass, one row-wise stable argsort for the
     information sets and one :func:`build_repetition_plan` call over the
-    block's stacked rows.  :func:`mother_code` turns one of them into a code.
+    block's stacked rows.  :func:`construct_rcp` turns one of them into a
+    code.
     """
     ms = [int(m) for m in ms]
     for m in ms:
@@ -299,22 +301,16 @@ def _mother_length(m: int) -> int:
     return 1 << max(0, int(np.ceil(np.log2(m))))
 
 
-def mother_code(k: int, m: int, n: int, channel: LlrDistribution):
-    """:func:`mother_codes` for one m, with its mother-code spec:
-    ``(spec, table, plan)``."""
+def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):
+    """Construct an (n, k, m) code over the given channel model:
+    ``(code, plan, table)``.
+
+    The one place a :func:`mother_codes` pass becomes a code: ``table`` is
+    the GA table of the punctured mother code and ``plan`` its greedy
+    repetition plan, whose ``r`` is the code's repetition vector.
+    """
     table, plan = next(mother_codes(k, [m], n, channel))
     n0 = _mother_length(m)
     spec = PolarCodeSpec(n0=n0, info_set=plan.info_set,
                          puncture_set=puncture_pattern(n0, m))
-    return spec, table, plan
-
-
-def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):
-    """Construct an (n, k, m) code over the given channel model.
-
-    Returns ``(code, plan, bler_estimate)`` for the code built on
-    :func:`mother_code`, with repetitions from its greedy plan.
-    """
-    spec, _, plan = mother_code(k, m, n, channel)
-    code = RcpCode(spec=spec, rep_vector=plan.r)
-    return code, plan, evaluate_bler(code, plan)
+    return RcpCode(spec=spec, rep_vector=plan.r), plan, table

@@ -48,10 +48,6 @@ class HarqScheme:
         """The scheme vector (m, N_1, ..., N_T)."""
         return (self.m, *self.lengths)
 
-    @property
-    def t(self) -> int:
-        return len(self.lengths)
-
 
 @dataclass(frozen=True, eq=False)
 class BlerCurve:
@@ -61,7 +57,6 @@ class BlerCurve:
     wherever a preceding length is missing.
     """
 
-    k: int
     m: int
     e: np.ndarray
 
@@ -80,12 +75,12 @@ def build_bler_curve(k: int, m: int, q: int,
     same as the longest code.
     """
     _, plan = next(mother_codes(k, [m], q, channel))
-    return bler_curve_from_plan(k, m, plan)
+    return bler_curve_from_plan(m, plan)
 
 
-def bler_curve_from_plan(k: int, m: int, plan) -> BlerCurve:
+def bler_curve_from_plan(m: int, plan) -> BlerCurve:
     """The curve of an m-polar-bit mother code, read off its repetition plan."""
-    return BlerCurve(k=k, m=m, e=np.clip(plan.bler_trace, BLER_FLOOR, 1.0))
+    return BlerCurve(m=m, e=np.clip(plan.bler_trace, BLER_FLOOR, 1.0))
 
 
 def throughput_estimate(k: int, lengths, blers) -> float:
@@ -110,9 +105,11 @@ def throughput_estimate(k: int, lengths, blers) -> float:
     blers = np.asarray(blers, dtype=float)
     if lengths.size == 0 or lengths.size != blers.size:
         raise ValueError("lengths and blers must be nonempty and aligned")
+    if not np.all((0 < lengths) & (lengths < np.inf)):
+        raise ValueError("lengths must be finite and positive")
     if np.any(np.diff(lengths) <= 0):
         raise ValueError("lengths must be strictly increasing")
-    if np.any(blers < 0) or np.any(blers > 1):
+    if not np.all((0 <= blers) & (blers <= 1)):
         raise ValueError("block error rates must lie in [0, 1]")
     if np.any(np.diff(blers) > 0):
         raise ValueError("block error rates must be nonincreasing")
@@ -229,12 +226,12 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
 
-    curves = (bler_curve_from_plan(k, m, plan).e for m, (_, plan)
+    curves = (bler_curve_from_plan(m, plan).e for m, (_, plan)
               in enumerate(mother_codes(k, range(k, q + 1), q, channel), k))
     eta, m, lengths, e = _best_scheme(k, q, t_max, curves,
                                       force_first_length_equals_m)
     return (HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=eta),
-            BlerCurve(k=k, m=m, e=e))
+            BlerCurve(m=m, e=e))
 
 
 def _best_scheme(k: int, q: int, t_max: int, curves,

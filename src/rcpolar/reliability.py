@@ -109,12 +109,6 @@ class ReliabilityTable:
         """Number of synthesized channels (per row of a stacked table)."""
         return self.means.shape[-1]
 
-    def to_csv(self, fp) -> None:
-        """Write an ``index,mean,pe`` header and one row per channel."""
-        fp.write("index,mean,pe\n")
-        for i, (m, p) in enumerate(zip(self.means, self.pe)):
-            fp.write(f"{i},{float(m)!r},{float(p)!r}\n")
-
 
 def ga_evolve(n0: int, ms, mean: float) -> ReliabilityTable:
     """GA tables of the quasi-uniformly punctured mother codes of length n0.

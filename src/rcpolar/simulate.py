@@ -160,7 +160,7 @@ def run_campaign(scheme: HarqScheme, params: ChannelParams, trials: int,
     counts = _run_chunks(code, scheme.lengths, params, trials, base_seed,
                          threads, channel_fn)
     return _report_from_counts(scheme, params, trials, base_seed, counts,
-                               bler_curve_from_plan(scheme.k, scheme.m, plan))
+                               bler_curve_from_plan(scheme.m, plan))
 
 
 def _report_from_counts(scheme, params, trials, base_seed, counts,
@@ -275,7 +275,7 @@ def bler_monte_carlo(n: int, k: int, m: int, params: ChannelParams,
     estimate.
     """
     channel = channel_llr_distribution(params)
-    code, _, analytic = construct_rcp(n, k, m, channel)
+    code, plan, _ = construct_rcp(n, k, m, channel)
     errors = int(_run_chunks(code, (code.n,), params, trials, base_seed,
                              threads)["fails"][0])
     return {
@@ -283,5 +283,5 @@ def bler_monte_carlo(n: int, k: int, m: int, params: ChannelParams,
         "trials": trials, "errors": errors,
         "bler": errors / trials,
         "ci95": wilson_halfwidth(errors, trials),
-        "bler_analytic": analytic,
+        "bler_analytic": plan.union_bound,
     }

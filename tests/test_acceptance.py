@@ -5,6 +5,7 @@ These are the heavy, statistically meaningful runs; the per-module suites
 cover the fast oracle checks.
 """
 
+import os
 import time
 
 import numpy as np
@@ -98,6 +99,11 @@ def test_criterion_3_union_bound(n, k, m, snr_db):
 
 BOUND_SNRS = (-3.0, 0.0, 3.0)
 
+# Worker processes for the heavy Monte Carlo runs (C4, C6, C7).  Trial i is
+# keyed by (base_seed, i) whatever the worker count, so the counts are those
+# of a serial run (test_campaign_worker_count_invariance).
+THREADS = min(2, len(os.sched_getaffinity(0)))
+
 
 @pytest.fixture(scope="module")
 def bound_campaigns():
@@ -105,7 +111,8 @@ def bound_campaigns():
     for snr in BOUND_SNRS:
         params = ChannelParams(snr_db=snr)
         scheme, _ = design_scheme(256, 2, 1024, channel_llr_distribution(params))
-        report = run_campaign(scheme, params, trials=100_000, base_seed=404)
+        report = run_campaign(scheme, params, trials=100_000, base_seed=404,
+                              threads=THREADS)
         out[snr] = bound_check(report)
     return out
 
@@ -148,7 +155,8 @@ def _snr_at_capacity(target: float) -> float:
 def test_criterion_6_capacity_gap(snr_db, q):
     params = ChannelParams(snr_db=snr_db)
     scheme, _ = design_scheme(1024, 4, q, channel_llr_distribution(params))
-    report = run_campaign(scheme, params, trials=10_000, base_seed=606)
+    report = run_campaign(scheme, params, trials=10_000, base_seed=606,
+                          threads=THREADS)
     gap = snr_db - _snr_at_capacity(report.eta)
     ok = gap <= 2.0
     _report(f"C6 capacity gap @{snr_db:+.1f}dB", ok,
@@ -179,7 +187,7 @@ def _required_bit_snr(n: int, k: int, m: int, grid, trials: int,
     mids, los, his = [], [], []
     for snr in grid:
         res = bler_monte_carlo(n, k, m, ChannelParams(snr_db=snr),
-                               trials=trials, base_seed=707)
+                               trials=trials, base_seed=707, threads=THREADS)
         mids.append(res["bler"])
         los.append(max(res["bler"] - res["ci95"], 0.0))
         his.append(res["bler"] + res["ci95"])

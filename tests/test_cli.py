@@ -1,8 +1,16 @@
+import contextlib
+import hashlib
 import io
 import json
+import math
+import resource
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rcpolar.construct
 import rcpolar.simulate
@@ -10,13 +18,19 @@ from rcpolar.channel import ChannelParams, channel_llr_distribution
 from rcpolar.cli import main
 from rcpolar.codec import code_to_dict
 from rcpolar.construct import construct_rcp
-from rcpolar.reliability import ReliabilityTable, ga_evolve, puncture_pattern
+from rcpolar.reliability import ga_evolve, puncture_pattern
 
 
 def _run(tmp_path, command, cfg, extra=()):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     return main([command, "--config", str(cfg_path), *extra])
+
+
+def _data_lines(path):
+    """The lines of an output CSV after its "#" envelope."""
+    return [line for line in path.read_text().splitlines()
+            if not line.startswith("#")]
 
 
 def test_usage_error_exits_2(capsys):
@@ -90,6 +104,13 @@ def _scheme_entry(**edit):
               "seed": -1}),
     ("bler", {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
               "seed": 2 ** 64}),
+    # An empty list of SNRs or codes asks for no run at all.
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": []}),
+    ("bler", {"codes": [], "snr_db": 0.0, "trials": 20}),
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": [], "trials": 20}),
+    # Lengths and counts are numpy int64s.
+    ("construct", {"n": 2 ** 63, "k": 4, "m": 8, "snr_db": 0.0}),
+    ("design", {"k": 4, "t_max": 2 ** 63, "q": 12, "snr_db": 0.0}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     if command == "simulate":
@@ -103,7 +124,7 @@ def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("out", ["5", "true", '["x"]'])
+@pytest.mark.parametrize("out", ["5", "true", '["x"]', '"a\\u0000b"'])
 def test_non_string_out_exits_2(tmp_path, monkeypatch, capsys, out):
     monkeypatch.chdir(tmp_path)
     rc = main(["design", "--set", "k=8", "--set", "t_max=1", "--set", "q=12",
@@ -196,20 +217,19 @@ def test_construct_files_match_library(tmp_path):
     cfg = {"n": 72, "k": 32, "m": 56, "snr_db": 0.0, "out": str(out)}
     assert _run(tmp_path, "construct", cfg) == 0
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
-    code, _, bler = construct_rcp(72, 32, 56, channel)
+    code, plan, _ = construct_rcp(72, 32, 56, channel)
     doc = json.loads((out / "code.json").read_text())
     assert doc["code"] == code_to_dict(code)
-    assert doc["bler_estimate"] == bler
+    assert doc["bler_estimate"] == plan.union_bound
 
     punct = puncture_pattern(64, 56)
     assert punct.size == 8
     assert doc["code"]["puncture_set"] == punct.tolist()
     table = ga_evolve(64, [56], channel.mean)
-    expect = io.StringIO()
-    ReliabilityTable(means=table.means[0], pe=table.pe[0]).to_csv(expect)
-    rows = [line for line in (out / "reliability.csv").read_text().splitlines()
-            if not line.startswith("#")]
-    assert rows == expect.getvalue().splitlines()
+    expect = ["index,mean,pe"] + [
+        f"{i},{float(m)!r},{float(p)!r}"
+        for i, (m, p) in enumerate(zip(table.means[0], table.pe[0]))]
+    assert _data_lines(out / "reliability.csv") == expect
 
 
 def test_flag_overrides_config(tmp_path):
@@ -329,6 +349,26 @@ PINNED_PIPELINE = {
         0.004011446156744496, 0.003314398157109486, 0.002804248647137274,
         0.002315587326025732, 0.0018399501209572034, 0.001555866060325184,
         0.0012718301180765488],
+    # The data lines (all but the "#" envelope) of reliability.csv,
+    # report.csv and bler.csv, recorded at 58ec728: every byte a float's
+    # repr and an int's str give.  reliability.csv is pinned by the sha256
+    # of its 33 lines, each ending in a newline.
+    "reliability_csv_sha256":
+        "d3e4f7abacd522b3b7ab76c9ed7581c29984d4e395080e7b0fb841f0525a2258",
+    "report_csv": [
+        "snr_db,t,pr_e,pr_first_success,eta,ci_pr_e,ci_pr_first_success,"
+        "ci_eta",
+        "1.0,1,0.3275,0.6725,0.8432671081677703,0.04580082785476488,"
+        "0.04580082785476488,0.029206956455237375",
+        "1.0,2,0.16,0.1925,0.8432671081677703,0.03590142447422268,"
+        "0.038564005314520186,0.029206956455237375",
+        "1.0,3,0.055,0.09,0.8432671081677703,0.02263447682921127,"
+        "0.02818274690766709,0.029206956455237375"],
+    "bler_csv": [
+        "snr_db,n,k,m,trials,errors,bler,ci95,bler_analytic",
+        "0.0,24,8,20,2000,21,0.0105,0.004560507263299866,0.005698076730842801",
+        "0.0,40,16,32,2000,14,0.007,0.0037707582537366002,"
+        "0.007761292941557695"],
 }
 
 
@@ -341,6 +381,11 @@ def test_pinned_pipeline_outputs(tmp_path):
     for key in ("info_set", "puncture_set", "rep_vector"):
         assert code["code"][key] == ref[key]
     assert code["bler_estimate"] == rel(ref["bler_estimate"], rel=1e-9)
+    reliability = _data_lines(tmp_path / "c" / "reliability.csv")
+    assert len(reliability) == 33
+    assert hashlib.sha256("".join(line + "\n" for line in reliability)
+                          .encode()).hexdigest() \
+        == ref["reliability_csv_sha256"]
 
     assert _run(tmp_path, "design", {"k": 8, "t_max": 3, "q": 32,
                                      "snr_db": 1.0,
@@ -350,8 +395,7 @@ def test_pinned_pipeline_outputs(tmp_path):
     assert scheme["s"] == ref["s"]
     assert scheme["eta_estimate"] == rel(ref["eta_estimate"], rel=1e-9)
     assert scheme["bler_curve_path"] == "bler_curve_snr1.csv"
-    curve = [line for line in (tmp_path / "d" / "bler_curve_snr1.csv")
-             .read_text().splitlines() if not line.startswith("#")]
+    curve = _data_lines(tmp_path / "d" / "bler_curve_snr1.csv")
     assert curve == ["n,bler"] + [f"{n},{e!r}" for n, e in
                                   enumerate(ref["bler_curve"], 8)]
 
@@ -375,15 +419,16 @@ def test_pinned_pipeline_outputs(tmp_path):
     assert rep["eta_analytic"] == rel(ref["eta_analytic"], rel=1e-9)
     for key in ("e_k", "e_n", "eta", "ci95"):
         assert rep[key] == ref[key], key
+    assert _data_lines(tmp_path / "s" / "report.csv") == ref["report_csv"]
 
     assert _run(tmp_path, "bler", {
         "codes": [[24, 8, 20], [40, 16, 32]], "snr_db": 0.0, "trials": 2000,
         "seed": 13, "out": str(tmp_path / "b")}) == 0
-    rows = [line.split(",") for line in
-            (tmp_path / "b" / "bler.csv").read_text().splitlines()
-            if not line.startswith(("#", "snr_db"))]
+    lines = _data_lines(tmp_path / "b" / "bler.csv")
+    rows = [line.split(",") for line in lines[1:]]
     assert [int(r[5]) for r in rows] == ref["errors"]
     assert [float(r[8]) for r in rows] == rel(ref["bler_analytic"], rel=1e-9)
+    assert lines == ref["bler_csv"]
 
 
 def test_version_flag(capsys):
@@ -447,3 +492,73 @@ def test_simulate_rejects_bad_scheme_exit_2(tmp_path, capsys, edit):
     assert _run(tmp_path, "simulate", sim_cfg) == 2
     assert "bad scheme" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
+
+
+# A config fuzzer: each command starts from a tiny valid config (one chunk
+# of trials, so no threads value starts a pool) and one key, picked by index,
+# is replaced by a JSON value given through --set.  The command must exit 0,
+# or exit 2 and write nothing.  Every listed edge value is tried at every
+# key; hypothesis draws further values.  "out" is not drawn: the run must
+# own its output path, and test_non_string_out_exits_2 covers that key.
+_EDGE_VALUES = [True, False, None, 0, -1, 2 ** 64, 10 ** 400, 1e308, -1e308,
+                math.nan, math.inf, -math.inf, "", "\0", [], [[]]]
+_LEAVES = st.sampled_from(_EDGE_VALUES) | st.floats() | st.text(max_size=8)
+_JSON_VALUES = _LEAVES | st.lists(_LEAVES | st.lists(_LEAVES, max_size=2),
+                                  max_size=3)
+
+_TINY_CONFIGS = {
+    "construct": {"n": 12, "k": 4, "m": 8, "snr_db": 0.0},
+    "design": {"k": 4, "t_max": 2, "q": 12, "snr_db": 0.0,
+               "force_n1_equals_m": False},
+    "simulate": {"schemes": "schemes.json", "trials": 16, "snr_db": 0.0},
+    "bler": {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 16},
+}
+_MOST_KEYS = max(len(cfg) for cfg in _TINY_CONFIGS.values()) + 2
+
+
+@contextlib.contextmanager
+def _memory_headroom(extra=1 << 30):
+    """Cap this process's address space at its current size plus ``extra``
+    bytes, so that a size slipping past the config checks fails with
+    MemoryError (exit 3) instead of taking the machine's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    pages = int(Path("/proc/self/statm").read_text().split()[0])
+    cap = pages * resource.getpagesize() + extra
+    resource.setrlimit(resource.RLIMIT_AS, (
+        cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+def _every_edge_value_at_every_key(test):
+    for key in range(_MOST_KEYS):
+        for value in _EDGE_VALUES:
+            test = example(key=key, value=value)(test)
+    return test
+
+
+@pytest.mark.parametrize("command", sorted(_TINY_CONFIGS))
+@settings(max_examples=40, deadline=None)
+@_every_edge_value_at_every_key
+@given(key=st.integers(0, _MOST_KEYS - 1), value=_JSON_VALUES)
+def test_config_fuzz_exits_0_or_2(command, key, value):
+    cfg = dict(_TINY_CONFIGS[command], seed=0, threads=1)
+    cfg[sorted(cfg)[key % len(cfg)]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "schemes.json").write_text(json.dumps({
+            "schema_version": 1, "schemes": [_scheme_entry(
+                snr_db=0.0, k=4, s=[8, 8, 12])]}))
+        if cfg.get("schemes") == "schemes.json":
+            cfg["schemes"] = str(tmp / "schemes.json")
+        out = tmp / "o"
+        argv = [command, "--out", str(out)]
+        for name, value in cfg.items():
+            argv += ["--set", f"{name}={json.dumps(value)}"]
+        with contextlib.redirect_stderr(io.StringIO()), _memory_headroom():
+            rc = main(argv)
+        assert rc in (0, 2)
+        if rc == 2:
+            assert not out.exists()

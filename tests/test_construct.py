@@ -7,7 +7,7 @@ from scipy.stats import norm
 from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.construct import (build_repetition_plan, construct_rcp,
-                               evaluate_bler, mother_code, mother_codes)
+                               mother_codes)
 from rcpolar.design import HarqScheme, bler_curve_from_plan, build_bler_curve
 from rcpolar.simulate import bler_monte_carlo, wilson_halfwidth
 
@@ -139,7 +139,8 @@ def test_mother_codes_match_single_m(snr_db):
     batched = list(mother_codes(k, ms, n, channel))
     assert len(batched) == len(ms)
     for m, (table, plan) in zip(ms, batched):
-        ref_spec, ref_table, ref_plan = mother_code(k, m, n, channel)
+        ref_code, ref_plan, ref_table = construct_rcp(n, k, m, channel)
+        ref_spec = ref_code.spec
         assert table.size == ref_spec.n0
         assert np.array_equal(plan.info_set, ref_spec.info_set)
         assert table.means.tobytes() == ref_table.means.tobytes()
@@ -185,26 +186,20 @@ def test_plan_monotone_improvement():
 
 
 def test_evaluate_bler_trivial_cases():
-    code, plan, bler = construct_rcp(8, 4, 8, LlrDistribution(200.0))
+    code, plan, _ = construct_rcp(8, 4, 8, LlrDistribution(200.0))
+    bler = plan.union_bound
     assert bler == pytest.approx(plan.updated_pe.sum())
     assert bler < 1e-6
     # identical summands clip at 1
-    code, plan, bler = construct_rcp(4, 4, 4, LlrDistribution(1e-9))
-    assert bler == 1.0
-
-
-def test_evaluate_bler_plan_mismatch():
-    code, plan, _ = construct_rcp(10, 4, 8, LlrDistribution(2.0))
-    other, _, _ = construct_rcp(12, 4, 8, LlrDistribution(2.0))
-    with pytest.raises(ValueError):
-        evaluate_bler(other, plan)
+    code, plan, _ = construct_rcp(4, 4, 4, LlrDistribution(1e-9))
+    assert plan.union_bound == 1.0
 
 
 def test_construct_rate_one_degenerate():
-    code, plan, bler = construct_rcp(4, 4, 4, LlrDistribution(2.0))
+    code, plan, _ = construct_rcp(4, 4, 4, LlrDistribution(2.0))
     assert code.n == 4 and code.m == 4 and code.spec.n0 == 4
     assert code.rep_vector.size == 0
-    assert bler == pytest.approx(min(1.0, plan.updated_pe.sum()))
+    assert plan.union_bound == pytest.approx(min(1.0, plan.updated_pe.sum()))
     assert code.spec.info_set.tolist() == [0, 1, 2, 3]
 
 
@@ -224,7 +219,7 @@ def test_construct_validates_bounds():
 
 def test_bler_estimate_nonincreasing_in_n():
     channel = LlrDistribution(2.0)
-    estimates = [construct_rcp(n, 16, 32, channel)[2]
+    estimates = [construct_rcp(n, 16, 32, channel)[1].union_bound
                  for n in (32, 40, 48, 64, 96)]
     assert all(b <= a + 1e-15 for a, b in zip(estimates, estimates[1:]))
 
@@ -286,6 +281,6 @@ def test_plans_and_code_families_nest_by_prefix(scheme_snr):
         assert np.array_equal(plan.r, longest_plan.r[:reps])
         assert np.array_equal(plan.bler_trace,
                               longest_plan.bler_trace[:reps + 1])
-    curve = bler_curve_from_plan(scheme.k, scheme.m, longest_plan)
+    curve = bler_curve_from_plan(scheme.m, longest_plan)
     assert np.array_equal(curve.e, build_bler_curve(
         scheme.k, scheme.m, scheme.lengths[-1], channel).e)

@@ -51,6 +51,13 @@ def test_throughput_validates_monotonicity():
         throughput_estimate(8, [10, 20], [0.1, 0.5])
     with pytest.raises(ValueError):
         throughput_estimate(8, [10, 20], [0.5, 1.5])
+    # So do lengths that are not finite and positive and NaN rates, which
+    # gave nan, 0.0 or a division by zero.
+    for lengths, blers in (([10], [np.nan]), ([np.nan], [0.1]),
+                           ([10, np.inf], [0.5, 0.1]), ([-10], [0.1]),
+                           ([0], [0.1])):
+        with pytest.raises(ValueError):
+            throughput_estimate(8, lengths, blers)
 
 
 def test_curve_floor_and_monotonicity():
@@ -205,7 +212,7 @@ def test_design_returns_the_chosen_curve(k, t_max, q, snr_db, force):
     channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
     scheme, curve = design_scheme(k, t_max, q, channel,
                                   force_first_length_equals_m=force)
-    assert (curve.k, curve.m) == (k, scheme.m)
+    assert curve.m == scheme.m
     assert curve.e.tobytes() == build_bler_curve(k, scheme.m, q,
                                                  channel).e.tobytes()
 
@@ -260,7 +267,7 @@ def test_design_validates_bounds():
 def test_scheme_vector_layout():
     scheme = HarqScheme(k=4, m=6, lengths=(8, 12), eta_estimate=0.3)
     assert scheme.s == (6, 8, 12)
-    assert scheme.t == 2
+    assert len(scheme.lengths) == 2
     with pytest.raises(ValueError):
         HarqScheme(k=4, m=6, lengths=(8, 8), eta_estimate=0.3)
     with pytest.raises(ValueError):

@@ -284,16 +284,3 @@ def test_select_info_set_matches_sampled_ranking():
         ours = set(select_info_set(table, k).tolist())
         ref = set(np.argsort(mc, kind="stable")[:k].tolist())
         assert ours == ref
-
-
-def test_reliability_csv_round_trip(tmp_path):
-    table = _unpunctured(8, 2.0)
-    path = tmp_path / "table.csv"
-    with open(path, "w") as fp:
-        table.to_csv(fp)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,mean,pe"
-    parsed = [line.split(",") for line in lines[1:]]
-    assert [int(row[0]) for row in parsed] == list(range(8))
-    assert np.allclose([float(row[1]) for row in parsed], table.means)
-    assert np.allclose([float(row[2]) for row in parsed], table.pe)

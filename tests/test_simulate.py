@@ -424,7 +424,7 @@ def test_chunk_counts_independent_of_chunk_split():
     scheme = _small_scheme()
     code, params = _family(scheme, snr_db=-2.0)
     whole = _chunk_counts(code, scheme.lengths, params, 17, 0, 100)
-    split = _empty_counts(scheme.t)
+    split = _empty_counts(len(scheme.lengths))
     for lo, hi in ((0, 37), (37, 38), (38, 100)):
         _merge(split, _chunk_counts(code, scheme.lengths, params, 17, lo, hi))
     assert whole["trials"] == 100
