@@ -210,11 +210,12 @@ def _load_schemes(path: str):
         for entry in entries:
             snr, k, s, eta = (entry[key] for key in
                               ("snr_db", "k", "s", "eta_estimate"))
-            if not (_finite(snr) and _finite(eta) and type(k) is int
-                    and type(s) is list and all(type(v) is int for v in s)):
+            if not (_finite(snr) and _finite(eta) and type(s) is list
+                    and all(type(v) is int and 1 <= v < 2 ** 63
+                            for v in [k, *s])):
                 raise ValueError("snr_db and eta_estimate must be finite "
-                                 "numbers, k and s integers, got "
-                                 f"{entry!r}")
+                                 "numbers, k and s integers in [1, 2^63), "
+                                 f"got {entry!r}")
             out.append((ChannelParams(snr_db=float(snr)), HarqScheme(
                 k=k, m=s[0], lengths=tuple(s[1:]), eta_estimate=float(eta))))
     except (KeyError, TypeError, ValueError, IndexError) as exc:

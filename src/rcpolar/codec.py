@@ -13,14 +13,17 @@ Dead blocks: an aligned block of leaves that holds no information bit
 decides nothing, so :func:`sc_decode` computes no LLR inside it (Rate-0
 nodes, Alamdar-Yazdi & Kschischang 2011).  Its partial sums are all zero.
 
-Invariant behind :func:`sc_decode_nested`: repetition LLRs enter only at
+Invariant behind :func:`round_failures`: repetition LLRs enter only at
 decision sites, so the tree LLRs at input bit i depend on the channel LLRs
 and the decisions on bits 0..i-1 alone.  Two decodes of the same polar word
 that make identical decisions therefore follow an identical trajectory,
 whatever repetitions they add: every tree LLR, and every decision LLR at a
-bit whose repetition sum is the same, is bit-for-bit equal.  A repetition
-not yet sent may be given as LLR 0, an erasure like a puncture: it is added
-after the sent ones, and x + 0.0 < 0 exactly when x < 0.
+bit whose repetition sum is the same, is bit-for-bit equal.  Conversely,
+where two decodes first differ they share the tree LLR, so one decode's
+decisions, remade on its own trajectory with the other's repetition sums,
+flip somewhere exactly when the two decodes differ.  A repetition not yet
+sent may be given as LLR 0, an erasure like a puncture: it is added after
+the sent ones, and x + 0.0 < 0 exactly when x < 0.
 """
 
 from dataclasses import dataclass, field
@@ -340,54 +343,50 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     return out, (leaves.T if batched else leaves[:, 0])
 
 
-def sc_decode_nested(llrs, code: RcpCode, lengths) -> list:
-    """Decode every round of a (B, n) LLR batch over a nested family: round
-    t holds the first ``lengths[t]`` bits of ``code``, a strictly
+def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
+    """Which rounds of a nested family decode each row of a (B, n) LLR
+    batch wrongly: the (B, T) bool matrix ``any(sc_decode(llrs[:, :n],
+    code.prefix(n)) != bits, axis=1)`` for n in ``lengths``, a strictly
     increasing list inside ``[code.m, code.n]``.
 
-    Returns ``[sc_decode(llrs[:, :n], code.prefix(n)) for n in lengths]``,
-    with the same decisions, in at most two :func:`sc_decode` calls.  The
-    first round is decoded once and keeps its leaf LLRs.  A later round
-    decides each of its repeated bits on that bit's leaf LLR plus the
-    round's repetition sum, the same two operands :func:`sc_decode` adds,
-    as long as every earlier decision is unchanged.  Rows where none of
-    those decisions differs from the first round's keep its result.  The
-    other rows of all later rounds are decoded again together, over the
+    The last round is decoded once and keeps its leaf LLRs.  On its
+    trajectory an earlier round decides each bit on the leaf LLR plus the
+    round's repetition sum (the leaf alone if it does not repeat the bit),
+    the operands :func:`sc_decode` uses.  By the invariant above, the round
+    decodes as the last one does exactly when none of these decisions
+    flips.  So a row the last round gets right fails round t exactly when
+    one flips, and a row it gets wrong fails round t if none does.  Only
+    wrong rows that flip are decoded again, all rounds in one call over the
     last round's code, with the repetitions a row's round has not sent set
-    to LLR 0: erasures, added after the round's own sum, that change no
-    decision.  A single round is decoded by plain :func:`sc_decode`,
-    without leaf LLRs.
+    to LLR 0.  A single round is one plain :func:`sc_decode` call.
     """
     lengths = [int(n) for n in lengths]
     if not (lengths and code.m <= lengths[0] and lengths[-1] <= code.n
             and all(a < b for a, b in zip(lengths, lengths[1:]))):
         raise ValueError("lengths must be strictly increasing within "
                          f"[{code.m}, {code.n}], got {lengths}")
-    llrs = np.asarray(llrs, dtype=float)
-    first, last = code.prefix(lengths[0]), code.prefix(lengths[-1])
+    llrs = np.asarray(llrs, dtype=float)[:, : lengths[-1]]
+    last = code.prefix(lengths[-1])
     if len(lengths) == 1:
-        return [sc_decode(llrs[:, : first.n], first)]
-    base, leaf = sc_decode(llrs[:, : first.n], first, return_leaf_llrs=True)
-    info_set = code.spec.info_set
-    redo, pieces = [], []
-    for n in lengths[1:]:
+        return (sc_decode(llrs, last) != bits).any(axis=1)[:, None]
+    top, leaf = sc_decode(llrs, last, return_leaf_llrs=True)
+    wrong = (top != bits).any(axis=1)
+    flips = np.empty((len(llrs), len(lengths) - 1), dtype=bool)
+    for t, n in enumerate(lengths[:-1]):
         index, sums = _repetition_sums(llrs, code.prefix(n))
-        cols = np.searchsorted(info_set, index)
-        flips = ((leaf[:, cols] + sums.T) < 0) != base[:, cols]
-        rows = np.flatnonzero(flips.any(axis=1))
-        piece = llrs[rows, : last.n]
-        piece[:, n:] = 0.0
-        redo.append(rows)
-        pieces.append(piece)
-    batch = np.concatenate(pieces)
-    decoded = sc_decode(batch, last) if len(batch) else base[:0]
-    split = np.cumsum([rows.size for rows in redo[:-1]])
-    results = [base]
-    for rows, part in zip(redo, np.split(decoded, split)):
-        result = base.copy()
-        result[rows] = part
-        results.append(result)
-    return results
+        cols = np.searchsorted(code.spec.info_set, index)
+        decisions = leaf < 0
+        decisions[:, cols] = (leaf[:, cols] + sums.T) < 0
+        flips[:, t] = (decisions != top).any(axis=1)
+    # Right rows fail where they flip, wrong rows where they do not; wrong
+    # rows that flip are decoded again, round after round in one call.
+    fails = np.column_stack([flips != wrong[:, None], wrong])
+    rounds, rows = np.nonzero((flips & wrong[:, None]).T)
+    if rows.size:
+        redo = llrs[rows]
+        redo[np.arange(last.n) >= np.take(lengths, rounds)[:, None]] = 0.0
+        fails[rows, rounds] = (sc_decode(redo, last) != bits[rows]).any(axis=1)
+    return fails
 
 
 def code_to_dict(code: RcpCode) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import (ChannelParams, channel_llr_distribution, transmit,
                       trial_draws)
-from .codec import rcp_encode, sc_decode_nested
+from .codec import rcp_encode, round_failures
 from .construct import construct_rcp
 from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
 
@@ -108,21 +108,18 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
             raise ValueError(f"channel_fn gave shape {llr.shape} or a non-"
                              f"finite LLR, expected {tx.shape} finite LLRs")
 
-    fails = np.stack([np.any(decoded != bits, axis=1)
-                      for decoded in sc_decode_nested(llr, code, lengths)],
-                     axis=1)
     counts = _empty_counts(len(lengths))
-    _accumulate(counts, fails)
+    _accumulate(counts, round_failures(llr, code, lengths, bits))
     return counts
 
 
 def _run_chunks(code, lengths, params: ChannelParams, trials: int,
                 base_seed: int, threads: int, channel_fn=None) -> dict:
-    """Counts of trials [0, trials) in chunks, over min(threads, chunks,
-    usable cores) processes."""
+    """Counts of trials [0, trials) in chunks sized by max(n0, n), over
+    min(threads, chunks, usable cores) processes."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    chunk = max(32, min(8192, 1_500_000 // code.spec.n0))
+    chunk = max(32, min(8192, 1_500_000 // max(code.spec.n0, code.n)))
     ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     args = (code, lengths, params, base_seed)
     counts = _empty_counts(len(lengths))

@@ -111,6 +111,7 @@ def _scheme_entry(**edit):
     # Lengths and counts are numpy int64s.
     ("construct", {"n": 2 ** 63, "k": 4, "m": 8, "snr_db": 0.0}),
     ("design", {"k": 4, "t_max": 2 ** 63, "q": 12, "snr_db": 0.0}),
+    ("simulate", {"schemes": [_scheme_entry(s=[8, 8, 2 ** 63])]}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     if command == "simulate":

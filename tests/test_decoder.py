@@ -1,5 +1,5 @@
 """The level-by-level SC decoder against the recursive reference, and the
-nested-round decoding that reuses the first round's decisions."""
+round failures counted from one decode of the last round."""
 
 import gc
 
@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 import rcpolar.codec
 from rcpolar.channel import (LLR_CLAMP, ChannelParams,
                              channel_llr_distribution, transmit)
-from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, sc_decode,
-                           sc_decode_nested)
+from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, round_failures,
+                           sc_decode)
 from rcpolar.construct import construct_rcp
 
 from oracles import sc_decode_reference
@@ -27,7 +27,7 @@ LEAF_RTOL = 1e-12
 def _corpus(n0, rows, seed):
     """A code with punctures and duplicate repetitions, and channel LLRs
     for ``rows`` random blocks where about 1% of the entries each are
-    exactly 0, +LLR_CLAMP and -LLR_CLAMP."""
+    exactly 0, +LLR_CLAMP and -LLR_CLAMP; also the blocks sent."""
     n, k, m, snr_db = CORPUS_CODES[n0]
     params = ChannelParams(snr_db=snr_db)
     base, _, _ = construct_rcp(n, k, m, channel_llr_distribution(params))
@@ -41,12 +41,12 @@ def _corpus(n0, rows, seed):
     llr[special < 0.01] = 0.0
     llr[(special >= 0.01) & (special < 0.02)] = LLR_CLAMP
     llr[(special >= 0.02) & (special < 0.03)] = -LLR_CLAMP
-    return code, llr
+    return code, llr, bits
 
 
 @pytest.mark.parametrize("n0", sorted(CORPUS_CODES))
 def test_corpus_matches_recursive_reference(n0):
-    code, llr = _corpus(n0, max(CORPUS_BATCHES), seed=n0)
+    code, llr, _ = _corpus(n0, max(CORPUS_BATCHES), seed=n0)
     assert code.spec.puncture_set.size > 0
     assert np.unique(code.rep_vector).size < code.rep_vector.size
     for value in (0.0, LLR_CLAMP, -LLR_CLAMP):
@@ -63,7 +63,7 @@ def test_corpus_matches_recursive_reference(n0):
 def test_sc_decode_leaves_no_reference_cycles():
     # Buffers freed by reference counting, not held until the cyclic
     # collector runs.
-    code, llr = _corpus(256, 16, seed=1)
+    code, llr, _ = _corpus(256, 16, seed=1)
     gc.collect()
     sc_decode(llr, code, counter={}, return_leaf_llrs=True)
     assert gc.collect() == 0
@@ -72,7 +72,8 @@ def test_sc_decode_leaves_no_reference_cycles():
 @st.composite
 def _nested_family(draw):
     """A nested family of 1-4 rounds over a random small punctured code,
-    as ``(code, lengths)``, with LLRs for a small batch."""
+    as ``(code, lengths)``, with LLRs for a small batch and each row's
+    source of bits (see :func:`_mixed_bits`)."""
     n0 = 2 ** draw(st.integers(1, 5))
     punct = draw(st.lists(st.integers(0, n0 - 1), unique=True,
                           max_size=n0 // 2 - 1 if n0 > 2 else 0))
@@ -94,7 +95,8 @@ def _nested_family(draw):
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rows = draw(st.integers(1, 8))
     llr = np.random.default_rng(seed).normal(0.5, 2.0, size=(rows, full.n))
-    return full, lengths, llr
+    sources = draw(st.lists(st.integers(0, 2), min_size=rows, max_size=rows))
+    return full, lengths, llr, np.array(sources)
 
 
 def _example_family(rep, lengths):
@@ -102,7 +104,23 @@ def _example_family(rep, lengths):
                          puncture_set=np.array([1]))
     full = RcpCode(spec=spec, rep_vector=np.array(rep))
     llr = np.random.default_rng(3).normal(0.3, 1.5, size=(200, full.n))
-    return full, lengths, llr
+    return full, lengths, llr, np.arange(200) % 3
+
+
+def _mixed_bits(full, lengths, llr, sources):
+    """Per row, the last round's decisions (source 0), the first round's
+    (1) or random bits (2): rows the last round gets right, and rows it
+    gets wrong that earlier rounds get right or wrong."""
+    last = sc_decode(llr[:, : lengths[-1]], full.prefix(lengths[-1]))
+    first = sc_decode(llr[:, : lengths[0]], full.prefix(lengths[0]))
+    rand = np.random.default_rng(len(llr)).integers(0, 2, last.shape,
+                                                    dtype=np.int8)
+    return np.stack([last, first, rand])[sources, np.arange(len(llr))]
+
+
+def _per_round_failures(llr, full, lengths, bits):
+    return np.stack([(sc_decode(llr[:, :n], full.prefix(n)) != bits)
+                     .any(axis=1) for n in lengths], axis=1)
 
 
 # Round 1 with and without repetitions, an index repeated in round 1 and
@@ -114,32 +132,33 @@ def _example_family(rep, lengths):
 @settings(max_examples=300, deadline=None)
 @given(_nested_family())
 def test_nested_decoding_equals_per_round_decoding(family):
-    full, lengths, llr = family
-    nested = sc_decode_nested(llr, full, lengths)
-    assert len(nested) == len(lengths)
-    for decoded, n in zip(nested, lengths):
-        assert np.array_equal(decoded, sc_decode(llr[:, :n], full.prefix(n)))
+    full, lengths, llr, sources = family
+    bits = _mixed_bits(full, lengths, llr, sources)
+    fails = round_failures(llr, full, lengths, bits)
+    assert fails.shape == (len(llr), len(lengths)) and fails.dtype == bool
+    assert np.array_equal(fails, _per_round_failures(llr, full, lengths, bits))
 
 
-def _flipped_rows(llr, full, lengths):
-    """Per later round, the rows where a decision on round 1's leaf LLRs
-    plus that round's repetition sums (transmit order, from 0) differs
-    from round 1's decision."""
-    base, leaf = sc_decode(llr[:, : lengths[0]], full.prefix(lengths[0]),
-                           return_leaf_llrs=True)
+def _redecoded_rows(llr, full, lengths, bits):
+    """Per earlier round, the rows the last round decodes wrongly where a
+    decision on the last round's leaf LLRs plus that round's repetition
+    sums (transmit order, from 0) differs from the last round's decision."""
+    top, leaf = sc_decode(llr[:, : lengths[-1]], full.prefix(lengths[-1]),
+                          return_leaf_llrs=True)
+    wrong = (top != bits).any(axis=1)
     info_set = full.spec.info_set
-    flipped = []
-    for n in lengths[1:]:
+    redecoded = []
+    for n in lengths[:-1]:
         rep = np.zeros_like(leaf)
         for t, index in enumerate(full.rep_vector[: n - full.m]):
             rep[:, np.searchsorted(info_set, index)] += llr[:, full.m + t]
-        flips = ((leaf + rep) < 0) != base
-        flipped.append(np.flatnonzero(flips.any(axis=1)))
-    return flipped
+        flips = ((leaf + rep) < 0) != top
+        redecoded.append(np.flatnonzero(wrong & flips.any(axis=1)))
+    return redecoded
 
 
 def _counting_decode(monkeypatch):
-    """Record the row count of every sc_decode call sc_decode_nested makes."""
+    """Record the row count of every sc_decode call round_failures makes."""
     calls = []
 
     def counting_decode(llrs, c, **kwargs):
@@ -152,8 +171,8 @@ def _counting_decode(monkeypatch):
 
 def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
     # Round 1 without repetitions, then round 1 with 20 repetitions that
-    # later rounds repeat again.
-    code, llr = _corpus(256, 64, seed=2)
+    # later rounds repeat again, checked against the blocks sent.
+    code, llr, bits = _corpus(256, 64, seed=2)
     calls = _counting_decode(monkeypatch)
     for lengths in ((code.m, code.m + 10, code.n),
                     (code.m + 20, code.m + 40, code.n)):
@@ -161,26 +180,43 @@ def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
         for n in lengths[1:]:
             assert first_reps.size == 0 or np.isin(
                 code.rep_vector[first_reps.size: n - code.m], first_reps).any()
-        flipped = _flipped_rows(llr, code, lengths)
-        assert all(rows.size < 64 for rows in flipped), (lengths, flipped)
+        redecoded = _redecoded_rows(llr, code, lengths, bits)
+        assert all(0 < rows.size < 64 for rows in redecoded), redecoded
         calls.clear()
-        sc_decode_nested(llr, code, lengths)
-        assert calls == [64, sum(rows.size for rows in flipped)], lengths
+        fails = round_failures(llr, code, lengths, bits)
+        assert calls == [64, sum(rows.size for rows in redecoded)], lengths
+        assert np.array_equal(fails,
+                              _per_round_failures(llr, code, lengths, bits))
+
+
+def test_round_failures_decode_once_when_the_last_round_is_right(monkeypatch):
+    # Every row the last round decodes right needs no second decode, even
+    # where earlier rounds fail.
+    code, llr, _ = _corpus(256, 64, seed=2)
+    lengths = (code.m, code.m + 10, code.n)
+    bits = sc_decode(llr, code)
+    want = _per_round_failures(llr, code, lengths, bits)
+    assert want[:, 0].any() and not want[:, -1].any()
+    calls = _counting_decode(monkeypatch)
+    assert np.array_equal(round_failures(llr, code, lengths, bits), want)
+    assert calls == [64]
 
 
 def _check_nested_family(monkeypatch, full, lengths, llr):
-    """Every round of ``sc_decode_nested`` equals its own ``sc_decode`` and
-    the recursive reference, in two calls with more than one later round
-    re-decoded."""
-    flipped = _flipped_rows(llr, full, lengths)
-    assert sum(rows.size > 0 for rows in flipped) >= 2
+    """Every round of ``round_failures`` equals its own ``sc_decode`` and
+    the recursive reference, in two calls with more than one earlier round
+    re-decoded, on bits mixed as in :func:`_mixed_bits`."""
+    bits = _mixed_bits(full, lengths, llr, np.arange(len(llr)) % 3)
+    redecoded = _redecoded_rows(llr, full, lengths, bits)
+    assert sum(rows.size > 0 for rows in redecoded) >= 2
+    want = _per_round_failures(llr, full, lengths, bits)
     calls = _counting_decode(monkeypatch)
-    nested = sc_decode_nested(llr, full, lengths)
-    assert calls == [len(llr), sum(rows.size for rows in flipped)]
-    for decoded, n in zip(nested, lengths):
-        assert np.array_equal(decoded, sc_decode(llr[:, :n], full.prefix(n)))
+    fails = round_failures(llr, full, lengths, bits)
+    assert calls == [len(llr), sum(rows.size for rows in redecoded)]
+    assert np.array_equal(fails, want)
+    for t, n in enumerate(lengths):
         ref_bits, _ = sc_decode_reference(llr[:, :n], full.prefix(n))
-        assert np.array_equal(decoded, ref_bits)
+        assert np.array_equal(fails[:, t], (ref_bits != bits).any(axis=1))
 
 
 def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
@@ -196,15 +232,17 @@ def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
 
 def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
     # Position 0 is punctured, so leaf 0 is exactly +0.0 or -0.0 in every
-    # row.  Bit 0 is repeated by round 3 alone: rounds 1 and 2, re-decoded
-    # over the longest code, decide it on leaf + 0.0, as they do on leaf.
+    # row and round.  Bit 0 is repeated from round 3 on: rounds 1 and 2,
+    # checked on the last round's leaves and re-decoded over its code,
+    # decide it on leaf + 0.0, as they do on leaf.
     spec = PolarCodeSpec(n0=8, info_set=np.array([0, 3, 5, 6, 7]),
                          puncture_set=np.array([0]))
     full = RcpCode(spec=spec, rep_vector=np.array([5, 3, 0, 6]))
     llr = np.random.default_rng(12).normal(0.3, 1.5, size=(200, full.n))
-    _, leaf = sc_decode(llr[:, :8], full.prefix(8), return_leaf_llrs=True)
-    assert (leaf[:, 0] == 0.0).all()
-    assert np.signbit(leaf[:, 0]).any() and not np.signbit(leaf[:, 0]).all()
+    for n in (8, 11):
+        _, leaf = sc_decode(llr[:, :n], full.prefix(n), return_leaf_llrs=True)
+        assert (leaf[:, 0] == 0.0).all()
+        assert np.signbit(leaf[:, 0]).any() and not np.signbit(leaf[:, 0]).all()
     _check_nested_family(monkeypatch, full, (8, 9, 10, 11), llr)
 
 
@@ -215,9 +253,10 @@ def test_nested_decoding_rejects_bad_lengths():
                          puncture_set=np.array([1]))
     full = RcpCode(spec=spec, rep_vector=np.array([5, 6, 7]))
     llr = np.ones((2, full.n))
+    bits = np.zeros((2, full.k), dtype=np.int8)
     for lengths in ((), (8, 8), (9, 8), (6, 8), (8, 11), (7, 9, 10, 11)):
         with pytest.raises(ValueError, match="strictly increasing"):
-            sc_decode_nested(llr, full, lengths)
+            round_failures(llr, full, lengths, bits)
 
 
 @settings(max_examples=150, deadline=None)

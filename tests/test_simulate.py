@@ -5,10 +5,10 @@ import pytest
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP,
                              channel_llr_distribution, noise_stream, transmit)
-from rcpolar.codec import rcp_encode
+from rcpolar.codec import PolarCodeSpec, RcpCode, rcp_encode
 from rcpolar.construct import construct_rcp
 from rcpolar.design import HarqScheme, build_bler_curve, design_scheme
-from rcpolar import channel, construct, simulate
+from rcpolar import channel, codec, construct, simulate
 from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
                               _report_from_counts, _run_chunks,
                               bler_monte_carlo, bound_check, run_campaign)
@@ -473,3 +473,46 @@ def test_chunk_counts_hands_the_hook_words_and_trial_indices():
         info = noise_stream((3, int(i))).integers(0, 2, size=code.k,
                                                   dtype=np.int8)
         assert np.array_equal(row, rcp_encode(info, code))
+
+
+def test_campaign_decodes_each_row_about_once(monkeypatch):
+    # The benchmark's campaign scheme at its default seed, in chunks of
+    # 732, 732 and 584 trials.  Each chunk decodes its last round once and
+    # decodes again only rows that round gets wrong where an earlier
+    # round's decisions differ.  Re-decoding every row whose decisions
+    # differ from round 1's took 3276 words: [732, 432, 732, 439, 584, 357].
+    calls = []
+    original = codec.sc_decode
+
+    def counting(llrs, code, **kwargs):
+        calls.append(np.shape(llrs)[0])
+        return original(llrs, code, **kwargs)
+
+    monkeypatch.setattr(codec, "sc_decode", counting)
+    scheme = HarqScheme(k=1024, m=1408, lengths=(1408, 1447, 1515, 1783),
+                        eta_estimate=0.5)
+    report = run_campaign(scheme, ChannelParams(snr_db=1.5), trials=2048,
+                          base_seed=606)
+    assert calls == [732, 6, 732, 3, 584, 12]
+    assert [round(p * 2048) for p in report.pr_e] == [419, 216, 77, 7]
+    assert report.nesting_violations == 23
+
+
+def test_chunks_are_sized_by_the_transmitted_length(monkeypatch):
+    # n0 = 64 and n = 65536: chunks sized by n0 alone would draw all 64
+    # trials' 65536 noise values at once (8192 trials' in general).
+    seen = []
+    original = simulate.trial_draws
+
+    def recording(base_seed, lo, hi, k, n):
+        assert (hi - lo) * n <= max(32 * n, 1_500_000), (lo, hi, n)
+        seen.append((lo, hi))
+        return original(base_seed, lo, hi, k, n)
+
+    monkeypatch.setattr(simulate, "trial_draws", recording)
+    code = RcpCode(spec=PolarCodeSpec(n0=64, info_set=np.arange(64)),
+                   rep_vector=np.resize(np.arange(64), 65536 - 64))
+    counts = _run_chunks(code, (code.n,), ChannelParams(snr_db=0.0), 64, 5,
+                         threads=1)
+    assert seen == [(0, 32), (32, 64)]
+    assert counts["trials"] == 64
