@@ -118,8 +118,9 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
 
 def observation_to_llr(y, params: ChannelParams):
     """LLR of BPSK observations: 2*y/sigma^2, saturated at +/-LLR_CLAMP."""
-    llr = 2.0 * np.asarray(y, dtype=float) / params.noise_var
-    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP)
+    llr = np.multiply(2.0, y, out=np.empty(np.shape(y)))
+    llr /= params.noise_var
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
 
 
 def transmit(words, noise, params: ChannelParams):
@@ -131,8 +132,8 @@ def transmit(words, noise, params: ChannelParams):
     if np.shape(noise) != words.shape or (words != words.astype(bool)).any():
         raise ValueError("transmit expects binary words and noise of their "
                          f"shape, got {words.shape} and {np.shape(noise)}")
-    return observation_to_llr((1.0 - 2.0 * words) + params.sigma * noise,
-                              params)
+    y = 1.0 - 2.0 * words
+    return observation_to_llr(np.add(y, params.sigma * noise, out=y), params)
 
 
 def channel_llr_distribution(params: ChannelParams) -> LlrDistribution:

@@ -154,44 +154,41 @@ def _repetition_sums(llrs, code: RcpCode):
     LLRs, shape (len(indices), B); duplicates accumulate in transmit order.
 
     Each bit's sum is 0.0 + r1 + r2 + ... over its repetitions in transmit
-    order, built with one fancy-index add per occurrence rank: the first
-    repetition of every bit, then the second, and so on.
+    order, built with one fancy-index add per occurrence rank r over the
+    bits with more than r repetitions, so each repetition is read once.
     """
     index, slot, counts = np.unique(code.rep_vector, return_inverse=True,
                                     return_counts=True)
     order = np.argsort(slot, kind="stable")
-    rank = np.empty_like(slot)
-    rank[order] = np.arange(slot.size) - np.repeat(np.cumsum(counts) - counts,
-                                                   counts)
+    first = np.cumsum(counts) - counts
     reps = llrs[:, code.m:code.n].T
     sums = np.zeros((index.size, llrs.shape[0]))
     for r in range(counts.max(initial=0)):
-        at = rank == r
-        sums[slot[at]] += reps[at]
+        live = np.flatnonzero(counts > r)
+        sums[live] += reps[order[first[live] + r]]
     return index, sums
 
 
-def _check_node(parent, out, pair, s):
+def _check_node(parent, out, pair):
     """Exact check-node update 2*atanh(tanh(a/2)*tanh(b/2)) into ``out``,
-    where a and b are the two halves of ``parent``.
-
-    Evaluated as sign(a)sign(b) * (min(|a|,|b|) + L(|a|+|b|) - L(||a|-|b||))
-    with L(x) = log1p(exp(-x)), in the scratch arrays ``pair`` (the shape of
-    ``parent``) and ``s`` (the shape of ``out``).  Both L terms go through
-    one exp and one log1p call on ``pair``.
+    where a and b are the two halves of ``parent``: sign(a)sign(b) *
+    (min(|a|,|b|) + L(|a|+|b|) - L(||a|-|b||)), L(x) = log1p(exp(-x)).
+    The only scratch, ``pair``, holds -|a| and -|b|, with nmin <= nmax
+    those two, then L's arguments -(|a|+|b|) = nmin + nmax and -||a|-|b||
+    = nmin - nmax for one exp and one log1p call; min(|a|,|b|) + L(|a|+|b|)
+    is L(|a|+|b|) - nmax.  Negation is exact and IEEE addition commutes, so
+    every value is rounded as in the plain form, bit for bit.
     """
     h = out.shape[0]
     lo, hi = pair[:h], pair[h:]
-    np.abs(parent, out=pair)
-    np.minimum(lo, hi, out=out)
-    np.add(lo, hi, out=s)
-    np.maximum(lo, hi, out=hi)
-    np.negative(s, out=lo)
-    # -||a|-|b|| = min - max, the same rounded difference with its sign set.
-    np.subtract(out, hi, out=hi)
+    np.copysign(parent, -1.0, out=pair)
+    np.maximum(lo, hi, out=out)
+    np.minimum(lo, hi, out=hi)
+    np.add(hi, out, out=lo)
+    np.subtract(hi, out, out=hi)
     np.exp(pair, out=pair)
     np.log1p(pair, out=pair)
-    np.add(out, lo, out=out)
+    np.subtract(lo, out, out=out)
     np.subtract(out, hi, out=out)
     np.sign(parent, out=pair)
     np.multiply(lo, hi, out=lo)
@@ -279,9 +276,8 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     levels = [tree[1 << s: 2 << s] for s in range(depth)] + [chan]
     halves = [(levels[s + 1][: 1 << s], levels[s + 1][1 << s:], levels[s])
               for s in range(depth)]
-    pair, single = np.empty((n0, b)), np.empty((n0 // 2, b))
-    f_args = [(levels[s + 1], levels[s], pair[: 2 << s], single[: 1 << s])
-              for s in range(depth)]
+    pair = np.empty((n0, b))
+    f_args = [(levels[s + 1], levels[s], pair[: 2 << s]) for s in range(depth)]
     # Partial sums as (-1)^x: a finished node at level s holding leaves
     # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.
     signs = np.empty((n0, b))

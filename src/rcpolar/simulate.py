@@ -11,6 +11,7 @@ per-round failure probabilities are measured as true marginals.
 """
 
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -55,29 +56,23 @@ class SimReport:
     nesting_violations: int
 
 
-def _empty_counts(t: int) -> dict:
-    """Campaign counts over T rounds.  ``first_success[t]`` counts trials
-    first decoded with the bits of round t + 1; its last bin, ``[T]``,
-    counts trials never delivered."""
-    return {
-        "trials": 0,
-        "fails": np.zeros(t, dtype=np.int64),
-        "first_success": np.zeros(t + 1, dtype=np.int64),
-        "nesting_violations": 0,
-    }
-
-
-def _accumulate(counts: dict, fails: np.ndarray) -> None:
-    """Fold a (B, T) boolean fail matrix into the counts."""
+def _fail_counts(fails: np.ndarray) -> dict:
+    """Campaign counts of a (B, T) boolean fail matrix.  ``first_success[t]``
+    counts trials first decoded with the bits of round t + 1; its last bin,
+    ``[T]``, counts trials never delivered."""
     b, t = fails.shape
     ok = ~fails
-    counts["trials"] += b
-    counts["fails"] += fails.sum(axis=0)
     first = np.where(ok.any(axis=1), ok.argmax(axis=1), t)  # t == never
-    counts["first_success"] += np.bincount(first, minlength=t + 1)
     # success followed by a later failure breaks event nesting
     later_fail = fails & (np.arange(t) > first[:, None])
-    counts["nesting_violations"] += int(later_fail.any(axis=1).sum())
+    return {"trials": b, "fails": fails.sum(axis=0),
+            "first_success": np.bincount(first, minlength=t + 1),
+            "nesting_violations": int(later_fail.any(axis=1).sum())}
+
+
+def _empty_counts(t: int) -> dict:
+    """Campaign counts over T rounds of no trial."""
+    return _fail_counts(np.zeros((0, t), dtype=bool))
 
 
 def _merge(dst: dict, src: dict) -> None:
@@ -102,37 +97,44 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
     tx = np.ascontiguousarray(rcp_encode(bits, code))
     if channel_fn is None:
         llr = transmit(tx, noise, params)
+        del noise  # the decode needs the LLRs alone
     else:
         llr = np.asarray(channel_fn(tx, params, np.arange(lo, hi)), float)
         if llr.shape != tx.shape or not np.isfinite(llr).all():
             raise ValueError(f"channel_fn gave shape {llr.shape} or a non-"
                              f"finite LLR, expected {tx.shape} finite LLRs")
+    return _fail_counts(round_failures(llr, code, lengths, bits))
 
-    counts = _empty_counts(len(lengths))
-    _accumulate(counts, round_failures(llr, code, lengths, bits))
-    return counts
+
+def _chunk_rows(code) -> int:
+    """Trials per chunk: about 1.5M values of max(n0, n), 32 to 2000."""
+    return max(32, min(2000, 1_500_000 // max(code.spec.n0, code.n)))
 
 
 def _run_chunks(code, lengths, params: ChannelParams, trials: int,
                 base_seed: int, threads: int, channel_fn=None) -> dict:
-    """Counts of trials [0, trials) in chunks sized by max(n0, n), over
-    min(threads, chunks, usable cores) processes."""
+    """Counts of trials [0, trials) in chunks of :func:`_chunk_rows` rows,
+    made one by one, over min(threads, chunks, usable cores) processes
+    with at most two chunks per process in flight."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    chunk = max(32, min(8192, 1_500_000 // max(code.spec.n0, code.n)))
-    ranges = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    args = (code, lengths, params, base_seed)
+    chunk = _chunk_rows(code)
+    jobs = ((code, lengths, params, base_seed, lo, min(lo + chunk, trials),
+             channel_fn) for lo in range(0, trials, chunk))
     counts = _empty_counts(len(lengths))
-    workers = min(threads, len(ranges), len(os.sched_getaffinity(0)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_counts, *args, lo, hi, channel_fn)
-                       for lo, hi in ranges]
-            for fut in futures:
-                _merge(counts, fut.result())
-    else:
-        for lo, hi in ranges:
-            _merge(counts, _chunk_counts(*args, lo, hi, channel_fn))
+    workers = min(threads, -(-trials // chunk), len(os.sched_getaffinity(0)))
+    if workers < 2:
+        for job in jobs:
+            _merge(counts, _chunk_counts(*job))
+        return counts
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for job in jobs:
+            if len(pending) == 2 * workers:
+                _merge(counts, pending.popleft().result())
+            pending.append(pool.submit(_chunk_counts, *job))
+        for fut in pending:
+            _merge(counts, fut.result())
     return counts
 
 

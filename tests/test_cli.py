@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import math
-import resource
 import tempfile
 from pathlib import Path
 
@@ -19,6 +18,8 @@ from rcpolar.cli import main
 from rcpolar.codec import code_to_dict
 from rcpolar.construct import construct_rcp
 from rcpolar.reliability import ga_evolve, puncture_pattern
+
+from oracles import memory_headroom
 
 
 def _run(tmp_path, command, cfg, extra=()):
@@ -517,22 +518,6 @@ _TINY_CONFIGS = {
 _MOST_KEYS = max(len(cfg) for cfg in _TINY_CONFIGS.values()) + 2
 
 
-@contextlib.contextmanager
-def _memory_headroom(extra=1 << 30):
-    """Cap this process's address space at its current size plus ``extra``
-    bytes, so that a size slipping past the config checks fails with
-    MemoryError (exit 3) instead of taking the machine's memory."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    pages = int(Path("/proc/self/statm").read_text().split()[0])
-    cap = pages * resource.getpagesize() + extra
-    resource.setrlimit(resource.RLIMIT_AS, (
-        cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-
 def _every_edge_value_at_every_key(test):
     for key in range(_MOST_KEYS):
         for value in _EDGE_VALUES:
@@ -558,7 +543,7 @@ def test_config_fuzz_exits_0_or_2(command, key, value):
         argv = [command, "--out", str(out)]
         for name, value in cfg.items():
             argv += ["--set", f"{name}={json.dumps(value)}"]
-        with contextlib.redirect_stderr(io.StringIO()), _memory_headroom():
+        with contextlib.redirect_stderr(io.StringIO()), memory_headroom():
             rc = main(argv)
         assert rc in (0, 2)
         if rc == 2:

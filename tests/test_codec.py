@@ -374,12 +374,11 @@ def test_check_node_sign_follows_the_rounded_magnitude():
     expect = [-1.1102230246251565e-16, 1.1102230246251565e-16,
               1.1102230246251565e-16]
     parent = np.array(pairs).T.copy()
-    out, s = np.empty((1, 3)), np.empty((1, 3))
-    _check_node(parent, out, np.empty_like(parent), s)
+    out = np.empty((1, 3))
+    _check_node(parent, out, np.empty_like(parent))
     assert out[0].tolist() == expect
     for (a, b), value in zip(pairs, expect):
         single = np.empty((1, 1))
-        _check_node(np.array([[a], [b]]), single, np.empty((2, 1)),
-                    np.empty((1, 1)))
+        _check_node(np.array([[a], [b]]), single, np.empty((2, 1)))
         assert single[0, 0] == value
         assert np.copysign(value, a * b) == -value

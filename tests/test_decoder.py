@@ -2,6 +2,7 @@
 round failures counted from one decode of the last round."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, round_failures,
                            sc_decode)
 from rcpolar.construct import construct_rcp
 
-from oracles import sc_decode_reference
+from oracles import repetition_sums_reference, sc_decode_reference
 
 # (n, k, m, snr_db) per mother length n0 = 8, 256, 2048; all are punctured.
 CORPUS_CODES = {8: (12, 4, 6, 1.0), 256: (300, 128, 200, 0.5),
@@ -283,3 +284,48 @@ def test_repetition_sums_equal_add_at(picks, batch, seed):
     assert np.array_equal(index, want_index)
     assert sums.shape == want.shape
     assert sums.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=300),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@example(1, [0] * 300, 2, 0)
+@example(4, [], 1, 0)
+def test_repetition_sums_equal_the_rank_scan(width, picks, batch, seed):
+    # Up to 300 repetitions of at most 4 bits, so one bit can be repeated
+    # many times while others are repeated once; the sums must equal the
+    # rank-by-rank scan over every repetition byte for byte.
+    info = np.arange(8 - width, 8)
+    code = RcpCode(spec=PolarCodeSpec(n0=8, info_set=info),
+                   rep_vector=info[np.minimum(np.array(picks, dtype=int), width - 1)])
+    rng = np.random.default_rng(seed)
+    llrs = rng.normal(size=(batch, code.n)) \
+        * 10.0 ** rng.integers(-3, 17, size=(batch, code.n))
+    llrs[rng.random(llrs.shape) < 0.1] = -0.0
+    index, sums = rcpolar.codec._repetition_sums(llrs, code)
+    want_index, want = repetition_sums_reference(llrs, code)
+    assert np.array_equal(index, want_index)
+    assert sums.shape == want.shape
+    assert sums.tobytes() == want.tobytes()
+
+
+
+def test_decode_holds_four_node_buffers():
+    # One decode of 2048 words at n0 = 256 holds four (n0, B) float64
+    # buffers (channel word, tree levels, check-node scratch, partial
+    # sums), plus the bits it returns (twice: in decode order and
+    # transposed) and the per-bit sums of its repetition LLRs.  A fifth
+    # half buffer of scratch exceeds this by about 1.5 MiB.
+    code, _, _ = construct_rcp(288, 128, 256, channel_llr_distribution(
+        ChannelParams(snr_db=0.0)))
+    b = 2048
+    llrs = np.random.default_rng(4).normal(2.0, 2.0, size=(b, code.n))
+    tracemalloc.start()
+    try:
+        sc_decode(llrs, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = (4 * code.spec.n0 * b * 8 + llrs[:, code.m:].nbytes
+              + 2 * code.k * b + (64 << 10))
+    assert peak <= budget, (peak, budget)

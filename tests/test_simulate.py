@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import Future, ProcessPoolExecutor
 
 import numpy as np
@@ -13,7 +14,7 @@ from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
                               _report_from_counts, _run_chunks,
                               bler_monte_carlo, bound_check, run_campaign)
 
-from oracles import campaign_statistics_reference, run_trial
+from oracles import campaign_statistics_reference, memory_headroom, run_trial
 
 
 def _small_scheme():
@@ -250,10 +251,10 @@ def _usable_cores(monkeypatch, cores):
 
 
 def test_campaign_worker_count_invariance(monkeypatch):
-    # 9000 trials of an n0 = 16 code are two chunks (8192 + 808), so two
-    # worker processes each get one, on any machine; the trial-keyed hook
-    # checks that the workers see the same trial indices as the in-process
-    # loop.
+    # 9000 trials of an n0 = 16 code are five chunks (4 x 2000 + 1000), so
+    # two worker processes start on any machine, and the fifth chunk waits
+    # for the first to finish; the trial-keyed hook checks that the workers
+    # see the same trial indices as the in-process loop.
     _usable_cores(monkeypatch, 2)
     monkeypatch.setattr(_RecordingPool, "workers", [])
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
@@ -295,9 +296,12 @@ def test_run_chunks_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", _InlinePool)
     scheme = _small_scheme()
     code, params = _family(scheme, snr_db=-1.0)
-    # n0 = 16 gives chunks of 8192 trials: 3 chunks, then 1.
-    for cores, trials, workers in ((64, 2 * 8192 + 1, [3]),
-                                   (2, 2 * 8192 + 1, [2]), (64, 100, [])):
+    # Two full chunks and one trial are 3 chunks; fewer trials than a
+    # chunk are 1.
+    rows = simulate._chunk_rows(code)
+    for cores, trials, workers in ((64, 2 * rows + 1, [3]),
+                                   (2, 2 * rows + 1, [2]),
+                                   (64, rows - 1, [])):
         _usable_cores(monkeypatch, cores)
         _InlinePool.workers.clear()
         many = _run_chunks(code, scheme.lengths, params, trials, 8, threads=64)
@@ -305,6 +309,60 @@ def test_run_chunks_starts_no_more_workers_than_chunks(monkeypatch):
         one = _run_chunks(code, scheme.lengths, params, trials, 8, threads=1)
         for key in one:
             assert np.array_equal(many[key], one[key]), key
+
+
+class _DeferredPool(_InlinePool):
+    """Stands in for the process pool: runs a submission only when its
+    result is asked for, and records the most submissions waiting."""
+
+    most_waiting = 0
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        self.waiting = 0
+
+    def submit(self, fn, *args):
+        pool = self
+        pool.waiting += 1
+        type(pool).most_waiting = max(pool.most_waiting, pool.waiting)
+
+        class Deferred:
+            def result(self):
+                pool.waiting -= 1
+                return fn(*args)
+
+        return Deferred()
+
+
+class _StopRun(Exception):
+    pass
+
+
+def test_run_chunks_lists_no_chunk_ahead(monkeypatch):
+    # 2^40 trials are 2^29 chunks, whose ranges or futures would not fit
+    # in memory.  A run must reach its chunks one by one, in process and
+    # through a pool holding at most two chunks per worker.
+    def few_chunks(code, lengths, params, base_seed, lo, hi, channel_fn):
+        if lo == 10 * rows:
+            raise _StopRun(lo, hi)
+        counts = _empty_counts(len(lengths))
+        counts["trials"] = hi - lo
+        return counts
+
+    monkeypatch.setattr(simulate, "_chunk_counts", few_chunks)
+    monkeypatch.setattr(_DeferredPool, "workers", [])
+    monkeypatch.setattr(_DeferredPool, "most_waiting", 0)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _DeferredPool)
+    _usable_cores(monkeypatch, 2)
+    scheme = _small_scheme()
+    code, params = _family(scheme)
+    rows = simulate._chunk_rows(code)
+    for threads in (1, 2):
+        with memory_headroom(256 << 20), pytest.raises(_StopRun) as stop:
+            _run_chunks(code, scheme.lengths, params, 2 ** 40, 8, threads)
+        assert stop.value.args == (10 * rows, 11 * rows)
+    assert _DeferredPool.workers == [2]
+    assert _DeferredPool.most_waiting == 4
 
 
 def test_campaign_event_chain_containment():
@@ -500,7 +558,7 @@ def test_campaign_decodes_each_row_about_once(monkeypatch):
 
 def test_chunks_are_sized_by_the_transmitted_length(monkeypatch):
     # n0 = 64 and n = 65536: chunks sized by n0 alone would draw all 64
-    # trials' 65536 noise values at once (8192 trials' in general).
+    # trials' 65536 noise values at once (2000 trials' in general).
     seen = []
     original = simulate.trial_draws
 
@@ -516,3 +574,27 @@ def test_chunks_are_sized_by_the_transmitted_length(monkeypatch):
                          threads=1)
     assert seen == [(0, 32), (32, 64)]
     assert counts["trials"] == 64
+
+
+def test_chunk_counts_frees_the_noise_before_decoding(monkeypatch):
+    # While a chunk decodes it holds its LLRs, words and blocks, not the
+    # (B, n) float64 noise the LLRs were made from.
+    held = []
+    original = simulate.round_failures
+
+    def measuring(llrs, code, lengths, bits):
+        held.append(tracemalloc.get_traced_memory()[0] - before
+                    - llrs.nbytes - llrs.size - bits.nbytes)
+        return original(llrs, code, lengths, bits)
+
+    monkeypatch.setattr(simulate, "round_failures", measuring)
+    params = ChannelParams(snr_db=-1.0)
+    code, _, _ = construct_rcp(288, 128, 256,
+                               channel_llr_distribution(params))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _chunk_counts(code, (code.n,), params, 5, 0, 512)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 64 << 10, held
