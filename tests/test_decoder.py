@@ -297,7 +297,7 @@ def test_repetition_sums_equal_the_rank_scan(width, picks, batch, seed):
     # rank-by-rank scan over every repetition byte for byte.
     info = np.arange(8 - width, 8)
     code = RcpCode(spec=PolarCodeSpec(n0=8, info_set=info),
-                   rep_vector=info[np.minimum(np.array(picks, dtype=int), width - 1)])
+                   rep_vector=info[np.array(picks, dtype=int) % width])
     rng = np.random.default_rng(seed)
     llrs = rng.normal(size=(batch, code.n)) \
         * 10.0 ** rng.integers(-3, 17, size=(batch, code.n))
@@ -307,7 +307,6 @@ def test_repetition_sums_equal_the_rank_scan(width, picks, batch, seed):
     assert np.array_equal(index, want_index)
     assert sums.shape == want.shape
     assert sums.tobytes() == want.tobytes()
-
 
 
 def test_decode_holds_four_node_buffers():

@@ -583,8 +583,9 @@ def test_chunk_counts_frees_the_noise_before_decoding(monkeypatch):
     original = simulate.round_failures
 
     def measuring(llrs, code, lengths, bits):
+        # Beyond the LLRs and the blocks, the int8 words: a byte per LLR.
         held.append(tracemalloc.get_traced_memory()[0] - before
-                    - llrs.nbytes - llrs.size - bits.nbytes)
+                    - llrs.nbytes - bits.nbytes - llrs.size)
         return original(llrs, code, lengths, bits)
 
     monkeypatch.setattr(simulate, "round_failures", measuring)

@@ -86,8 +86,15 @@ def main():
                                 "record": record, "result": result})
             print(f"{args.workload} trace={args.trace} pair {pair} {side} "
                   f"seed {seed}: {json.dumps(result['metrics'])}", flush=True)
-        doc["summary"] = summarise(doc["runs"])
-        out.write_text(json.dumps(doc, indent=1) + "\n")
+        write(out, doc["runs"])
+
+
+def write(out, runs):
+    """The runs and their summary, one JSON object per line."""
+    def block(items):
+        return "[\n" + ",\n".join(json.dumps(x) for x in items) + "\n]"
+    out.write_text(f'{{"runs": {block(runs)},\n'
+                   f'"summary": {block(summarise(runs))}}}\n')
 
 
 if __name__ == "__main__":
