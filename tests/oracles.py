@@ -6,17 +6,12 @@ algebra, exhaustive enumeration, direct sampling, step-by-step loops) and
 share no code with the implementations under test, except the GA check
 update and the error-probability function that a bitwise comparison needs,
 and the encoder, channel and one-round decoder that the per-trial protocol
-reference runs (each is checked against its own reference elsewhere).  Also
-a cap on the test process's memory, for tests of sizes that must not be
-allocated.
+reference runs (each is checked against its own reference elsewhere).
 """
 
-import contextlib
 import heapq
 import json
-import resource
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -417,22 +412,6 @@ def check_golden_vectors(fp):
         info = hex_to_bits(row["info_bits_hex"], code.k)
         expect = hex_to_bits(row["codeword_hex"], code.n)
         yield lineno, bool(np.array_equal(rcp_encode(info, code), expect))
-
-
-@contextlib.contextmanager
-def memory_headroom(extra=1 << 30):
-    """Cap this process's address space at its current size plus ``extra``
-    bytes, so that a size slipping past a check fails with MemoryError
-    instead of taking the machine's memory."""
-    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-    pages = int(Path("/proc/self/statm").read_text().split()[0])
-    cap = pages * resource.getpagesize() + extra
-    resource.setrlimit(resource.RLIMIT_AS, (
-        cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
-    try:
-        yield
-    finally:
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def repetition_sums_reference(llrs, code):

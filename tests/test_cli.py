@@ -19,7 +19,7 @@ from rcpolar.codec import code_to_dict
 from rcpolar.construct import construct_rcp
 from rcpolar.reliability import ga_evolve, puncture_pattern
 
-from oracles import memory_headroom
+from limits import memory_headroom
 
 
 def _run(tmp_path, command, cfg, extra=()):

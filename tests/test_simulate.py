@@ -14,7 +14,8 @@ from rcpolar.simulate import (_chunk_counts, _empty_counts, _merge,
                               _report_from_counts, _run_chunks,
                               bler_monte_carlo, bound_check, run_campaign)
 
-from oracles import campaign_statistics_reference, memory_headroom, run_trial
+from limits import memory_headroom
+from oracles import campaign_statistics_reference, run_trial
 
 
 def _small_scheme():

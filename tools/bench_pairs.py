@@ -7,9 +7,10 @@ Usage, from the repository root, with the parent commit checked out in
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload bler-short --pairs 10 --first-seed 1901 --out BENCH_19.json
 
-Pair i runs ``perfbench/run.py --workload W --seed S_i --seconds 36
---trace T`` once in each checkout, each with its own ``perfbench/`` and
-``src/``; the parent goes first in even pairs and the change in odd ones.
+Pair i runs ``perfbench/run.py --workload W --seed S_i --trace T`` once
+in each checkout, for the run length that ``perfbench/run.py`` sets, each
+with its own ``perfbench/`` and ``src/``; the parent goes first in even
+pairs and the change in odd ones.
 Each run's last two output lines, the run record (with its environment
 block) and the result, are kept as printed.  Runs of further workloads are
 appended to the same file, and its summary is made again from all runs:
@@ -25,10 +26,9 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout, workload, seed, seconds, trace):
+def run_once(checkout, workload, seed, trace):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", str(trace)]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           check=True)
     record, result = proc.stdout.strip().splitlines()[-2:]
@@ -65,7 +65,6 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=36)
     parser.add_argument("--trace", type=int, default=0)
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
@@ -79,7 +78,7 @@ def main():
         sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
         for side in sides:
             record, result = run_once(getattr(args, side), args.workload,
-                                      seed, args.seconds, args.trace)
+                                      seed, args.trace)
             doc["runs"].append({"workload": args.workload,
                                 "trace": args.trace, "pair": pair,
                                 "side": side, "seed": seed,
