@@ -116,9 +116,11 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
     return (octets[:, :k] >> 7).view(np.int8), noise
 
 
-def observation_to_llr(y, params: ChannelParams):
-    """LLR of BPSK observations: 2*y/sigma^2, saturated at +/-LLR_CLAMP."""
-    llr = np.multiply(2.0, y, out=np.empty(np.shape(y)))
+def observation_to_llr(y, params: ChannelParams, out=None):
+    """LLR of BPSK observations: 2*y/sigma^2, saturated at +/-LLR_CLAMP;
+    written into ``out`` if given (``y`` itself may be ``out``)."""
+    llr = np.multiply(2.0, y, out=np.empty(np.shape(y)) if out is None
+                      else out)
     llr /= params.noise_var
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
 
@@ -127,13 +129,24 @@ def transmit(words, noise, params: ChannelParams):
     """LLRs of binary ``words`` sent as BPSK (0 -> +1, 1 -> -1) through
     the channel with unit-variance ``noise`` of the same shape, scaled by
     ``params.sigma``; clamped to +/-LLR_CLAMP.  A pure function.
+
+    The LLRs are built in one float array: sigma*noise, plus the symbols
+    1 - 2w as int8 (exact once cast, and IEEE addition commutes, so each
+    value is rounded as (1 - 2w) + sigma*noise), then scaled and clamped in
+    place.  int8 words are checked in one pass.
     """
     words = np.asarray(words)
-    if np.shape(noise) != words.shape or (words != words.astype(bool)).any():
+    if words.dtype != np.int8 and (words == words.astype(bool)).all():
+        words = words.astype(np.int8)
+    if (np.shape(noise) != words.shape or words.dtype != np.int8
+            or words.view(np.uint8).max(initial=0) > 1):
         raise ValueError("transmit expects binary words and noise of their "
                          f"shape, got {words.shape} and {np.shape(noise)}")
-    y = 1.0 - 2.0 * words
-    return observation_to_llr(np.add(y, params.sigma * noise, out=y), params)
+    llr = np.multiply(noise, params.sigma, out=np.empty(words.shape))
+    symbols = np.multiply(words, np.int8(-2))
+    symbols += np.int8(1)
+    np.add(llr, symbols, out=llr)
+    return observation_to_llr(llr, params, out=llr)
 
 
 def channel_llr_distribution(params: ChannelParams) -> LlrDistribution:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rcpolar.channel import noise_stream, transmit
+from rcpolar.channel import LLR_CLAMP, noise_stream, transmit
 from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode, sc_decode
 from rcpolar.reliability import (ReliabilityTable, check_mean_update,
                                  pe_from_mean)
@@ -314,6 +314,16 @@ class TrialOutcome:
     success_round: int | None
     bits_sent: int
     fail_flags: tuple
+
+
+def transmit_reference(words, noise, params):
+    """BPSK LLRs as :func:`rcpolar.channel.transmit` first computed them:
+    y = (1 - 2w) + sigma*noise, then 2*y/sigma^2 clamped to +/-LLR_CLAMP."""
+    y = 1.0 - 2.0 * np.asarray(words)
+    np.add(y, params.sigma * noise, out=y)
+    llr = np.multiply(2.0, y, out=np.empty(np.shape(y)))
+    llr /= params.noise_var
+    return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
 
 
 def run_trial(code, lengths, info_bits, params, rng, channel_fn=None,

@@ -7,6 +7,8 @@ from rcpolar.channel import (ChannelParams, LLR_CLAMP, bawgn_capacity,
                              channel_llr_distribution, noise_stream,
                              observation_to_llr, transmit, trial_draws)
 
+from oracles import transmit_reference
+
 
 def test_sigma_snr_round_trip():
     for snr in np.linspace(-15, 25, 81):
@@ -64,6 +66,28 @@ def test_transmit_rejects_non_binary():
         transmit(np.array([0, 1]), np.zeros(3), params)
     llr = transmit(np.array([0.0, 1.0]), np.zeros(2), params)
     assert llr.tolist() == pytest.approx([4.0, -4.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=2),
+       st.sampled_from([np.int8, np.bool_, np.int64, np.float64]),
+       st.floats(-20.0, 40.0), st.integers(0, 2 ** 32 - 1))
+@example([0], np.int8, 0.0, 0)
+@example([3, 5], np.int8, 40.0, 1)
+def test_transmit_equals_the_reference_bytes(shape, dtype, snr_db, seed):
+    # Noise from 1e-3 to 1e3 (clamped LLRs at high SNR) and signed zeros,
+    # so both the rounding of (1 - 2w) + sigma*noise and the clamp show.
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2, size=shape).astype(dtype)
+    noise = rng.standard_normal(shape) \
+        * 10.0 ** rng.integers(-3, 4, size=shape)
+    noise[rng.random(shape) < 0.1] = -0.0
+    noise[rng.random(shape) < 0.1] = 0.0
+    params = ChannelParams(snr_db=snr_db)
+    llr = transmit(words, noise, params)
+    want = transmit_reference(words, noise, params)
+    assert llr.shape == want.shape and llr.dtype == want.dtype
+    assert llr.tobytes() == want.tobytes()
 
 
 def test_transmit_is_pure():

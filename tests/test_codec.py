@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rcpolar.channel import LLR_CLAMP, LlrDistribution
@@ -374,11 +374,83 @@ def test_check_node_sign_follows_the_rounded_magnitude():
     expect = [-1.1102230246251565e-16, 1.1102230246251565e-16,
               1.1102230246251565e-16]
     parent = np.array(pairs).T.copy()
-    out = np.empty((1, 3))
+    out = np.empty(3)
     _check_node(parent, out, np.empty_like(parent))
-    assert out[0].tolist() == expect
+    assert out.tolist() == expect
     for (a, b), value in zip(pairs, expect):
-        single = np.empty((1, 1))
+        single = np.empty(1)
         _check_node(np.array([[a], [b]]), single, np.empty((2, 1)))
-        assert single[0, 0] == value
+        assert single[0] == value
         assert np.copysign(value, a * b) == -value
+
+
+# Values that are not integers a code can index with, each made from the
+# integer it replaces: bools, floats (exact, fractional, huge, NaN, inf),
+# complex, strings, nested lists, None and ints beyond int64.
+_NOT_INDICES = (
+    lambda v: bool(v % 2), lambda v: np.bool_(v % 2), float,
+    lambda v: v + 0.9, np.float64, lambda v: 1e308, lambda v: -1e308,
+    lambda v: float("nan"), lambda v: float("inf"), complex, str,
+    lambda v: [v], lambda v: None, lambda v: v + 2 ** 63,
+    lambda v: v - 2 ** 63 - 1, lambda v: 2 ** 64)
+_VALID_FIELDS = {"n0": 8, "info_set": [3, 5, 6, 7], "puncture_set": [1],
+                 "rep_vector": [5, 6, 5]}
+
+
+def _build(fields):
+    spec = PolarCodeSpec(n0=fields["n0"], info_set=fields["info_set"],
+                         puncture_set=fields["puncture_set"])
+    return RcpCode(spec=spec, rep_vector=fields["rep_vector"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_VALID_FIELDS)),
+       st.sampled_from(range(len(_NOT_INDICES))), st.integers(0, 3),
+       st.booleans())
+@example("info_set", 3, 1, False)      # 5.9 was read as 5
+@example("rep_vector", 3, 0, False)    # [5.9, 6, 5] was read as [5, 6, 5]
+@example("n0", 0, 0, False)            # n0=False
+@example("n0", 2, 0, False)            # n0=8.0 raised TypeError
+@example("puncture_set", 2, 0, True)   # a float array was truncated
+def test_constructors_reject_non_integer_values(key, kind, at, as_array):
+    fields = dict(_VALID_FIELDS)
+    if key == "n0":
+        fields["n0"] = _NOT_INDICES[kind](8)
+    else:
+        entries = list(fields[key])
+        entries[at % len(entries)] = _NOT_INDICES[kind](entries[at %
+                                                                len(entries)])
+        if as_array:  # an array of the type numpy makes of the entries
+            try:
+                entries = np.array(entries)
+            except ValueError:  # a nested list numpy cannot stack
+                pass
+            else:  # numpy itself reads [5, True] as integers
+                assume(not np.issubdtype(entries.dtype, np.integer))
+        fields[key] = entries
+    with pytest.raises(ValueError):
+        _build(fields)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([int, np.int64, np.int32, np.uint16, np.int8]),
+       st.booleans(), st.booleans())
+def test_constructors_take_integers_of_any_type(cast, as_array, empty):
+    # Any integer type gives the same code; empty index lists are valid,
+    # also as numpy's float64 empty array.
+    fields = {key: (cast(value) if key == "n0" else
+                    [cast(v) for v in value])
+              for key, value in _VALID_FIELDS.items()}
+    if as_array:
+        fields = {key: np.array(value) if key != "n0" else value
+                  for key, value in fields.items()}
+    if empty:
+        fields["puncture_set"] = np.array([]) if as_array else []
+        fields["rep_vector"] = np.array([]) if as_array else []
+    code = _build(fields)
+    want = _build({**_VALID_FIELDS, **({"puncture_set": [], "rep_vector": []}
+                                       if empty else {})})
+    assert type(code.spec.n0) is int and code.spec.n0 == 8
+    assert code_to_dict(code) == code_to_dict(want)
+    for idx in (code.spec.info_set, code.spec.puncture_set, code.rep_vector):
+        assert idx.dtype == np.int64

@@ -140,80 +140,85 @@ def test_nested_decoding_equals_per_round_decoding(family):
     assert np.array_equal(fails, _per_round_failures(llr, full, lengths, bits))
 
 
-def _redecoded_rows(llr, full, lengths, bits):
-    """Per earlier round, the rows the last round decodes wrongly where a
-    decision on the last round's leaf LLRs plus that round's repetition
-    sums (transmit order, from 0) differs from the last round's decision."""
-    top, leaf = sc_decode(llr[:, : lengths[-1]], full.prefix(lengths[-1]),
-                          return_leaf_llrs=True)
-    wrong = (top != bits).any(axis=1)
-    info_set = full.spec.info_set
-    redecoded = []
-    for n in lengths[:-1]:
-        rep = np.zeros_like(leaf)
-        for t, index in enumerate(full.rep_vector[: n - full.m]):
-            rep[:, np.searchsorted(info_set, index)] += llr[:, full.m + t]
-        flips = ((leaf + rep) < 0) != top
-        redecoded.append(np.flatnonzero(wrong & flips.any(axis=1)))
-    return redecoded
+def _last_round_wrong(llr, full, lengths, bits):
+    """The rows that the last round decodes wrongly."""
+    last = sc_decode(llr[:, : lengths[-1]], full.prefix(lengths[-1]))
+    return np.flatnonzero((last != bits).any(axis=1))
 
 
-def _counting_decode(monkeypatch):
-    """Record the row count of every sc_decode call round_failures makes."""
-    calls = []
+def _counting_calls(monkeypatch):
+    """Record the row count of every sc_decode call round_failures makes
+    and the LLRs of every _true_path_leaves call."""
+    decodes, traced = [], []
+    true_path = rcpolar.codec._true_path_leaves
 
     def counting_decode(llrs, c, **kwargs):
-        calls.append(np.shape(llrs)[0])
+        decodes.append(np.shape(llrs)[0])
         return sc_decode(llrs, c, **kwargs)
 
+    def recording(llrs, c, bits):
+        traced.append(np.array(llrs))
+        return true_path(llrs, c, bits)
+
     monkeypatch.setattr(rcpolar.codec, "sc_decode", counting_decode)
-    return calls
+    monkeypatch.setattr(rcpolar.codec, "_true_path_leaves", recording)
+    return decodes, traced
 
 
-def test_nested_decoding_redecodes_only_changed_rows(monkeypatch):
+def test_nested_decoding_traces_only_wrong_rows(monkeypatch):
     # Round 1 without repetitions, then round 1 with 20 repetitions that
-    # later rounds repeat again, checked against the blocks sent.
+    # later rounds repeat again, checked against the blocks sent: one
+    # decode of the last round, and true-path leaves for exactly the rows
+    # it gets wrong.
     code, llr, bits = _corpus(256, 64, seed=2)
-    calls = _counting_decode(monkeypatch)
+    decodes, traced = _counting_calls(monkeypatch)
     for lengths in ((code.m, code.m + 10, code.n),
                     (code.m + 20, code.m + 40, code.n)):
         first_reps = code.rep_vector[: lengths[0] - code.m]
         for n in lengths[1:]:
             assert first_reps.size == 0 or np.isin(
                 code.rep_vector[first_reps.size: n - code.m], first_reps).any()
-        redecoded = _redecoded_rows(llr, code, lengths, bits)
-        assert all(0 < rows.size < 64 for rows in redecoded), redecoded
-        calls.clear()
+        wrong = _last_round_wrong(llr, code, lengths, bits)
+        assert 0 < wrong.size < 64, wrong
+        decodes.clear()
+        traced.clear()
         fails = round_failures(llr, code, lengths, bits)
-        assert calls == [64, sum(rows.size for rows in redecoded)], lengths
+        assert decodes == [64], lengths
+        assert len(traced) == 1
+        assert np.array_equal(traced[0], llr[wrong, : lengths[-1]])
         assert np.array_equal(fails,
                               _per_round_failures(llr, code, lengths, bits))
 
 
 def test_round_failures_decode_once_when_the_last_round_is_right(monkeypatch):
-    # Every row the last round decodes right needs no second decode, even
-    # where earlier rounds fail.
+    # Every row the last round decodes right needs nothing beyond its one
+    # decode, even where earlier rounds fail.
     code, llr, _ = _corpus(256, 64, seed=2)
     lengths = (code.m, code.m + 10, code.n)
     bits = sc_decode(llr, code)
     want = _per_round_failures(llr, code, lengths, bits)
     assert want[:, 0].any() and not want[:, -1].any()
-    calls = _counting_decode(monkeypatch)
+    decodes, traced = _counting_calls(monkeypatch)
     assert np.array_equal(round_failures(llr, code, lengths, bits), want)
-    assert calls == [64]
+    assert decodes == [64] and traced == []
 
 
 def _check_nested_family(monkeypatch, full, lengths, llr):
     """Every round of ``round_failures`` equals its own ``sc_decode`` and
-    the recursive reference, in two calls with more than one earlier round
-    re-decoded, on bits mixed as in :func:`_mixed_bits`."""
+    the recursive reference, from one decode and one true-path pass over
+    the rows the last round gets wrong, on bits mixed as in
+    :func:`_mixed_bits`.  In at least two earlier rounds some of those rows
+    decode right, so the last round's own leaves after its first error
+    would not do there."""
     bits = _mixed_bits(full, lengths, llr, np.arange(len(llr)) % 3)
-    redecoded = _redecoded_rows(llr, full, lengths, bits)
-    assert sum(rows.size > 0 for rows in redecoded) >= 2
+    wrong = _last_round_wrong(llr, full, lengths, bits)
     want = _per_round_failures(llr, full, lengths, bits)
-    calls = _counting_decode(monkeypatch)
+    assert ((~want[wrong, :-1]).any(axis=0)).sum() >= 2
+    decodes, traced = _counting_calls(monkeypatch)
     fails = round_failures(llr, full, lengths, bits)
-    assert calls == [len(llr), sum(rows.size for rows in redecoded)]
+    assert decodes == [len(llr)]
+    assert len(traced) == 1
+    assert np.array_equal(traced[0], llr[wrong, : lengths[-1]])
     assert np.array_equal(fails, want)
     for t, n in enumerate(lengths):
         ref_bits, _ = sc_decode_reference(llr[:, :n], full.prefix(n))
@@ -234,8 +239,8 @@ def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
 def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
     # Position 0 is punctured, so leaf 0 is exactly +0.0 or -0.0 in every
     # row and round.  Bit 0 is repeated from round 3 on: rounds 1 and 2,
-    # checked on the last round's leaves and re-decoded over its code,
-    # decide it on leaf + 0.0, as they do on leaf.
+    # decided on the true-path leaves of the last round's code, decide it
+    # on leaf + 0.0, as they do on leaf.
     spec = PolarCodeSpec(n0=8, info_set=np.array([0, 3, 5, 6, 7]),
                          puncture_set=np.array([0]))
     full = RcpCode(spec=spec, rep_vector=np.array([5, 3, 0, 6]))
@@ -245,6 +250,52 @@ def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
         assert (leaf[:, 0] == 0.0).all()
         assert np.signbit(leaf[:, 0]).any() and not np.signbit(leaf[:, 0]).all()
     _check_nested_family(monkeypatch, full, (8, 9, 10, 11), llr)
+
+
+def _assert_true_path_leaves_on_right_rows(llr, code, bits):
+    """On the rows sc_decode decodes right, the true-path leaf LLRs are
+    its own, byte for byte; returns how many rows that was."""
+    top, leaf = sc_decode(llr, code, return_leaf_llrs=True)
+    right = (top == bits).all(axis=1)
+    got = rcpolar.codec._true_path_leaves(llr, code, bits)
+    assert got.shape == leaf.shape
+    assert (np.ascontiguousarray(got[right]).tobytes()
+            == np.ascontiguousarray(leaf[right]).tobytes())
+    return int(right.sum())
+
+
+@example(_example_family([5, 3, 5, 6, 7, 3], (7, 9, 13)))
+@settings(max_examples=200, deadline=None)
+@given(_nested_family())
+def test_true_path_leaves_equal_sc_leaves_on_right_rows(family):
+    full, lengths, llr, sources = family
+    bits = _mixed_bits(full, lengths, llr, sources)
+    _assert_true_path_leaves_on_right_rows(
+        llr[:, : lengths[-1]], full.prefix(lengths[-1]), bits)
+
+
+@pytest.mark.parametrize("n0", sorted(CORPUS_CODES))
+def test_true_path_leaves_equal_sc_leaves_on_the_corpus(n0):
+    # Punctures, duplicate repetitions, exact 0 and clamped LLRs; at
+    # n0 = 2048 and 64 rows the widest nodes run in two tiles.  Half the
+    # rows take the decoder's own decisions as the block sent, so they are
+    # decoded right whatever the channel did.
+    code, llr, bits = _corpus(n0, 64, seed=n0 + 1)
+    bits[::2] = sc_decode(llr[::2], code)
+    assert _assert_true_path_leaves_on_right_rows(llr, code, bits) >= 32
+
+
+@example(_example_family([5, 3, 5, 6, 7, 3], (7, 9, 13)))
+@example(_example_family([6, 6, 5, 6, 7, 3], (8, 9, 11)))
+@settings(max_examples=100, deadline=None)
+@given(_nested_family())
+def test_round_failures_match_the_recursive_reference(family):
+    full, lengths, llr, sources = family
+    bits = _mixed_bits(full, lengths, llr, sources)
+    fails = round_failures(llr, full, lengths, bits)
+    for t, n in enumerate(lengths):
+        ref_bits, _ = sc_decode_reference(llr[:, :n], full.prefix(n))
+        assert np.array_equal(fails[:, t], (ref_bits != bits).any(axis=1))
 
 
 def test_nested_decoding_rejects_bad_lengths():
@@ -309,12 +360,13 @@ def test_repetition_sums_equal_the_rank_scan(width, picks, batch, seed):
     assert sums.tobytes() == want.tobytes()
 
 
-def test_decode_holds_four_node_buffers():
-    # One decode of 2048 words at n0 = 256 holds four (n0, B) float64
-    # buffers (channel word, tree levels, check-node scratch, partial
-    # sums), plus the bits it returns (twice: in decode order and
-    # transposed) and the per-bit sums of its repetition LLRs.  A fifth
-    # half buffer of scratch exceeds this by about 1.5 MiB.
+def test_decode_holds_three_node_buffers_and_a_tile():
+    # One decode of 2048 words at n0 = 256 holds three (n0, B) float64
+    # buffers (channel word, tree levels, partial sums) and one tile of
+    # check-node scratch, plus the bits it returns (twice: in decode order
+    # and transposed) and the per-bit sums of its repetition LLRs.  Scratch
+    # of half a node buffer, as the (n0/2, B) check-node pair once took,
+    # exceeds this by about 1.8 MiB.
     code, _, _ = construct_rcp(288, 128, 256, channel_llr_distribution(
         ChannelParams(snr_db=0.0)))
     b = 2048
@@ -325,6 +377,7 @@ def test_decode_holds_four_node_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    budget = (4 * code.spec.n0 * b * 8 + llrs[:, code.m:].nbytes
+    tile = 2 * rcpolar.codec._TILE * 8
+    budget = (3 * code.spec.n0 * b * 8 + tile + llrs[:, code.m:].nbytes
               + 2 * code.k * b + (64 << 10))
     assert peak <= budget, (peak, budget)
