@@ -46,11 +46,11 @@ def _indices(values, name: str) -> np.ndarray:
         valid = all(_is_int(v) for v in arr.flat)
     else:
         valid = arr.size == 0 or np.issubdtype(arr.dtype, np.integer)
-    try:
-        if valid:
+    if valid:
+        try:
             return np.asarray(arr, dtype=np.int64)
-    except OverflowError:
-        pass
+        except OverflowError:  # an int beyond int64
+            pass
     raise ValueError(f"{name} entries must be integers in int64, "
                      f"got {values!r}")
 
