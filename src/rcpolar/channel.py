@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import _is_int
+
 # Channel LLRs are saturated at this magnitude so that downstream tanh-domain
 # arithmetic never sees infinities.  |LLR| = 40 corresponds to an error
 # probability around 4e-18, far beyond any decision-relevant scale.
@@ -22,6 +24,9 @@ class ChannelParams:
     snr_db: float
 
     def __post_init__(self):
+        snr = self.snr_db
+        if not (_is_int(snr) or isinstance(snr, (float, np.floating))):
+            raise ValueError(f"snr_db must be a real number, got {snr!r}")
         try:
             var = self.noise_var
         except OverflowError:  # 10.0 ** x for x above about 308
@@ -154,16 +159,13 @@ def channel_llr_distribution(params: ChannelParams) -> LlrDistribution:
     return LlrDistribution(mean=2.0 / params.noise_var)
 
 
-def bawgn_capacity(params: ChannelParams, nodes: int = 128) -> float:
+def bawgn_capacity(params: ChannelParams) -> float:
     """Symmetric capacity of the BPSK-input AWGN channel, in bits per use.
 
     Evaluates C = 1 - E[log2(1 + exp(-L))] with L ~ Normal(m, 2m), m = 2/sigma^2,
-    by Gauss-Hermite quadrature with ``nodes`` points (>= 64 for the default
-    accuracy target).
+    by Gauss-Hermite quadrature with 128 points.
     """
-    if nodes < 64:
-        raise ValueError("use at least 64 quadrature nodes")
-    t, w = np.polynomial.hermite.hermgauss(nodes)
+    t, w = np.polynomial.hermite.hermgauss(128)
     m = 2.0 / params.noise_var
     llr = m + np.sqrt(2.0 * m) * np.sqrt(2.0) * t
     # log2(1 + e^-L), computed stably for large |L|

@@ -22,12 +22,15 @@ from .simulate import bler_monte_carlo, bound_check, run_campaign
 SCHEMA_VERSION = 1
 # Scheme SNRs are matched to the requested ones to within this many dB.
 SNR_MATCH_DB = 1e-9
-# Config keys that must hold integers, with the least value each may take.
-# Each is below 2^63, since lengths and counts are held in numpy int64; a
-# seed is below 2^64 instead: it keys 64-bit Philox streams, and a larger one
-# would alias a smaller one.
-_INT_KEYS = {"n": 1, "k": 1, "m": 1, "q": 1, "t_max": 1, "trials": 1,
-             "threads": 1, "seed": 0}
+# Config keys that must hold integers, with the least and largest value each
+# may take.  Lengths (n, k, m, q, those of bler codes and schemes.json
+# schemes) and t_max, which counts lengths, are at most MAX_LENGTH, as a run
+# holds arrays sized by them.  Counts are held in numpy int64; a seed keys
+# 64-bit Philox streams, and a larger one would alias a smaller one.
+MAX_LENGTH = 2 ** 20
+_INT_KEYS = {**dict.fromkeys(("n", "k", "m", "q", "t_max"), (1, MAX_LENGTH)),
+             "trials": (1, 2 ** 63 - 1), "threads": (1, 2 ** 63 - 1),
+             "seed": (0, 2 ** 64 - 1)}
 
 
 class ConfigError(Exception):
@@ -59,12 +62,11 @@ def _load_config(args) -> dict:
         cfg["out"] = args.out
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
-    for key, least in _INT_KEYS.items():
-        bits = 64 if key == "seed" else 63
+    for key, (least, most) in _INT_KEYS.items():
         if key in cfg and (type(cfg[key]) is not int
-                           or not least <= cfg[key] < 2 ** bits):
+                           or not least <= cfg[key] <= most):
             raise ConfigError(f"{key} must be an integer in [{least}, "
-                              f"2^{bits}), got {cfg[key]!r}")
+                              f"{most}], got {cfg[key]!r}")
     if "out" in cfg and (type(cfg["out"]) is not str or "\0" in cfg["out"]):
         raise ConfigError(f"out must be a string without NUL, got "
                           f"{cfg['out']!r}")
@@ -211,10 +213,10 @@ def _load_schemes(path: str):
             snr, k, s, eta = (entry[key] for key in
                               ("snr_db", "k", "s", "eta_estimate"))
             if not (_finite(snr) and _finite(eta) and type(s) is list
-                    and all(type(v) is int and 1 <= v < 2 ** 63
+                    and all(type(v) is int and 1 <= v <= MAX_LENGTH
                             for v in [k, *s])):
                 raise ValueError("snr_db and eta_estimate must be finite "
-                                 "numbers, k and s integers in [1, 2^63), "
+                                 "numbers, k and s integers in [1, 2^20], "
                                  f"got {entry!r}")
             out.append((ChannelParams(snr_db=float(snr)), HarqScheme(
                 k=k, m=s[0], lengths=tuple(s[1:]), eta_estimate=float(eta))))
@@ -267,11 +269,11 @@ def cmd_bler(cfg: dict) -> int:
     codes, snr_db, trials = _require(cfg, "codes", "snr_db", "trials")
     if not isinstance(codes, list) or not codes or not all(
             isinstance(c, list) and len(c) == 3
-            and all(type(v) is int for v in c) and 1 <= c[1] <= c[2] <= c[0]
-            for c in codes):
+            and all(type(v) is int for v in c)
+            and 1 <= c[1] <= c[2] <= c[0] <= MAX_LENGTH for c in codes):
         raise ConfigError("codes must be a nonempty list of [n, k, m] "
-                          f"integer triples with 1 <= k <= m <= n, got "
-                          f"{codes!r}")
+                          f"integer triples with 1 <= k <= m <= n <= 2^20, "
+                          f"got {codes!r}")
     snrs = _snr_list(snr_db)
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]

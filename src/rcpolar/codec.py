@@ -18,11 +18,13 @@ decision sites, so the tree LLRs at input bit i depend on the channel LLRs
 and the decisions on bits 0..i-1 alone.  On a block's true trajectory, where
 every earlier decision equals the block sent, each leaf LLR is therefore one
 number per received polar word, bit for bit, whatever repetitions a round
-adds.  SC decodes a block right exactly when every decision along the true
-trajectory is right (Arikan 2009): while all are right the decoder stays on
-that trajectory, and at the first wrong one it has decided wrongly.  So a
-round fails exactly when, at some bit, the true-path leaf LLR plus the
-round's repetition sum decides against the block sent.
+adds; :func:`sc_decode` given the blocks sent walks that trajectory, with
+every partial sum re-encoded from the block instead of from a decision.  SC
+decodes a block right exactly when every decision along the true trajectory
+is right (Arikan 2009): while all are right the decoder stays on that
+trajectory, and at the first wrong one it has decided wrongly.  So a round
+fails exactly when, at some bit, the true-path leaf LLR plus the round's
+repetition sum decides against the block sent.
 """
 
 from dataclasses import dataclass, field
@@ -261,7 +263,7 @@ def _schedule(spec: PolarCodeSpec):
     return list(visits)
 
 
-def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
+def sc_decode(llrs, code: RcpCode, sent=None):
     """Successive-cancellation decode of one or many received LLR words.
 
     Parameters
@@ -270,27 +272,23 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
         Received LLRs: first m entries are the surviving polar positions in
         ascending order, the rest are repetition observations.
     code : RcpCode
-    counter : dict, optional
-        If given, "f_ops" and "g_ops" are incremented by the number of
-        per-word scalar updates performed (independent of batch size):
-        the summed widths of the left and the right child nodes outside
-        dead blocks.
-    return_leaf_llrs : bool
-        Also return the (B, k) leaf LLRs: the tree LLR at every information
-        bit, in info-set order, before repetition LLRs are added.  The
-        decision at a repeated bit is made on its leaf LLR plus its
-        repetition LLRs summed in transmit order.
+    sent : array-like of 0/1 bits, shape (k,) or (B, k), optional
+        The blocks sent.  If given, the decoder walks each word's true
+        trajectory: it re-encodes every partial sum from ``sent`` instead of
+        from a decision, makes no decision and adds no repetition LLRs.
 
     Returns
     -------
-    ndarray of int8, shape (k,) or (B, k); optionally the leaf LLRs.
+    Without ``sent``, the decided bits, int8 of shape (k,) or (B, k), each
+    made on its leaf LLR plus its repetition LLRs summed in transmit order.
+    With ``sent``, the true-path leaf LLRs in its shape: the tree LLR at
+    every information bit, in info-set order, before repetitions.
 
-    Raises ValueError on a length mismatch or any NaN/infinite LLR.
+    Raises ValueError on a length or shape mismatch, any NaN/infinite LLR
+    or a sent bit other than 0 or 1.
     """
-    llrs = np.asarray(llrs, dtype=float)
-    batched = llrs.ndim == 2
-    if not batched:
-        llrs = llrs[None, :]
+    batched = np.ndim(llrs) == 2
+    llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
     if llrs.shape[1] != code.n:
         raise ValueError(f"expected {code.n} LLRs, got {llrs.shape[1]}")
     if not np.isfinite(llrs).all():
@@ -298,13 +296,21 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     spec = code.spec
     n0, b = spec.n0, llrs.shape[0]
     depth = n0.bit_length() - 1
+    if sent is not None:
+        sent = np.asarray(sent, dtype=np.int8)
+        if (sent.shape != (b, spec.k)[not batched:]
+                or sent.view(np.uint8).max(initial=0) > 1):
+            raise ValueError("sent must hold one 0/1 block per word")
+        sent = np.ascontiguousarray(sent.reshape(b, spec.k).T)
 
     # Words are columns: every node's LLRs are a contiguous (width, B) block.
     # Punctured positions are erasures: LLR exactly 0.
     chan = np.zeros((n0, b))
     chan[spec.transmitted_positions] = llrs[:, : spec.m].T
-    rep_index, rep_sums = _repetition_sums(llrs, code)
-    rep_at = dict(zip(rep_index.tolist(), rep_sums))
+    if sent is None:
+        rep_index, rep_sums = _repetition_sums(llrs, code)
+        rep_at = dict(zip(rep_index.tolist(), rep_sums))
+        decision = np.empty(b)
 
     # Level s (width 2^s) of the current path lives in rows [2^s, 2^(s+1))
     # of one buffer; the channel word is level `depth`.  Level s is always
@@ -327,14 +333,11 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
     signs = np.empty((n0, b))
     flat_signs = signs.reshape(-1)
 
-    visits = _schedule(spec)
-    u_hat = np.empty((spec.k, b), dtype=np.int8)
-    leaves = np.empty((spec.k, b)) if return_leaf_llrs else None
-    decision = np.empty(b)
+    # Per information bit: its decision, or its leaf LLR when following sent.
+    found = np.empty((spec.k, b), dtype=np.int8 if sent is None else float)
     leaf = levels[0][0]
-    f_ops = g_ops = 0
 
-    for i, s, j in visits:
+    for i, s, j in _schedule(spec):
         # An information leaf is computed down to level 0; a dead block is
         # not computed at all, only the path down to its parent.
         low = 0 if j >= 0 else s + 1
@@ -344,29 +347,25 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
             # bit; every node below that on its path is a left child.
             top = (i & -i).bit_length() - 1
             if top >= low:
-                h = 1 << top
-                left_sums = flat_signs[(i - h) * b: i * b]
+                left_sums = flat_signs[(i - (1 << top)) * b: i * b]
                 for la, lb, out, c, e in g_tiles[top]:
                     np.multiply(la, left_sums[c:e], out=out)
                     np.add(out, lb, out=out)
-                g_ops += h
         for t in range(top - 1, low - 1, -1):
             for tile in f_tiles[t]:
                 _check_node(*tile)
-            f_ops += 1 << t
 
         end = i + (1 << s)
         if j < 0:
             signs[i:end] = 1.0
         else:
-            if leaves is not None:
-                leaves[j] = leaf
-            d = leaf
-            rep = rep_at.get(i)
-            if rep is not None:
-                d = np.add(leaf, rep, out=decision)
-            bit = u_hat[j]
-            np.less(d, 0.0, out=bit)
+            if sent is None:
+                rep = rep_at.get(i)
+                d = leaf if rep is None else np.add(leaf, rep, out=decision)
+                bit = np.less(d, 0.0, out=found[j])
+            else:
+                found[j] = leaf
+                bit = sent[j]
             np.multiply(bit, -2.0, out=signs[i])
             np.add(signs[i], 1.0, out=signs[i])
         # Close every node whose last leaf this was: x = (x_L xor x_R, x_R).
@@ -376,54 +375,9 @@ def sc_decode(llrs, code: RcpCode, counter=None, return_leaf_llrs=False):
             np.multiply(left, signs[end - h:end], out=left)
             s += 1
 
-    if counter is not None:
-        counter["f_ops"] = counter.get("f_ops", 0) + f_ops
-        counter["g_ops"] = counter.get("g_ops", 0) + g_ops
-    out = np.ascontiguousarray(u_hat.T)
-    if not batched:
-        out = out[0]
-    if leaves is None:
-        return out
-    return out, (leaves.T if batched else leaves[:, 0])
-
-
-def _true_path_leaves(llrs, code: RcpCode, bits) -> np.ndarray:
-    """The (B, k) leaf LLRs that :func:`sc_decode` computes on the true
-    trajectory of each row, the one on which every decision before a bit
-    equals the block sent, ``bits`` (B, k).
-
-    Level by level from the channel word: the sent word re-encoded, with
-    one encoder stage undone per level, gives every left child's partial
-    sums; then one f-update and one g-update (``a*s + b``, as in
-    :func:`sc_decode`) over all nodes of the level at once.  Every leaf is
-    computed, dead ones too, in O(depth) numpy calls.  On a row that
-    :func:`sc_decode` decodes right these are its leaf LLRs, byte for byte.
-    """
-    spec = code.spec
-    n0, b = spec.n0, len(llrs)
-    x = np.zeros((n0, b), dtype=np.int8)
-    x[spec.info_set] = bits.T
-    stages = range(n0.bit_length() - 1)
-    for s in stages:
-        word = x.reshape(n0 >> (s + 1), 2, -1)
-        word[:, 0] ^= word[:, 1]
-    level = np.zeros((n0, b))
-    level[spec.transmitted_positions] = llrs[:, : spec.m].T
-    child, pair = np.empty((n0, b)), np.empty((n0, b))
-    sums = np.empty((n0 // 2, b))
-    for s in reversed(stages):
-        shape = (n0 >> (s + 1), 2, -1)
-        word = x.reshape(shape)
-        word[:, 0] ^= word[:, 1]  # each 2^s block now holds its own word
-        parent, out = level.reshape(shape), child.reshape(shape)
-        _check_node(parent, out[:, 0], pair.reshape(shape))
-        left = sums.reshape(shape[0], -1)
-        np.multiply(word[:, 0], -2.0, out=left)
-        np.add(left, 1.0, out=left)
-        np.multiply(parent[:, 0], left, out=out[:, 1])
-        np.add(out[:, 1], parent[:, 1], out=out[:, 1])
-        level, child = child, level
-    return level[spec.info_set].T
+    # Leaves stay a view of the (k, B) rows that round_failures reads.
+    out = np.ascontiguousarray(found.T) if sent is None else found.T
+    return out if batched else out[0]
 
 
 def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
@@ -432,16 +386,11 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
     code.prefix(n)) != bits, axis=1)`` for n in ``lengths``, a strictly
     increasing list inside ``[code.m, code.n]``.
 
-    SC decodes a block right exactly when every decision on the block's
-    true trajectory is right (see the module docstring), so every round's
-    failures follow from one set of true-path leaf LLRs.  The last round is
-    decoded once and keeps its leaf LLRs, which are the true-path ones on
-    the rows it decodes right; only the rows it decodes wrong get theirs
-    from :func:`_true_path_leaves`.  Round t decides each bit on the leaf
-    LLR plus the round's repetition sum (the leaf alone if it does not
-    repeat the bit), the operands :func:`sc_decode` uses, and fails where a
-    decision differs from the block sent.  A single round is one plain
-    :func:`sc_decode` call.
+    Every round's failures follow from the true-path leaf LLRs (see the
+    module docstring), which one walk of the last round's tree following
+    ``bits`` gives: round t decides each bit on its leaf plus the round's
+    repetition sum, as :func:`sc_decode` does, and fails where a decision
+    differs from ``bits``.  A single round is one plain decode.
     """
     lengths = [int(n) for n in lengths]
     if not (lengths and code.m <= lengths[0] and lengths[-1] <= code.n
@@ -452,12 +401,8 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
     last = code.prefix(lengths[-1])
     if len(lengths) == 1:
         return (sc_decode(llrs, last) != bits).any(axis=1)[:, None]
-    top, leaf = sc_decode(llrs, last, return_leaf_llrs=True)
-    wrong = np.flatnonzero((top != bits).any(axis=1))
-    if wrong.size:
-        leaf[wrong] = _true_path_leaves(llrs[wrong], last, bits[wrong])
     # Bits by rows, words by columns, as the decoder holds its leaves.
-    leaf, bits = leaf.T, np.ascontiguousarray(bits.T)
+    leaf, bits = sc_decode(llrs, last, sent=bits).T, bits.T.copy()
     fails = np.empty((len(llrs), len(lengths)), dtype=bool)
     for t, n in enumerate(lengths):
         index, sums = _repetition_sums(llrs, code.prefix(n))

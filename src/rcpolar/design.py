@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
+from .codec import _is_int
 from .construct import mother_codes
 
 # Block-error values are floored here so throughput denominators stay stable.
@@ -36,6 +37,9 @@ class HarqScheme:
     eta_estimate: float
 
     def __post_init__(self):
+        if not all(map(_is_int, (self.k, self.m, *self.lengths))):
+            raise ValueError("k, m and lengths must be integers, got "
+                             f"{self.k!r}, {self.m!r}, {self.lengths!r}")
         if not self.lengths:
             raise ValueError("a scheme needs at least one transmission length")
         if not 1 <= self.k <= self.m <= self.lengths[0]:
@@ -225,6 +229,8 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
         raise ValueError(f"need 1 <= k <= q, got k={k}, q={q}")
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
+    # A scheme has at most one round per distinct length in [m, q].
+    t_max = min(t_max, q - k + 1)
 
     curves = (bler_curve_from_plan(m, plan).e for m, (_, plan)
               in enumerate(mother_codes(k, range(k, q + 1), q, channel), k))

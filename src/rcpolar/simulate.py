@@ -26,11 +26,11 @@ from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
 _Z95 = 1.959963984540054
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
+def wilson_halfwidth(successes: int, trials: int) -> float:
     """Half-width of the Wilson 95% score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0
-    p = successes / trials
+    p, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     return float(z * np.sqrt(p * (1.0 - p) / trials
                              + z * z / (4.0 * trials * trials)) / denom)

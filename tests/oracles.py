@@ -4,9 +4,10 @@ and the golden-vector file format of the encoder regression tests.
 The references are deliberately written the slow, obvious way (dense matrix
 algebra, exhaustive enumeration, direct sampling, step-by-step loops) and
 share no code with the implementations under test, except the GA check
-update and the error-probability function that a bitwise comparison needs,
-and the encoder, channel and one-round decoder that the per-trial protocol
-reference runs (each is checked against its own reference elsewhere).
+update, the error-probability function and the SC check-node update that a
+bitwise comparison needs, and the encoder, channel and one-round decoder
+that the per-trial protocol reference runs (each is checked against its own
+reference elsewhere).
 """
 
 import heapq
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from rcpolar.channel import LLR_CLAMP, noise_stream, transmit
-from rcpolar.codec import code_from_dict, code_to_dict, rcp_encode, sc_decode
+from rcpolar.codec import (_check_node, code_from_dict, code_to_dict,
+                           rcp_encode, sc_decode)
 from rcpolar.reliability import (ReliabilityTable, check_mean_update,
                                  pe_from_mean)
 
@@ -303,6 +305,46 @@ def sc_decode_reference(llrs, code):
 
     descend(chan)
     return u_hat[:, spec.info_set], leaves
+
+
+def true_path_leaves_reference(llrs, code, bits) -> np.ndarray:
+    """The (B, k) leaf LLRs that :func:`sc_decode` computes on the true
+    trajectory of each row, the one on which every decision before a bit
+    equals the block sent, ``bits`` (B, k).
+
+    Level by level from the channel word: the sent word re-encoded, with
+    one encoder stage undone per level, gives every left child's partial
+    sums; then one f-update and one g-update (``a*s + b``, as in
+    :func:`sc_decode`) over all nodes of the level at once.  Every leaf is
+    computed, dead ones too, in O(depth) numpy calls.  On a row that
+    :func:`sc_decode` decodes right these are its leaf LLRs, byte for byte;
+    on every row they are what it returns given ``sent=bits``.
+    """
+    spec = code.spec
+    n0, b = spec.n0, len(llrs)
+    x = np.zeros((n0, b), dtype=np.int8)
+    x[spec.info_set] = bits.T
+    stages = range(n0.bit_length() - 1)
+    for s in stages:
+        word = x.reshape(n0 >> (s + 1), 2, -1)
+        word[:, 0] ^= word[:, 1]
+    level = np.zeros((n0, b))
+    level[spec.transmitted_positions] = llrs[:, : spec.m].T
+    child, pair = np.empty((n0, b)), np.empty((n0, b))
+    sums = np.empty((n0 // 2, b))
+    for s in reversed(stages):
+        shape = (n0 >> (s + 1), 2, -1)
+        word = x.reshape(shape)
+        word[:, 0] ^= word[:, 1]  # each 2^s block now holds its own word
+        parent, out = level.reshape(shape), child.reshape(shape)
+        _check_node(parent, out[:, 0], pair.reshape(shape))
+        left = sums.reshape(shape[0], -1)
+        np.multiply(word[:, 0], -2.0, out=left)
+        np.add(left, 1.0, out=left)
+        np.multiply(parent[:, 0], left, out=out[:, 1])
+        np.add(out[:, 1], parent[:, 1], out=out[:, 1])
+        level, child = child, level
+    return level[spec.info_set].T
 
 
 @dataclass(frozen=True)

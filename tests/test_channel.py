@@ -144,11 +144,6 @@ def test_capacity_against_monte_carlo_mutual_information():
     assert bawgn_capacity(params) == pytest.approx(mc, abs=1e-3)
 
 
-def test_quadrature_node_floor():
-    with pytest.raises(ValueError):
-        bawgn_capacity(ChannelParams(snr_db=0.0), nodes=32)
-
-
 # Draws the edges of the 64-bit keys (seed 0 and 2^64 - 1, indices up to
 # 2^64 - 1) and every block length modulo 8.
 @example(base_seed=2 ** 64 - 1, lo=2 ** 64 - 4, rows=4, k=13, extra=0)

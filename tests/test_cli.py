@@ -113,6 +113,15 @@ def _scheme_entry(**edit):
     ("construct", {"n": 2 ** 63, "k": 4, "m": 8, "snr_db": 0.0}),
     ("design", {"k": 4, "t_max": 2 ** 63, "q": 12, "snr_db": 0.0}),
     ("simulate", {"schemes": [_scheme_entry(s=[8, 8, 2 ** 63])]}),
+    # Sizes that alone cannot be allocated: t_max, n, m, q and every length
+    # of a code or a scheme are at most 2^20.  Each of the first three
+    # exited 3 with "Unable to allocate" (72 TiB, 8 TiB and 8 TiB).
+    ("design", {"k": 4, "t_max": 2 ** 40, "q": 12, "snr_db": 0.0}),
+    ("design", {"k": 4, "t_max": 2, "q": 2 ** 40, "snr_db": 0.0}),
+    ("construct", {"n": 2 ** 40, "k": 4, "m": 8, "snr_db": 0.0}),
+    ("construct", {"n": 2 ** 20 + 1, "k": 4, "m": 8, "snr_db": 0.0}),
+    ("bler", {"codes": [[2 ** 20 + 1, 4, 8]], "snr_db": 0.0, "trials": 20}),
+    ("simulate", {"schemes": [_scheme_entry(s=[12, 12, 2 ** 20 + 1])]}),
 ])
 def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
     if command == "simulate":

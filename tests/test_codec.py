@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import rcpolar.codec
 from rcpolar.channel import LLR_CLAMP, LlrDistribution
 from rcpolar.codec import (PolarCodeSpec, RcpCode, _check_node,
                            code_from_dict, code_to_dict, rcp_encode,
@@ -124,6 +125,21 @@ def test_sc_decode_length_mismatch():
         sc_decode(np.zeros(11), code)
 
 
+def test_sc_decode_rejects_sent_blocks_of_the_wrong_shape_or_values():
+    # The sent blocks set every partial sum, so a block of another length,
+    # a missing row or a bit other than 0/1 would give wrong leaves.
+    code, _, _ = construct_rcp(12, 4, 8, LlrDistribution(2.0))
+    llr = np.ones((2, code.n))
+    for sent in (np.zeros((2, 3)), np.zeros((1, 4)), np.zeros(4),
+                 np.full((2, 4), 2), np.full((2, 4), -1)):
+        with pytest.raises(ValueError, match="sent"):
+            sc_decode(llr, code, sent=sent)
+    with pytest.raises(ValueError, match="sent"):
+        sc_decode(llr[0], code, sent=np.zeros((1, 4)))
+    assert sc_decode(llr, code, sent=np.zeros((2, 4))).shape == (2, 4)
+    assert sc_decode(llr[0], code, sent=[0, 1, 1, 0]).shape == (4,)
+
+
 def test_decision_llrs_match_exhaustive_posterior():
     # n0=4, k=2, no punctures or repetitions, so the leaf LLRs are the
     # decision LLRs: at each information bit it equals the posterior
@@ -133,7 +149,8 @@ def test_decision_llrs_match_exhaustive_posterior():
     rng = np.random.default_rng(4)
     for _ in range(50):
         llr = rng.normal(0.0, 3.0, size=4)
-        decoded, decisions = sc_decode(llr, code, return_leaf_llrs=True)
+        decoded = sc_decode(llr, code)
+        decisions = sc_decode(llr, code, sent=decoded)
         u = np.zeros(4, dtype=np.int64)
         u[code.spec.info_set] = decoded
         for j, i in enumerate(code.spec.info_set):
@@ -162,8 +179,9 @@ def test_repetition_llrs_accumulate():
     polar_llr = [3.0, 2.6]
     single = RcpCode(spec=spec, rep_vector=np.array([0]))
     for rep_llr in (-1.2, -1.1):
-        decoded, leaf = sc_decode(np.array([*polar_llr, rep_llr]), single,
-                                  return_leaf_llrs=True)
+        llr = np.array([*polar_llr, rep_llr])
+        decoded = sc_decode(llr, single)
+        leaf = sc_decode(llr, single, sent=decoded)
         assert leaf[0] == pytest.approx(2.0, abs=0.2)
         assert decoded[0] == 0
     pair = RcpCode(spec=spec, rep_vector=np.array([0, 0]))
@@ -197,21 +215,42 @@ def test_decode_batch_matches_single():
         assert np.array_equal(batch[i], sc_decode(llr[i], code))
 
 
-def test_decode_operation_counts_scale():
-    # Exactly n0/2 * log2(n0) updates of each kind per decoded word.
-    for n0 in (4, 16, 64, 256, 1024):
+def _f_ops(monkeypatch, llrs, code, **kwargs):
+    """Check-node outputs per word that one sc_decode call computes,
+    summed over every call of its f-update."""
+    outputs = []
+    original = rcpolar.codec._check_node
+
+    def counting(parent, out, pair):
+        outputs.append(out.size)
+        return original(parent, out, pair)
+
+    monkeypatch.setattr(rcpolar.codec, "_check_node", counting)
+    sc_decode(llrs, code, **kwargs)
+    monkeypatch.undo()
+    words = 1 if np.ndim(llrs) == 1 else len(llrs)
+    assert sum(outputs) % words == 0
+    return sum(outputs) // words
+
+
+def test_decode_operation_counts_scale(monkeypatch):
+    # Exactly n0/2 * log2(n0) f-updates per decoded word, in one tile or,
+    # at n0 = 1024 and 128 words, two at the widest node.
+    for n0, words in ((4, 1), (16, 1), (64, 1), (256, 1), (1024, 1),
+                      (1024, 128)):
         spec = _plain_spec(n0, list(range(n0)))
         code = RcpCode(spec=spec)
-        counter = {}
-        sc_decode(np.ones(n0), code, counter=counter)
+        llrs = np.ones((words, n0))
         expect = n0 // 2 * int(np.log2(n0))
-        assert counter["f_ops"] == expect
-        assert counter["g_ops"] == expect
+        assert _f_ops(monkeypatch, llrs, code) == expect
+        assert _f_ops(monkeypatch, llrs, code,
+                      sent=np.zeros((words, n0), dtype=np.int8)) == expect
 
 
-def test_decode_operation_counts_skip_dead_blocks():
+def test_decode_operation_counts_skip_dead_blocks(monkeypatch):
     # A node is updated only if it holds an information bit: a left child
-    # by f, a right child by g, each costing its width per word.
+    # by f, costing its width per word, whether the decoder decides or
+    # follows the blocks sent.
     rng = np.random.default_rng(8)
     constructed, _, _ = construct_rcp(72, 32, 64, LlrDistribution(1.6))
     codes = [constructed] + [
@@ -220,18 +259,17 @@ def test_decode_operation_counts_skip_dead_blocks():
         for n0 in (8, 64, 512)]
     for code in codes:
         n0 = code.spec.n0
-        counter = {}
-        sc_decode(rng.normal(size=(3, code.n)), code, counter=counter)
+        llrs = rng.normal(size=(3, code.n))
         has_info = np.zeros(n0, dtype=bool)
         has_info[code.spec.info_set] = True
-        expect = {"f_ops": 0, "g_ops": 0}
+        expect = 0
         for s in range(n0.bit_length() - 1):
             live = has_info.reshape(-1, 1 << s).any(axis=1)
-            expect["f_ops"] += (1 << s) * int(live[0::2].sum())
-            expect["g_ops"] += (1 << s) * int(live[1::2].sum())
-        full = n0 // 2 * (n0.bit_length() - 1)
-        assert expect["f_ops"] < full and expect["g_ops"] < full
-        assert counter == expect, n0
+            expect += (1 << s) * int(live[0::2].sum())
+        assert expect < n0 // 2 * (n0.bit_length() - 1)
+        assert _f_ops(monkeypatch, llrs, code) == expect, n0
+        sent = rng.integers(0, 2, size=(3, code.k), dtype=np.int8)
+        assert _f_ops(monkeypatch, llrs, code, sent=sent) == expect, n0
 
 
 def test_spec_validation():

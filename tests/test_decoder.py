@@ -1,5 +1,6 @@
-"""The level-by-level SC decoder against the recursive reference, and the
-round failures counted from one decode of the last round."""
+"""The level-by-level SC decoder against the recursive reference, its
+true-path leaves against the level-by-level reference, and the round
+failures counted from one walk of the last round's tree."""
 
 import gc
 import tracemalloc
@@ -16,7 +17,8 @@ from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, round_failures,
                            sc_decode)
 from rcpolar.construct import construct_rcp
 
-from oracles import repetition_sums_reference, sc_decode_reference
+from oracles import (repetition_sums_reference, sc_decode_reference,
+                     true_path_leaves_reference)
 
 # (n, k, m, snr_db) per mother length n0 = 8, 256, 2048; all are punctured.
 CORPUS_CODES = {8: (12, 4, 6, 1.0), 256: (300, 128, 200, 0.5),
@@ -55,7 +57,8 @@ def test_corpus_matches_recursive_reference(n0):
     for b in CORPUS_BATCHES:
         ref_bits, ref_llrs = sc_decode_reference(llr[:b], code)
         ref_llrs = ref_llrs[:, code.spec.info_set]
-        bits, llrs = sc_decode(llr[:b], code, return_leaf_llrs=True)
+        bits = sc_decode(llr[:b], code)
+        llrs = sc_decode(llr[:b], code, sent=bits)
         assert np.array_equal(bits, ref_bits), (n0, b)
         err = np.abs(llrs - ref_llrs) / np.maximum(np.abs(ref_llrs), 1.0)
         assert err.max() <= LEAF_RTOL, (n0, b, err.max())
@@ -66,7 +69,7 @@ def test_sc_decode_leaves_no_reference_cycles():
     # collector runs.
     code, llr, _ = _corpus(256, 16, seed=1)
     gc.collect()
-    sc_decode(llr, code, counter={}, return_leaf_llrs=True)
+    sc_decode(llr, code, sent=sc_decode(llr, code))
     assert gc.collect() == 0
 
 
@@ -147,31 +150,25 @@ def _last_round_wrong(llr, full, lengths, bits):
 
 
 def _counting_calls(monkeypatch):
-    """Record the row count of every sc_decode call round_failures makes
-    and the LLRs of every _true_path_leaves call."""
-    decodes, traced = [], []
-    true_path = rcpolar.codec._true_path_leaves
+    """Record, for every sc_decode call round_failures makes, its row count
+    and whether it followed the blocks sent."""
+    decodes = []
 
-    def counting_decode(llrs, c, **kwargs):
-        decodes.append(np.shape(llrs)[0])
-        return sc_decode(llrs, c, **kwargs)
-
-    def recording(llrs, c, bits):
-        traced.append(np.array(llrs))
-        return true_path(llrs, c, bits)
+    def counting_decode(llrs, c, sent=None):
+        decodes.append((np.shape(llrs)[0], sent is not None))
+        return sc_decode(llrs, c, sent=sent)
 
     monkeypatch.setattr(rcpolar.codec, "sc_decode", counting_decode)
-    monkeypatch.setattr(rcpolar.codec, "_true_path_leaves", recording)
-    return decodes, traced
+    return decodes
 
 
-def test_nested_decoding_traces_only_wrong_rows(monkeypatch):
+def test_nested_decoding_walks_the_tree_once(monkeypatch):
     # Round 1 without repetitions, then round 1 with 20 repetitions that
-    # later rounds repeat again, checked against the blocks sent: one
-    # decode of the last round, and true-path leaves for exactly the rows
-    # it gets wrong.
+    # later rounds repeat again, checked against the blocks sent: one walk
+    # of the last round's tree following them, over the rows the last
+    # round decodes wrongly as well as the rest.
     code, llr, bits = _corpus(256, 64, seed=2)
-    decodes, traced = _counting_calls(monkeypatch)
+    decodes = _counting_calls(monkeypatch)
     for lengths in ((code.m, code.m + 10, code.n),
                     (code.m + 20, code.m + 40, code.n)):
         first_reps = code.rep_vector[: lengths[0] - code.m]
@@ -181,44 +178,44 @@ def test_nested_decoding_traces_only_wrong_rows(monkeypatch):
         wrong = _last_round_wrong(llr, code, lengths, bits)
         assert 0 < wrong.size < 64, wrong
         decodes.clear()
-        traced.clear()
         fails = round_failures(llr, code, lengths, bits)
-        assert decodes == [64], lengths
-        assert len(traced) == 1
-        assert np.array_equal(traced[0], llr[wrong, : lengths[-1]])
+        assert decodes == [(64, True)], lengths
         assert np.array_equal(fails,
                               _per_round_failures(llr, code, lengths, bits))
 
 
 def test_round_failures_decode_once_when_the_last_round_is_right(monkeypatch):
-    # Every row the last round decodes right needs nothing beyond its one
-    # decode, even where earlier rounds fail.
+    # Every row the last round decodes right needs nothing beyond the one
+    # walk, even where earlier rounds fail; a single round is one plain
+    # decode.
     code, llr, _ = _corpus(256, 64, seed=2)
     lengths = (code.m, code.m + 10, code.n)
     bits = sc_decode(llr, code)
     want = _per_round_failures(llr, code, lengths, bits)
     assert want[:, 0].any() and not want[:, -1].any()
-    decodes, traced = _counting_calls(monkeypatch)
+    decodes = _counting_calls(monkeypatch)
     assert np.array_equal(round_failures(llr, code, lengths, bits), want)
-    assert decodes == [64] and traced == []
+    assert decodes == [(64, True)]
+    decodes.clear()
+    assert np.array_equal(round_failures(llr, code, lengths[-1:], bits),
+                          want[:, -1:])
+    assert decodes == [(64, False)]
 
 
 def _check_nested_family(monkeypatch, full, lengths, llr):
     """Every round of ``round_failures`` equals its own ``sc_decode`` and
-    the recursive reference, from one decode and one true-path pass over
-    the rows the last round gets wrong, on bits mixed as in
-    :func:`_mixed_bits`.  In at least two earlier rounds some of those rows
-    decode right, so the last round's own leaves after its first error
-    would not do there."""
+    the recursive reference, from one walk of the last round's tree that
+    follows the blocks sent, on bits mixed as in :func:`_mixed_bits`.  In
+    at least two earlier rounds some rows the last round gets wrong decode
+    right, so the last round's own decisions after its first error would
+    not do there."""
     bits = _mixed_bits(full, lengths, llr, np.arange(len(llr)) % 3)
     wrong = _last_round_wrong(llr, full, lengths, bits)
     want = _per_round_failures(llr, full, lengths, bits)
     assert ((~want[wrong, :-1]).any(axis=0)).sum() >= 2
-    decodes, traced = _counting_calls(monkeypatch)
+    decodes = _counting_calls(monkeypatch)
     fails = round_failures(llr, full, lengths, bits)
-    assert decodes == [len(llr)]
-    assert len(traced) == 1
-    assert np.array_equal(traced[0], llr[wrong, : lengths[-1]])
+    assert decodes == [(len(llr), True)]
     assert np.array_equal(fails, want)
     for t, n in enumerate(lengths):
         ref_bits, _ = sc_decode_reference(llr[:, :n], full.prefix(n))
@@ -246,32 +243,34 @@ def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
     full = RcpCode(spec=spec, rep_vector=np.array([5, 3, 0, 6]))
     llr = np.random.default_rng(12).normal(0.3, 1.5, size=(200, full.n))
     for n in (8, 11):
-        _, leaf = sc_decode(llr[:, :n], full.prefix(n), return_leaf_llrs=True)
+        code = full.prefix(n)
+        leaf = sc_decode(llr[:, :n], code, sent=sc_decode(llr[:, :n], code))
         assert (leaf[:, 0] == 0.0).all()
         assert np.signbit(leaf[:, 0]).any() and not np.signbit(leaf[:, 0]).all()
     _check_nested_family(monkeypatch, full, (8, 9, 10, 11), llr)
 
 
-def _assert_true_path_leaves_on_right_rows(llr, code, bits):
-    """On the rows sc_decode decodes right, the true-path leaf LLRs are
-    its own, byte for byte; returns how many rows that was."""
-    top, leaf = sc_decode(llr, code, return_leaf_llrs=True)
-    right = (top == bits).all(axis=1)
-    got = rcpolar.codec._true_path_leaves(llr, code, bits)
-    assert got.shape == leaf.shape
-    assert (np.ascontiguousarray(got[right]).tobytes()
-            == np.ascontiguousarray(leaf[right]).tobytes())
-    return int(right.sum())
+def _assert_true_path_leaves(llr, code, bits):
+    """On every row, the leaf LLRs sc_decode computes following ``bits``
+    are the level-by-level true-path reference, byte for byte; returns how
+    many rows sc_decode decodes wrongly, where its own decisions leave the
+    true trajectory."""
+    leaf = sc_decode(llr, code, sent=bits)
+    want = true_path_leaves_reference(llr, code, bits)
+    assert leaf.shape == want.shape == bits.shape
+    assert (np.ascontiguousarray(leaf).tobytes()
+            == np.ascontiguousarray(want).tobytes())
+    return int((sc_decode(llr, code) != bits).any(axis=1).sum())
 
 
 @example(_example_family([5, 3, 5, 6, 7, 3], (7, 9, 13)))
 @settings(max_examples=200, deadline=None)
 @given(_nested_family())
-def test_true_path_leaves_equal_sc_leaves_on_right_rows(family):
+def test_true_path_leaves_equal_sc_leaves_on_every_row(family):
     full, lengths, llr, sources = family
     bits = _mixed_bits(full, lengths, llr, sources)
-    _assert_true_path_leaves_on_right_rows(
-        llr[:, : lengths[-1]], full.prefix(lengths[-1]), bits)
+    _assert_true_path_leaves(llr[:, : lengths[-1]], full.prefix(lengths[-1]),
+                             bits)
 
 
 @pytest.mark.parametrize("n0", sorted(CORPUS_CODES))
@@ -279,10 +278,13 @@ def test_true_path_leaves_equal_sc_leaves_on_the_corpus(n0):
     # Punctures, duplicate repetitions, exact 0 and clamped LLRs; at
     # n0 = 2048 and 64 rows the widest nodes run in two tiles.  Half the
     # rows take the decoder's own decisions as the block sent, so they are
-    # decoded right whatever the channel did.
+    # decoded right whatever the channel did; the other half are random
+    # blocks, most of which SC decodes wrongly.  One row is decoded alone.
     code, llr, bits = _corpus(n0, 64, seed=n0 + 1)
     bits[::2] = sc_decode(llr[::2], code)
-    assert _assert_true_path_leaves_on_right_rows(llr, code, bits) >= 32
+    assert 0 < _assert_true_path_leaves(llr, code, bits) <= 32
+    assert np.array_equal(sc_decode(llr[1], code, sent=bits[1]),
+                          sc_decode(llr[1:2], code, sent=bits[1:2])[0])
 
 
 @example(_example_family([5, 3, 5, 6, 7, 3], (7, 9, 13)))

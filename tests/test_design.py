@@ -13,6 +13,7 @@ from rcpolar.design import (BLER_FLOOR, HarqScheme, _best_scheme,
                             _greedy_rounds, _scan_rows, build_bler_curve,
                             design_scheme, throughput_estimate)
 
+from limits import memory_headroom
 from oracles import scan_reference, throughput_reference
 
 CHANNEL = LlrDistribution(mean=2.0)  # sigma = 1
@@ -262,6 +263,68 @@ def test_design_validates_bounds():
         design_scheme(8, 0, 16, CHANNEL)
     with pytest.raises(ValueError):
         design_scheme(8, 2, 7, CHANNEL)
+
+
+def test_design_caps_rounds_at_the_distinct_lengths():
+    # A scheme has at most q - k + 1 lengths, so a larger t_max gives the
+    # same answer; before the cap, t_max = 2^40 sized 72 TiB of round
+    # arrays at q = 12.
+    want, want_curve = design_scheme(4, 9, 12, CHANNEL)
+    with memory_headroom():
+        scheme, curve = design_scheme(4, 2 ** 40, 12, CHANNEL)
+    assert scheme == want
+    assert curve.m == want_curve.m and curve.e.tobytes() == want_curve.e.tobytes()
+
+
+# Values that are not integers, each made from the integer it replaces:
+# bools, floats (exact, fractional, NaN, inf), complex, strings, a list and
+# None.
+_NOT_INTEGERS = (
+    lambda v: bool(v % 2), lambda v: np.bool_(v % 2), float, np.float64,
+    lambda v: v + 0.9, lambda v: float("nan"), lambda v: float("inf"),
+    complex, str, lambda v: [v], lambda v: None)
+_VALID_SCHEME = {"k": 3, "m": 8, "lengths": (16, 18)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_VALID_SCHEME)),
+       st.sampled_from(range(len(_NOT_INTEGERS))), st.integers(0, 1))
+@example("k", 0, 0)        # k=True ran as k = 1
+@example("k", 4, 0)        # k=3.9 was accepted
+@example("m", 2, 0)        # m=8.0 was accepted
+@example("lengths", 4, 0)  # (16.9, 18) failed deep in the codec
+def test_scheme_rejects_non_integer_values(key, kind, at):
+    fields = dict(_VALID_SCHEME)
+    if key == "lengths":
+        lengths = list(fields["lengths"])
+        lengths[at] = _NOT_INTEGERS[kind](lengths[at])
+        fields["lengths"] = tuple(lengths)
+    else:
+        fields[key] = _NOT_INTEGERS[kind](fields[key])
+    with pytest.raises(ValueError):
+        HarqScheme(**fields, eta_estimate=0.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([True, False, np.bool_(True), 1 + 2j, np.complex128(1),
+                        "3", "1.0", None, [1.0], (1.0,)])
+       | st.complex_numbers() | st.text(max_size=4))
+@example(True)      # was 1 dB
+@example(1 + 2j)    # only warned (ComplexWarning)
+@example("3")       # raised TypeError
+@example(None)      # raised TypeError
+def test_channel_params_reject_non_real_snr(value):
+    with pytest.raises(ValueError):
+        ChannelParams(snr_db=value)
+
+
+def test_constructors_take_integers_and_reals_of_any_type():
+    for cast in (int, np.int64, np.int32, np.uint16):
+        scheme = HarqScheme(k=cast(3), m=cast(8), lengths=(cast(16), 18),
+                            eta_estimate=0.5)
+        assert scheme.s == (8, 16, 18)
+    for snr in (1, 1.5, np.float32(1.5), np.float64(-2.0), np.int64(3)):
+        assert ChannelParams(snr_db=snr).noise_var > 0
 
 
 def test_scheme_vector_layout():

@@ -536,32 +536,25 @@ def test_chunk_counts_hands_the_hook_words_and_trial_indices():
 
 def test_campaign_decodes_each_row_about_once(monkeypatch):
     # The benchmark's campaign scheme at its default seed, in chunks of
-    # 732, 732 and 584 trials.  Each chunk decodes its last round once and
-    # takes true-path leaves for exactly the rows that round gets wrong, 7
-    # in all (its last-round failures); no row is decoded twice.  Before,
+    # 732, 732 and 584 trials.  Each chunk walks its last round's tree once,
+    # following the blocks sent; no row is decoded twice.  Before,
     # re-decoding rows whose decisions flip took [732, 6, 732, 3, 584, 12]
     # words, and re-decoding every row whose decisions differ from round
     # 1's took 3276: [732, 432, 732, 439, 584, 357].
-    calls, traced = [], []
-    original, true_path = codec.sc_decode, codec._true_path_leaves
+    calls = []
+    original = codec.sc_decode
 
-    def counting(llrs, code, **kwargs):
-        calls.append(np.shape(llrs)[0])
-        return original(llrs, code, **kwargs)
-
-    def tracing(llrs, code, bits):
-        traced.append(len(llrs))
-        return true_path(llrs, code, bits)
+    def counting(llrs, code, sent=None):
+        calls.append((np.shape(llrs)[0], sent is not None))
+        return original(llrs, code, sent=sent)
 
     monkeypatch.setattr(codec, "sc_decode", counting)
-    monkeypatch.setattr(codec, "_true_path_leaves", tracing)
     scheme = HarqScheme(k=1024, m=1408, lengths=(1408, 1447, 1515, 1783),
                         eta_estimate=0.5)
     report = run_campaign(scheme, ChannelParams(snr_db=1.5), trials=2048,
                           base_seed=606)
-    assert calls == [732, 732, 584]
+    assert calls == [(732, True), (732, True), (584, True)]
     assert [round(p * 2048) for p in report.pr_e] == [419, 216, 77, 7]
-    assert traced == [2, 1, 4]
     assert report.nesting_violations == 23
 
 
