@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .channel import (ChannelParams, LlrDistribution, LLR_CLAMP,
                       bawgn_capacity, channel_llr_distribution, noise_stream,
                       transmit)
-from .codec import PolarCodeSpec, RcpCode, rcp_encode, sc_decode
+from .codec import RcpCode, rcp_encode, sc_decode
 from .construct import RepetitionPlan, build_repetition_plan, construct_rcp
 from .design import (BlerCurve, HarqScheme, build_bler_curve, design_scheme,
                      throughput_estimate)
@@ -19,7 +19,7 @@ __all__ = [
     "__version__",
     "ChannelParams", "LlrDistribution", "LLR_CLAMP", "bawgn_capacity",
     "channel_llr_distribution", "noise_stream", "transmit",
-    "PolarCodeSpec", "RcpCode", "rcp_encode", "sc_decode",
+    "RcpCode", "rcp_encode", "sc_decode",
     "RepetitionPlan", "build_repetition_plan", "construct_rcp",
     "BlerCurve", "HarqScheme", "build_bler_curve", "design_scheme",
     "throughput_estimate",

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _is_int
+from .codec import _bits, _is_real
 
 # Channel LLRs are saturated at this magnitude so that downstream tanh-domain
 # arithmetic never sees infinities.  |LLR| = 40 corresponds to an error
@@ -25,7 +25,7 @@ class ChannelParams:
 
     def __post_init__(self):
         snr = self.snr_db
-        if not (_is_int(snr) or isinstance(snr, (float, np.floating))):
+        if not _is_real(snr):
             raise ValueError(f"snr_db must be a real number, got {snr!r}")
         try:
             var = self.noise_var
@@ -61,8 +61,9 @@ class LlrDistribution:
     mean: float
 
     def __post_init__(self):
-        if not self.mean >= 0:
-            raise ValueError(f"LLR mean must be nonnegative, got {self.mean}")
+        if not (_is_real(self.mean) and self.mean >= 0):
+            raise ValueError("LLR mean must be a nonnegative real number, "
+                             f"got {self.mean!r}")
 
 
 def _philox_keys(base: int, lo: int, count: int) -> np.ndarray:
@@ -138,15 +139,12 @@ def transmit(words, noise, params: ChannelParams):
     The LLRs are built in one float array: sigma*noise, plus the symbols
     1 - 2w as int8 (exact once cast, and IEEE addition commutes, so each
     value is rounded as (1 - 2w) + sigma*noise), then scaled and clamped in
-    place.  int8 words are checked in one pass.
+    place.  Raises ValueError unless every word entry is 0 or 1.
     """
-    words = np.asarray(words)
-    if words.dtype != np.int8 and (words == words.astype(bool)).all():
-        words = words.astype(np.int8)
-    if (np.shape(noise) != words.shape or words.dtype != np.int8
-            or words.view(np.uint8).max(initial=0) > 1):
-        raise ValueError("transmit expects binary words and noise of their "
-                         f"shape, got {words.shape} and {np.shape(noise)}")
+    words = _bits(words, "words")
+    if np.shape(noise) != words.shape:
+        raise ValueError("transmit expects noise of the words' shape, got "
+                         f"{words.shape} and {np.shape(noise)}")
     llr = np.multiply(noise, params.sigma, out=np.empty(words.shape))
     symbols = np.multiply(words, np.int8(-2))
     symbols += np.int8(1)

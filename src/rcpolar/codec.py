@@ -27,7 +27,7 @@ fails exactly when, at some bit, the true-path leaf LLR plus the round's
 repetition sum decides against the block sent.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,11 @@ def _is_int(value) -> bool:
     """An integer, numpy's included, and not a bool."""
     return (isinstance(value, (int, np.integer))
             and not isinstance(value, (bool, np.bool_)))
+
+
+def _is_real(value) -> bool:
+    """An integer or a float, numpy's included, and not a bool."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
 
 
 def _indices(values, name: str) -> np.ndarray:
@@ -57,26 +62,35 @@ def _indices(values, name: str) -> np.ndarray:
                      f"got {values!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class PolarCodeSpec:
-    """Mother polar code with a puncture pattern.
+def _bits(values, name: str) -> np.ndarray:
+    """``values`` as an int8 array of bits.  Raises ValueError unless every
+    entry equals its bool cast: 0 or 1 of any number type, not 2, -1, 0.5
+    or NaN.  int8 input is checked in one pass."""
+    bits = np.asarray(values)
+    if bits.dtype != np.int8 and (bits == bits.astype(bool)).all():
+        bits = bits.astype(np.int8)
+    if bits.dtype != np.int8 or bits.view(np.uint8).max(initial=0) > 1:
+        raise ValueError(f"{name} must hold 0/1 bits")
+    return bits
 
-    Parameters
-    ----------
-    n0 : int
-        Mother code length, a power of two (an integer, not a bool).
-    info_set : ndarray
-        Sorted input-bit indices carrying payload, |info_set| = k.  Index
-        entries here and in ``RcpCode.rep_vector`` must be integers: a float
-        or a bool raises ValueError instead of being truncated.
-    puncture_set : ndarray
-        Sorted codeword positions that are never transmitted; the surviving
-        m = n0 - |puncture_set| positions satisfy m > n0/2.
+
+@dataclass(frozen=True, eq=False)
+class RcpCode:
+    """Length-adjustable code: a punctured polar word plus repetition bits.
+
+    ``n0`` is the mother code length, a power of two.  ``info_set`` holds
+    the k input-bit indices carrying payload and ``puncture_set`` the
+    codeword positions never transmitted, both sorted ascending; the
+    m = n0 - |puncture_set| > n0/2 surviving positions are at least k.
+    ``rep_vector[j]`` is the information index whose value is re-sent as
+    transmitted bit m + j.  Every index is an integer (a float or a bool
+    raises ValueError instead of being truncated), kept in int64 arrays.
     """
 
     n0: int
     info_set: np.ndarray
-    puncture_set: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
+    puncture_set: np.ndarray = ()
+    rep_vector: np.ndarray = ()
 
     def __post_init__(self):
         if (not _is_int(self.n0) or not 1 <= self.n0 <= 2 ** 62
@@ -84,10 +98,9 @@ class PolarCodeSpec:
             raise ValueError("n0 must be an integer power of two up to "
                              f"2^62, got {self.n0!r}")
         object.__setattr__(self, "n0", int(self.n0))
-        info = _indices(self.info_set, "info_set")
-        punct = _indices(self.puncture_set, "puncture_set")
-        object.__setattr__(self, "info_set", info)
-        object.__setattr__(self, "puncture_set", punct)
+        for name in ("info_set", "puncture_set", "rep_vector"):
+            object.__setattr__(self, name, _indices(getattr(self, name), name))
+        info, punct, rep = self.info_set, self.puncture_set, self.rep_vector
         if info.size == 0:
             raise ValueError("info_set must be nonempty")
         # Strictly ascending rules out duplicates and puts the extremes at
@@ -100,6 +113,10 @@ class PolarCodeSpec:
                 raise ValueError(f"{name} indices out of range")
         if punct.size >= self.n0 - self.n0 // 2:
             raise ValueError("at most n0/2 - 1 positions may be punctured")
+        if self.k > self.m:
+            raise ValueError("information length exceeds polar-bit count")
+        if rep.ndim != 1 or not np.isin(rep, info).all():
+            raise ValueError("rep_vector must be 1-D information indices")
 
     @property
     def k(self) -> int:
@@ -111,69 +128,41 @@ class PolarCodeSpec:
         return int(self.n0 - self.puncture_set.size)
 
     @property
+    def n(self) -> int:
+        return int(self.m + self.rep_vector.size)
+
+    @property
     def transmitted_positions(self) -> np.ndarray:
         """Codeword positions that survive puncturing, ascending."""
         return np.setdiff1d(np.arange(self.n0, dtype=np.int64), self.puncture_set)
-
-
-@dataclass(frozen=True, eq=False)
-class RcpCode:
-    """Length-adjustable code: punctured polar word plus repetition bits.
-
-    ``rep_vector[k]`` is the input-bit index (a member of the info set) whose
-    value is re-sent as transmitted bit m + k.
-    """
-
-    spec: PolarCodeSpec
-    rep_vector: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
-
-    def __post_init__(self):
-        rep = _indices(self.rep_vector, "rep_vector")
-        object.__setattr__(self, "rep_vector", rep)
-        if self.spec.k > self.spec.m:
-            raise ValueError("information length exceeds polar-bit count")
-        if rep.size and not np.isin(rep, self.spec.info_set).all():
-            raise ValueError("repetition entries must be information indices")
-
-    @property
-    def n(self) -> int:
-        return int(self.spec.m + self.rep_vector.size)
-
-    @property
-    def k(self) -> int:
-        return self.spec.k
-
-    @property
-    def m(self) -> int:
-        return self.spec.m
 
     def prefix(self, n: int) -> "RcpCode":
         """The nested code using only the first ``n`` transmitted bits."""
         if not self.m <= n <= self.n:
             raise ValueError(f"prefix length must be in [{self.m}, {self.n}]")
-        return RcpCode(spec=self.spec, rep_vector=self.rep_vector[: n - self.m])
+        return replace(self, rep_vector=self.rep_vector[: n - self.m])
 
 
 def rcp_encode(info_bits, code: RcpCode):
-    """Encode shape (k,) or a batch (B, k) into the transmitted word:
-    surviving polar bits, then repetitions.
+    """Encode shape (k,) or a batch (B, k) of 0/1 bits into the transmitted
+    word: surviving polar bits, then repetitions.
 
     The polar word is x = u F^(kron n) over GF(2) in natural order, built on
     (n0, B) input words, one per column, by one XOR of each block's halves
     per stage.
     """
-    spec = code.spec
-    info_bits = np.asarray(info_bits, dtype=np.int8)
+    info_bits = _bits(info_bits, "info_bits")
     batched = info_bits.ndim == 2
-    if info_bits.shape[-1] != spec.k:
-        raise ValueError(f"expected {spec.k} information bits, got {info_bits.shape[-1]}")
-    u = np.zeros((spec.n0, info_bits.shape[0] if batched else 1), dtype=np.int8)
-    u[spec.info_set] = info_bits.T if batched else info_bits[:, None]
+    if info_bits.ndim not in (1, 2) or info_bits.shape[-1] != code.k:
+        raise ValueError(f"expected {code.k} information bits per block, got "
+                         f"shape {info_bits.shape}")
+    u = np.zeros((code.n0, info_bits.shape[0] if batched else 1), dtype=np.int8)
+    u[code.info_set] = info_bits.T if batched else info_bits[:, None]
     x = u.copy()
-    for s in range(spec.n0.bit_length() - 1):
-        pairs = x.reshape(spec.n0 >> (s + 1), 2, -1)
+    for s in range(code.n0.bit_length() - 1):
+        pairs = x.reshape(code.n0 >> (s + 1), 2, -1)
         pairs[:, 0] ^= pairs[:, 1]
-    tx = np.concatenate([x[spec.transmitted_positions], u[code.rep_vector]])
+    tx = np.concatenate([x[code.transmitted_positions], u[code.rep_vector]])
     return tx.T if batched else tx[:, 0]
 
 
@@ -234,7 +223,7 @@ def _check_node(parent, out, pair):
     np.multiply(out, lo, out=out)
 
 
-def _schedule(spec: PolarCodeSpec):
+def _schedule(code: RcpCode):
     """What the decoder visits, in leaf order: every information bit and
     every dead block, the maximal aligned leaf blocks without one.
 
@@ -243,10 +232,10 @@ def _schedule(spec: PolarCodeSpec):
     pass per level: a block is dead if both its halves are, and maximal if
     its parent is not.
     """
-    n0, k = spec.n0, spec.k
+    n0, k = code.n0, code.k
     dead = np.ones(n0, dtype=bool)
-    dead[spec.info_set] = False
-    starts, levels = [spec.info_set], [np.zeros(k, dtype=np.int64)]
+    dead[code.info_set] = False
+    starts, levels = [code.info_set], [np.zeros(k, dtype=np.int64)]
     for s in range(n0.bit_length() - 1):
         parent = dead[0::2] & dead[1::2]
         maximal = dead & ~np.repeat(parent, 2)
@@ -293,20 +282,18 @@ def sc_decode(llrs, code: RcpCode, sent=None):
         raise ValueError(f"expected {code.n} LLRs, got {llrs.shape[1]}")
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
-    spec = code.spec
-    n0, b = spec.n0, llrs.shape[0]
+    n0, b = code.n0, llrs.shape[0]
     depth = n0.bit_length() - 1
     if sent is not None:
-        sent = np.asarray(sent, dtype=np.int8)
-        if (sent.shape != (b, spec.k)[not batched:]
-                or sent.view(np.uint8).max(initial=0) > 1):
+        sent = _bits(sent, "sent")
+        if sent.shape != (b, code.k)[not batched:]:
             raise ValueError("sent must hold one 0/1 block per word")
-        sent = np.ascontiguousarray(sent.reshape(b, spec.k).T)
+        sent = np.ascontiguousarray(sent.reshape(b, code.k).T)
 
     # Words are columns: every node's LLRs are a contiguous (width, B) block.
     # Punctured positions are erasures: LLR exactly 0.
     chan = np.zeros((n0, b))
-    chan[spec.transmitted_positions] = llrs[:, : spec.m].T
+    chan[code.transmitted_positions] = llrs[:, : code.m].T
     if sent is None:
         rep_index, rep_sums = _repetition_sums(llrs, code)
         rep_at = dict(zip(rep_index.tolist(), rep_sums))
@@ -334,10 +321,10 @@ def sc_decode(llrs, code: RcpCode, sent=None):
     flat_signs = signs.reshape(-1)
 
     # Per information bit: its decision, or its leaf LLR when following sent.
-    found = np.empty((spec.k, b), dtype=np.int8 if sent is None else float)
+    found = np.empty((code.k, b), dtype=np.int8 if sent is None else float)
     leaf = levels[0][0]
 
-    for i, s, j in _schedule(spec):
+    for i, s, j in _schedule(code):
         # An information leaf is computed down to level 0; a dead block is
         # not computed at all, only the path down to its parent.
         low = 0 if j >= 0 else s + 1
@@ -406,7 +393,7 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
     fails = np.empty((len(llrs), len(lengths)), dtype=bool)
     for t, n in enumerate(lengths):
         index, sums = _repetition_sums(llrs, code.prefix(n))
-        cols = np.searchsorted(code.spec.info_set, index)
+        cols = np.searchsorted(code.info_set, index)
         decisions = leaf < 0
         decisions[cols] = (leaf[cols] + sums) < 0
         fails[:, t] = (decisions != bits).any(axis=0)
@@ -415,40 +402,31 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
 
 def code_to_dict(code: RcpCode) -> dict:
     """JSON-ready form: the code's n, k and m, then what rebuilds it."""
-    return {"n": code.n, "k": code.k, "m": code.m, "n0": int(code.spec.n0),
-            "info_set": code.spec.info_set.tolist(),
-            "puncture_set": code.spec.puncture_set.tolist(),
+    return {"n": code.n, "k": code.k, "m": code.m, "n0": code.n0,
+            "info_set": code.info_set.tolist(),
+            "puncture_set": code.puncture_set.tolist(),
             "rep_vector": code.rep_vector.tolist()}
 
 
-def _json_int(value, key: str) -> int:
-    if type(value) is not int:  # a float or a bool would be rounded
-        raise ValueError(f"{key} must hold JSON integers, got {value!r}")
-    return value
-
-
-def _json_ints(d: dict, key: str) -> np.ndarray:
-    if type(d[key]) is not list:
-        raise ValueError(f"{key} must be a list, got {d[key]!r}")
-    return np.array([_json_int(v, key) for v in d[key]], dtype=np.int64)
-
-
 def code_from_dict(d: dict) -> RcpCode:
-    """The code that :func:`code_to_dict` wrote.  Raises ValueError on a
-    value that is not a JSON integer, on an ``n``, ``k`` or ``m`` that the
-    rebuilt code does not have, and on ``frozen_values`` (older files) that
-    are not n0 - k zeros."""
-    spec = PolarCodeSpec(n0=_json_int(d["n0"], "n0"),
-                         info_set=_json_ints(d, "info_set"),
-                         puncture_set=_json_ints(d, "puncture_set"))
-    code = RcpCode(spec=spec, rep_vector=_json_ints(d, "rep_vector"))
+    """The code that :func:`code_to_dict` wrote.  Raises ValueError on
+    anything else: a value that is not a JSON integer (or a list of them),
+    a missing or unknown key, an ``n``, ``k`` or ``m`` that the rebuilt code
+    does not have, and ``frozen_values`` (older files) that are not n0 - k
+    zeros."""
+    fields = ("n0", "info_set", "puncture_set", "rep_vector")
+    keys = {"n", "k", "m", *fields}
+    if not (isinstance(d, dict) and keys <= d.keys() <= {*keys, "frozen_values"}):
+        raise ValueError(f"a code is an object with the keys {sorted(keys)}"
+                         " and at most frozen_values besides")
+    code = RcpCode(**{key: d[key] for key in fields})
     for key in ("n", "k", "m"):
-        if _json_int(d[key], key) != getattr(code, key):
-            raise ValueError(f"{key} is {d[key]}, the code has "
+        if type(d[key]) is not int or d[key] != getattr(code, key):
+            raise ValueError(f"{key} is {d[key]!r}, the code has "
                              f"{getattr(code, key)}")
     if "frozen_values" in d:
-        frozen = _json_ints(d, "frozen_values")
-        if frozen.size != spec.n0 - spec.k or frozen.any():
+        frozen = _indices(d["frozen_values"], "frozen_values")
+        if frozen.shape != (code.n0 - code.k,) or frozen.any():
             raise ValueError("frozen bits are zero: frozen_values must be "
-                             f"{spec.n0 - spec.k} zeros")
+                             f"{code.n0 - code.k} zeros")
     return code

@@ -12,7 +12,7 @@ from itertools import groupby
 import numpy as np
 
 from .channel import LlrDistribution
-from .codec import PolarCodeSpec, RcpCode
+from .codec import RcpCode
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
 
@@ -311,6 +311,6 @@ def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):
     """
     table, plan = next(mother_codes(k, [m], n, channel))
     n0 = _mother_length(m)
-    spec = PolarCodeSpec(n0=n0, info_set=plan.info_set,
-                         puncture_set=puncture_pattern(n0, m))
-    return RcpCode(spec=spec, rep_vector=plan.r), plan, table
+    code = RcpCode(n0=n0, info_set=plan.info_set,
+                   puncture_set=puncture_pattern(n0, m), rep_vector=plan.r)
+    return code, plan, table

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
-from .codec import _is_int
+from .codec import _is_int, _is_real
 from .construct import mother_codes
 
 # Block-error values are floored here so throughput denominators stay stable.
@@ -46,6 +46,9 @@ class HarqScheme:
             raise ValueError("need 1 <= k <= m <= first length")
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("cumulative lengths must be strictly increasing")
+        if not (_is_real(self.eta_estimate) and abs(self.eta_estimate) < np.inf):
+            raise ValueError("eta_estimate must be a finite real number, got "
+                             f"{self.eta_estimate!r}")
 
     @property
     def s(self) -> tuple:

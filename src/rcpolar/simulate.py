@@ -108,7 +108,7 @@ def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
 
 def _chunk_rows(code) -> int:
     """Trials per chunk: about 1.5M values of max(n0, n), 32 to 2000."""
-    return max(32, min(2000, 1_500_000 // max(code.spec.n0, code.n)))
+    return max(32, min(2000, 1_500_000 // max(code.n0, code.n)))
 
 
 def _run_chunks(code, lengths, params: ChannelParams, trials: int,

@@ -273,18 +273,17 @@ def sc_decode_reference(llrs, code):
     after the leaf LLR is recorded.
     """
     llrs = np.asarray(llrs, dtype=float)
-    spec = code.spec
     b = llrs.shape[0]
-    chan = np.zeros((b, spec.n0))
-    chan[:, spec.transmitted_positions] = llrs[:, : spec.m]
-    rep_sum = np.zeros((b, spec.n0))
+    chan = np.zeros((b, code.n0))
+    chan[:, code.transmitted_positions] = llrs[:, : code.m]
+    rep_sum = np.zeros((b, code.n0))
     if code.rep_vector.size:
-        np.add.at(rep_sum, (slice(None), code.rep_vector), llrs[:, spec.m:])
-    info = np.zeros(spec.n0, dtype=bool)
-    info[spec.info_set] = True
+        np.add.at(rep_sum, (slice(None), code.rep_vector), llrs[:, code.m:])
+    info = np.zeros(code.n0, dtype=bool)
+    info[code.info_set] = True
 
-    u_hat = np.zeros((b, spec.n0), dtype=np.int8)
-    leaves = np.empty((b, spec.n0))
+    u_hat = np.zeros((b, code.n0), dtype=np.int8)
+    leaves = np.empty((b, code.n0))
     pos = 0
 
     def descend(block):
@@ -304,7 +303,7 @@ def sc_decode_reference(llrs, code):
         return np.concatenate([x_left ^ x_right, x_right], axis=1)
 
     descend(chan)
-    return u_hat[:, spec.info_set], leaves
+    return u_hat[:, code.info_set], leaves
 
 
 def true_path_leaves_reference(llrs, code, bits) -> np.ndarray:
@@ -320,16 +319,15 @@ def true_path_leaves_reference(llrs, code, bits) -> np.ndarray:
     :func:`sc_decode` decodes right these are its leaf LLRs, byte for byte;
     on every row they are what it returns given ``sent=bits``.
     """
-    spec = code.spec
-    n0, b = spec.n0, len(llrs)
+    n0, b = code.n0, len(llrs)
     x = np.zeros((n0, b), dtype=np.int8)
-    x[spec.info_set] = bits.T
+    x[code.info_set] = bits.T
     stages = range(n0.bit_length() - 1)
     for s in stages:
         word = x.reshape(n0 >> (s + 1), 2, -1)
         word[:, 0] ^= word[:, 1]
     level = np.zeros((n0, b))
-    level[spec.transmitted_positions] = llrs[:, : spec.m].T
+    level[code.transmitted_positions] = llrs[:, : code.m].T
     child, pair = np.empty((n0, b)), np.empty((n0, b))
     sums = np.empty((n0 // 2, b))
     for s in reversed(stages):
@@ -344,7 +342,7 @@ def true_path_leaves_reference(llrs, code, bits) -> np.ndarray:
         np.multiply(parent[:, 0], left, out=out[:, 1])
         np.add(out[:, 1], parent[:, 1], out=out[:, 1])
         level, child = child, level
-    return level[spec.info_set].T
+    return level[code.info_set].T
 
 
 @dataclass(frozen=True)

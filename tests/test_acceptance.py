@@ -7,6 +7,7 @@ cover the fast oracle checks.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from rcpolar import reliability
 from rcpolar.channel import (ChannelParams, LLR_CLAMP, LlrDistribution,
                              bawgn_capacity, channel_llr_distribution)
-from rcpolar.codec import RcpCode, rcp_encode, sc_decode
+from rcpolar.codec import rcp_encode, sc_decode
 from rcpolar.construct import construct_rcp, mother_codes
 from rcpolar.design import build_bler_curve, design_scheme
 from rcpolar.reliability import (check_mean_update, ga_evolve, pe_from_mean,
@@ -44,8 +45,8 @@ def test_criterion_1_codec_round_trip():
         n = int(m + rng.integers(0, n0))
         sigma = float(rng.uniform(0.5, 1.5))
         code, _, _ = construct_rcp(n, k, m, LlrDistribution(2.0 / sigma ** 2))
-        rep = np.sort(rng.choice(code.spec.info_set, size=n - m, replace=True))
-        code = RcpCode(spec=code.spec, rep_vector=rep)
+        rep = np.sort(rng.choice(code.info_set, size=n - m, replace=True))
+        code = replace(code, rep_vector=rep)
         blocks = rng.integers(0, 2, size=(blocks_per_spec, k), dtype=np.int8)
         tx = rcp_encode(blocks, code)
         llr = np.where(tx == 0, LLR_CLAMP, -LLR_CLAMP)

@@ -148,8 +148,8 @@ def test_non_string_out_exits_2(tmp_path, monkeypatch, capsys, out):
 def test_design_reads_curves_not_codes(tmp_path, monkeypatch):
     # One GA pass per block of mother codes (n0 = 32, 64 and 128 here), and
     # the chosen m's curve comes from the search: no extra pass, no
-    # puncture pattern and no code spec.
-    calls = {"ga_evolve": 0, "puncture_pattern": 0, "PolarCodeSpec": 0}
+    # puncture pattern and no code.
+    calls = {"ga_evolve": 0, "puncture_pattern": 0, "RcpCode": 0}
 
     def counting(name):
         original = getattr(rcpolar.construct, name)
@@ -164,8 +164,7 @@ def test_design_reads_curves_not_codes(tmp_path, monkeypatch):
     cfg = {"k": 32, "t_max": 2, "q": 96, "snr_db": 0.0,
            "out": str(tmp_path / "d")}
     assert _run(tmp_path, "design", cfg) == 0
-    assert calls == {"ga_evolve": 3, "puncture_pattern": 0,
-                     "PolarCodeSpec": 0}
+    assert calls == {"ga_evolve": 3, "puncture_pattern": 0, "RcpCode": 0}
 
 
 @pytest.mark.parametrize("force,s", [(False, [8, 11, 15]),

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,22 +9,18 @@ from hypothesis import strategies as st
 
 import rcpolar.codec
 from rcpolar.channel import LLR_CLAMP, LlrDistribution
-from rcpolar.codec import (PolarCodeSpec, RcpCode, _check_node,
-                           code_from_dict, code_to_dict, rcp_encode,
-                           sc_decode)
+from rcpolar.codec import (RcpCode, _check_node, code_from_dict, code_to_dict,
+                           rcp_encode, sc_decode)
 from rcpolar.construct import construct_rcp
 
 from oracles import (bits_to_hex, check_golden_vectors, encode_dense,
                      hex_to_bits, posterior_decision_llr, write_golden_vectors)
 
 
-def _plain_spec(n0, info):
-    return PolarCodeSpec(n0=n0, info_set=np.array(info, dtype=np.int64))
-
-
-def _encode(info_bits, spec):
-    """The full n0-bit mother codeword of an unpunctured spec."""
-    return rcp_encode(info_bits, RcpCode(spec=spec))
+def _plain_code(n0, info):
+    """The unpunctured code without repetitions: it sends the full n0-bit
+    mother codeword."""
+    return RcpCode(n0=n0, info_set=info)
 
 
 def _random_code(rng, n0_exp_max=10):
@@ -35,49 +32,49 @@ def _random_code(rng, n0_exp_max=10):
     sigma = float(rng.uniform(0.5, 1.5))
     code, _, _ = construct_rcp(n, k, m, LlrDistribution(2.0 / sigma ** 2))
     # replace the planned repetitions with arbitrary ones, same length
-    rep = rng.choice(code.spec.info_set, size=n - m, replace=True)
-    return RcpCode(spec=code.spec, rep_vector=np.sort(rep))
+    rep = rng.choice(code.info_set, size=n - m, replace=True)
+    return replace(code, rep_vector=np.sort(rep))
 
 
 def test_kernel_identity_n2():
-    spec = _plain_spec(2, [0, 1])
+    code = _plain_code(2, [0, 1])
     for u1 in (0, 1):
         for u2 in (0, 1):
-            x = _encode(np.array([u1, u2]), spec)
+            x = rcp_encode(np.array([u1, u2]), code)
             assert x.tolist() == [u1 ^ u2, u2]
 
 
 def test_all_zero_encodes_to_all_zero():
-    spec = _plain_spec(16, [1, 5, 9, 13])
-    assert not _encode(np.zeros(4, dtype=np.int8), spec).any()
+    code = _plain_code(16, [1, 5, 9, 13])
+    assert not rcp_encode(np.zeros(4, dtype=np.int8), code).any()
 
 
 def test_encode_matches_dense_generator():
     rng = np.random.default_rng(0)
     for n0 in (8, 64, 256):
-        spec = _plain_spec(n0, list(range(n0)))
+        code = _plain_code(n0, list(range(n0)))
         for _ in range(20):
             u = rng.integers(0, 2, size=n0, dtype=np.int8)
-            assert np.array_equal(_encode(u, spec), encode_dense(u))
+            assert np.array_equal(rcp_encode(u, code), encode_dense(u))
         batch = rng.integers(0, 2, size=(17, n0), dtype=np.int8)
-        assert np.array_equal(_encode(batch, spec), encode_dense(batch))
+        assert np.array_equal(rcp_encode(batch, code), encode_dense(batch))
 
 
 def test_encode_length_mismatch():
-    spec = _plain_spec(8, [0, 1, 2, 3])
+    code = _plain_code(8, [0, 1, 2, 3])
     with pytest.raises(ValueError):
-        _encode(np.zeros(5, dtype=np.int8), spec)
+        rcp_encode(np.zeros(5, dtype=np.int8), code)
 
 
 def test_encoder_gf2_linearity():
     rng = np.random.default_rng(1)
     code = _random_code(rng, n0_exp_max=6)
-    spec = _plain_spec(code.spec.n0, code.spec.info_set)
+    plain = _plain_code(code.n0, code.info_set)
     for _ in range(20):
-        u = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-        v = rng.integers(0, 2, size=spec.k, dtype=np.int8)
-        left = _encode(u ^ v, spec)
-        right = _encode(u, spec) ^ _encode(v, spec)
+        u = rng.integers(0, 2, size=plain.k, dtype=np.int8)
+        v = rng.integers(0, 2, size=plain.k, dtype=np.int8)
+        left = rcp_encode(u ^ v, plain)
+        right = rcp_encode(u, plain) ^ rcp_encode(v, plain)
         assert np.array_equal(left, right)
 
 
@@ -87,10 +84,10 @@ def test_rcp_encode_no_repetitions_is_punctured_word():
     u = rng.integers(0, 2, size=3, dtype=np.int8)
     word = rcp_encode(u, code)
     assert word.size == 6
-    u_full = np.zeros(code.spec.n0, dtype=np.int8)
-    u_full[code.spec.info_set] = u
+    u_full = np.zeros(code.n0, dtype=np.int8)
+    u_full[code.info_set] = u
     full = encode_dense(u_full)
-    assert np.array_equal(word, full[code.spec.transmitted_positions])
+    assert np.array_equal(word, full[code.transmitted_positions])
 
 
 def test_rcp_encode_all_zero():
@@ -107,7 +104,7 @@ def test_rcp_encode_repetitions_by_lookup():
     for _ in range(20):
         info = rng.integers(0, 2, size=4, dtype=np.int8)
         u = np.zeros(8, dtype=np.int8)
-        u[code.spec.info_set] = info
+        u[code.info_set] = info
         word = rcp_encode(info, code)
         assert word[8] == u[a]
         assert word[9] == u[b]
@@ -127,17 +124,39 @@ def test_sc_decode_length_mismatch():
 
 def test_sc_decode_rejects_sent_blocks_of_the_wrong_shape_or_values():
     # The sent blocks set every partial sum, so a block of another length,
-    # a missing row or a bit other than 0/1 would give wrong leaves.
+    # a missing row or a bit other than 0/1 would give wrong leaves (0.5
+    # and 1.9 were once read as 0 and 1).
     code, _, _ = construct_rcp(12, 4, 8, LlrDistribution(2.0))
     llr = np.ones((2, code.n))
     for sent in (np.zeros((2, 3)), np.zeros((1, 4)), np.zeros(4),
-                 np.full((2, 4), 2), np.full((2, 4), -1)):
+                 np.full((2, 4), 2), np.full((2, 4), -1),
+                 np.full((2, 4), 0.5), [[0.5, 1.9, 0, 0]] * 2):
         with pytest.raises(ValueError, match="sent"):
             sc_decode(llr, code, sent=sent)
     with pytest.raises(ValueError, match="sent"):
         sc_decode(llr[0], code, sent=np.zeros((1, 4)))
     assert sc_decode(llr, code, sent=np.zeros((2, 4))).shape == (2, 4)
     assert sc_decode(llr[0], code, sent=[0, 1, 1, 0]).shape == (4,)
+
+
+@pytest.mark.parametrize("bits", [[2, 0, 0, 0], [-1, 0, 0, 0],
+                                  [0.5, 1, 0, 1], [np.nan, 0, 0, 0],
+                                  ["1", 0, 0, 0]])
+def test_rcp_encode_rejects_non_binary_bits(bits):
+    # 2s and -1s were once sent as they were, and 0.5 truncated to 0.
+    with pytest.raises(ValueError, match="info_bits"):
+        rcp_encode(bits, _plain_code(8, [3, 5, 6, 7]))
+
+
+def test_bit_inputs_of_any_number_type():
+    code = _plain_code(8, [3, 5, 6, 7])
+    llr = np.random.default_rng(10).normal(size=8)
+    block = np.array([1, 0, 1, 1], dtype=np.int8)
+    for bits in ([1, 0, 1, 1], [True, False, True, True], [1.0, 0.0, 1.0, 1.0],
+                 block.astype(np.uint8), block.astype(np.float32)):
+        assert rcp_encode(bits, code).tolist() == rcp_encode(block, code).tolist()
+        assert sc_decode(llr, code, sent=bits).tobytes() \
+            == sc_decode(llr, code, sent=block).tobytes()
 
 
 def test_decision_llrs_match_exhaustive_posterior():
@@ -152,8 +171,8 @@ def test_decision_llrs_match_exhaustive_posterior():
         decoded = sc_decode(llr, code)
         decisions = sc_decode(llr, code, sent=decoded)
         u = np.zeros(4, dtype=np.int64)
-        u[code.spec.info_set] = decoded
-        for j, i in enumerate(code.spec.info_set):
+        u[code.info_set] = decoded
+        for j, i in enumerate(code.info_set):
             ref = posterior_decision_llr(llr, i, u[:i])
             assert decisions[j] == pytest.approx(ref, abs=1e-9)
 
@@ -161,9 +180,8 @@ def test_decision_llrs_match_exhaustive_posterior():
 def test_repetition_llr_flips_decision():
     # One repetition of input bit 0 of a length-2 full-rate code: a strong
     # negative repetition observation must flip the first decision.
-    spec = _plain_spec(2, [0, 1])
-    base = RcpCode(spec=spec)
-    rep = RcpCode(spec=spec, rep_vector=np.array([0]))
+    base = _plain_code(2, [0, 1])
+    rep = RcpCode(n0=2, info_set=[0, 1], rep_vector=[0])
     polar_llr = np.array([3.0, 2.6])  # f(3.0, 2.6) is about +2
     no_rep = sc_decode(polar_llr, base)
     assert no_rep[0] == 0
@@ -175,16 +193,15 @@ def test_repetition_llrs_accumulate():
     # Two repetitions of the same bit sum their observations at the
     # decision: against a tree LLR of about +2, either one alone leaves bit 0
     # at 0 and the pair flips it.
-    spec = _plain_spec(2, [0, 1])
     polar_llr = [3.0, 2.6]
-    single = RcpCode(spec=spec, rep_vector=np.array([0]))
+    single = RcpCode(n0=2, info_set=[0, 1], rep_vector=[0])
     for rep_llr in (-1.2, -1.1):
         llr = np.array([*polar_llr, rep_llr])
         decoded = sc_decode(llr, single)
         leaf = sc_decode(llr, single, sent=decoded)
         assert leaf[0] == pytest.approx(2.0, abs=0.2)
         assert decoded[0] == 0
-    pair = RcpCode(spec=spec, rep_vector=np.array([0, 0]))
+    pair = replace(single, rep_vector=[0, 0])
     assert sc_decode(np.array([*polar_llr, -1.2, -1.1]), pair)[0] == 1
 
 
@@ -238,8 +255,7 @@ def test_decode_operation_counts_scale(monkeypatch):
     # at n0 = 1024 and 128 words, two at the widest node.
     for n0, words in ((4, 1), (16, 1), (64, 1), (256, 1), (1024, 1),
                       (1024, 128)):
-        spec = _plain_spec(n0, list(range(n0)))
-        code = RcpCode(spec=spec)
+        code = _plain_code(n0, list(range(n0)))
         llrs = np.ones((words, n0))
         expect = n0 // 2 * int(np.log2(n0))
         assert _f_ops(monkeypatch, llrs, code) == expect
@@ -254,14 +270,13 @@ def test_decode_operation_counts_skip_dead_blocks(monkeypatch):
     rng = np.random.default_rng(8)
     constructed, _, _ = construct_rcp(72, 32, 64, LlrDistribution(1.6))
     codes = [constructed] + [
-        RcpCode(spec=_plain_spec(n0, np.sort(rng.choice(n0, n0 // 4,
-                                                         replace=False))))
+        _plain_code(n0, np.sort(rng.choice(n0, n0 // 4, replace=False)))
         for n0 in (8, 64, 512)]
     for code in codes:
-        n0 = code.spec.n0
+        n0 = code.n0
         llrs = rng.normal(size=(3, code.n))
         has_info = np.zeros(n0, dtype=bool)
-        has_info[code.spec.info_set] = True
+        has_info[code.info_set] = True
         expect = 0
         for s in range(n0.bit_length() - 1):
             live = has_info.reshape(-1, 1 << s).any(axis=1)
@@ -274,14 +289,14 @@ def test_decode_operation_counts_skip_dead_blocks(monkeypatch):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        PolarCodeSpec(n0=6, info_set=np.array([0]))
+        RcpCode(n0=6, info_set=[0])
     with pytest.raises(ValueError):
-        PolarCodeSpec(n0=4, info_set=np.array([0, 4]))
+        RcpCode(n0=4, info_set=[0, 4])
     with pytest.raises(ValueError):
-        PolarCodeSpec(n0=4, info_set=np.array([0, 1]),
-                      puncture_set=np.array([0, 1]))  # too many punctures
+        RcpCode(n0=4, info_set=[0, 1],
+                puncture_set=[0, 1])  # too many punctures
     with pytest.raises(ValueError):
-        RcpCode(spec=_plain_spec(4, [2, 3]), rep_vector=np.array([0]))
+        RcpCode(n0=4, info_set=[2, 3], rep_vector=[0])
 
 
 def test_hex_round_trip():
@@ -295,9 +310,9 @@ def test_hex_round_trip():
 def test_code_json_round_trip():
     code, _, _ = construct_rcp(20, 6, 14, LlrDistribution(2.0))
     back = code_from_dict(code_to_dict(code))
-    assert back.spec.n0 == code.spec.n0
-    assert np.array_equal(back.spec.info_set, code.spec.info_set)
-    assert np.array_equal(back.spec.puncture_set, code.spec.puncture_set)
+    assert back.n0 == code.n0
+    assert np.array_equal(back.info_set, code.info_set)
+    assert np.array_equal(back.puncture_set, code.puncture_set)
     assert np.array_equal(back.rep_vector, code.rep_vector)
 
 
@@ -323,16 +338,14 @@ def test_golden_vectors_regression_file():
 
 def _dict_code():
     """n0 = 8, k = 4, one puncture and two repetitions: n = 9, m = 7."""
-    spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
-                         puncture_set=np.array([0]))
-    return RcpCode(spec=spec, rep_vector=np.array([3, 7]))
+    return RcpCode(n0=8, info_set=[3, 5, 6, 7], puncture_set=[0],
+                   rep_vector=[3, 7])
 
 
 def test_frozen_bits_are_zero():
     # Frozen values are not a parameter; a dict may carry them only as zeros.
     with pytest.raises(TypeError):
-        PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
-                      frozen_values=np.array([0, 0, 0, 0]))
+        RcpCode(n0=8, info_set=[3, 5, 6, 7], frozen_values=[0, 0, 0, 0])
     code = _dict_code()
     back = code_from_dict({**code_to_dict(code), "frozen_values": [0] * 4})
     info = np.array([1, 0, 1, 1], dtype=np.int8)
@@ -366,7 +379,7 @@ def test_code_from_dict_rejects_lossy_or_mismatched_input(key, value):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sc_decode_rejects_non_finite_llrs(bad):
-    code = RcpCode(spec=_plain_spec(8, [3, 5, 6, 7]))
+    code = _plain_code(8, [3, 5, 6, 7])
     with pytest.raises(ValueError):
         sc_decode(np.full(8, bad), code)
     llr = np.ones((3, 8))
@@ -384,20 +397,63 @@ def _specified_code(draw):
     k = draw(st.integers(1, n0 - len(punct)))
     info = sorted(draw(st.permutations(range(n0)))[:k])
     rep = draw(st.lists(st.sampled_from(info), max_size=8))
-    spec = PolarCodeSpec(n0=n0, info_set=np.array(info),
-                         puncture_set=np.array(punct, dtype=np.int64))
-    return RcpCode(spec=spec, rep_vector=np.array(rep, dtype=np.int64))
+    return RcpCode(n0=n0, info_set=info, puncture_set=punct, rep_vector=rep)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_specified_code())
 def test_code_dict_round_trip_property(code):
     back = code_from_dict(json.loads(json.dumps(code_to_dict(code))))
-    assert back.spec.n0 == code.spec.n0
-    assert np.array_equal(back.spec.info_set, code.spec.info_set)
-    assert np.array_equal(back.spec.puncture_set, code.spec.puncture_set)
+    assert back.n0 == code.n0
+    assert np.array_equal(back.info_set, code.info_set)
+    assert np.array_equal(back.puncture_set, code.puncture_set)
     assert np.array_equal(back.rep_vector, code.rep_vector)
     assert (back.n, back.k, back.m) == (code.n, code.k, code.m)
+
+
+# Any JSON value, and values near a code's own: small integers and short
+# lists of them.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8) | st.integers(-1, 17) | st.lists(st.integers(-1, 9),
+                                                  max_size=6)
+_CODE_KEYS = ("n", "k", "m", "n0", "info_set", "puncture_set", "rep_vector")
+
+
+@settings(max_examples=400, deadline=None)
+@given(_specified_code(),
+       st.lists(st.tuples(st.sampled_from(_CODE_KEYS) | st.just("frozen_values")
+                          | st.text(max_size=3), _JSON), max_size=3),
+       st.lists(st.sampled_from(_CODE_KEYS), max_size=2), _JSON)
+@example(_dict_code(), [], ["k"], None)             # a KeyError
+@example(_dict_code(), [], [], [1, 2])              # a TypeError
+@example(_dict_code(), [("rep_vector", [[3], [7]])], [], None)  # 2-D
+def test_code_from_dict_reads_only_what_code_to_dict_writes(code, sets, drops,
+                                                            other):
+    # Any value at any key, dropped keys and non-objects: code_from_dict
+    # raises ValueError or returns a code that encodes n bits and whose
+    # dict is exactly its input (frozen_values, from older files, may only
+    # be the code's zeros).
+    d = code_to_dict(code)
+    for key, value in sets:
+        d[key] = value
+    for key in drops:
+        d.pop(key, None)
+    for given_ in (d, other):
+        try:
+            back = code_from_dict(given_)
+        except ValueError:
+            continue
+        want = dict(given_)
+        frozen = want.pop("frozen_values", [0] * (back.n0 - back.k))
+        assert json.dumps(code_to_dict(back), sort_keys=True) \
+            == json.dumps(want, sort_keys=True)
+        assert json.dumps(frozen) == json.dumps([0] * (back.n0 - back.k))
+        assert rcp_encode(np.zeros(back.k, dtype=np.int8), back).shape \
+            == (back.n,)
 
 
 def test_check_node_sign_follows_the_rounded_magnitude():
@@ -435,12 +491,6 @@ _VALID_FIELDS = {"n0": 8, "info_set": [3, 5, 6, 7], "puncture_set": [1],
                  "rep_vector": [5, 6, 5]}
 
 
-def _build(fields):
-    spec = PolarCodeSpec(n0=fields["n0"], info_set=fields["info_set"],
-                         puncture_set=fields["puncture_set"])
-    return RcpCode(spec=spec, rep_vector=fields["rep_vector"])
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(_VALID_FIELDS)),
        st.sampled_from(range(len(_NOT_INDICES))), st.integers(0, 3),
@@ -467,7 +517,7 @@ def test_constructors_reject_non_integer_values(key, kind, at, as_array):
                 assume(not np.issubdtype(entries.dtype, np.integer))
         fields[key] = entries
     with pytest.raises(ValueError):
-        _build(fields)
+        RcpCode(**fields)
 
 
 @settings(max_examples=50, deadline=None)
@@ -485,10 +535,10 @@ def test_constructors_take_integers_of_any_type(cast, as_array, empty):
     if empty:
         fields["puncture_set"] = np.array([]) if as_array else []
         fields["rep_vector"] = np.array([]) if as_array else []
-    code = _build(fields)
-    want = _build({**_VALID_FIELDS, **({"puncture_set": [], "rep_vector": []}
-                                       if empty else {})})
-    assert type(code.spec.n0) is int and code.spec.n0 == 8
+    code = RcpCode(**fields)
+    emptied = {"puncture_set": [], "rep_vector": []} if empty else {}
+    want = RcpCode(**{**_VALID_FIELDS, **emptied})
+    assert type(code.n0) is int and code.n0 == 8
     assert code_to_dict(code) == code_to_dict(want)
-    for idx in (code.spec.info_set, code.spec.puncture_set, code.rep_vector):
+    for idx in (code.info_set, code.puncture_set, code.rep_vector):
         assert idx.dtype == np.int64

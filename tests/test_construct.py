@@ -140,9 +140,8 @@ def test_mother_codes_match_single_m(snr_db):
     assert len(batched) == len(ms)
     for m, (table, plan) in zip(ms, batched):
         ref_code, ref_plan, ref_table = construct_rcp(n, k, m, channel)
-        ref_spec = ref_code.spec
-        assert table.size == ref_spec.n0
-        assert np.array_equal(plan.info_set, ref_spec.info_set)
+        assert table.size == ref_code.n0
+        assert np.array_equal(plan.info_set, ref_code.info_set)
         assert table.means.tobytes() == ref_table.means.tobytes()
         assert table.pe.tobytes() == ref_table.pe.tobytes()
         assert np.array_equal(plan.r, ref_plan.r)
@@ -197,17 +196,17 @@ def test_evaluate_bler_trivial_cases():
 
 def test_construct_rate_one_degenerate():
     code, plan, _ = construct_rcp(4, 4, 4, LlrDistribution(2.0))
-    assert code.n == 4 and code.m == 4 and code.spec.n0 == 4
+    assert code.n == 4 and code.m == 4 and code.n0 == 4
     assert code.rep_vector.size == 0
     assert plan.union_bound == pytest.approx(min(1.0, plan.updated_pe.sum()))
-    assert code.spec.info_set.tolist() == [0, 1, 2, 3]
+    assert code.info_set.tolist() == [0, 1, 2, 3]
 
 
 def test_construct_no_repetitions_when_n_equals_m():
     code, _, _ = construct_rcp(12, 5, 12, LlrDistribution(2.0))
     assert code.rep_vector.size == 0
-    assert code.spec.n0 == 16
-    assert code.spec.puncture_set.size == 4
+    assert code.n0 == 16
+    assert code.puncture_set.size == 4
 
 
 def test_construct_validates_bounds():
@@ -273,8 +272,8 @@ def test_plans_and_code_families_nest_by_prefix(scheme_snr):
         code = longest.prefix(n)
         ref, plan, _ = construct_rcp(n, scheme.k, scheme.m, channel)
         assert code.n == n
-        assert np.array_equal(code.spec.info_set, ref.spec.info_set)
-        assert np.array_equal(code.spec.puncture_set, ref.spec.puncture_set)
+        assert np.array_equal(code.info_set, ref.info_set)
+        assert np.array_equal(code.puncture_set, ref.puncture_set)
         assert np.array_equal(code.rep_vector, ref.rep_vector)
         reps = n - scheme.m
         assert np.array_equal(ref.rep_vector, longest.rep_vector[:reps])

@@ -4,6 +4,7 @@ failures counted from one walk of the last round's tree."""
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 import rcpolar.codec
 from rcpolar.channel import (LLR_CLAMP, ChannelParams,
                              channel_llr_distribution, transmit)
-from rcpolar.codec import (PolarCodeSpec, RcpCode, rcp_encode, round_failures,
-                           sc_decode)
+from rcpolar.codec import RcpCode, rcp_encode, round_failures, sc_decode
 from rcpolar.construct import construct_rcp
 
 from oracles import (repetition_sums_reference, sc_decode_reference,
@@ -35,8 +35,8 @@ def _corpus(n0, rows, seed):
     params = ChannelParams(snr_db=snr_db)
     base, _, _ = construct_rcp(n, k, m, channel_llr_distribution(params))
     rng = np.random.default_rng(seed)
-    rep = rng.choice(base.spec.info_set, size=n - m, replace=True)
-    code = RcpCode(spec=base.spec, rep_vector=rep)
+    rep = rng.choice(base.info_set, size=n - m, replace=True)
+    code = replace(base, rep_vector=rep)
     bits = rng.integers(0, 2, size=(rows, k), dtype=np.int8)
     tx = rcp_encode(bits, code)
     llr = transmit(tx, rng.standard_normal(tx.shape), params)
@@ -50,13 +50,13 @@ def _corpus(n0, rows, seed):
 @pytest.mark.parametrize("n0", sorted(CORPUS_CODES))
 def test_corpus_matches_recursive_reference(n0):
     code, llr, _ = _corpus(n0, max(CORPUS_BATCHES), seed=n0)
-    assert code.spec.puncture_set.size > 0
+    assert code.puncture_set.size > 0
     assert np.unique(code.rep_vector).size < code.rep_vector.size
     for value in (0.0, LLR_CLAMP, -LLR_CLAMP):
         assert (llr == value).any()
     for b in CORPUS_BATCHES:
         ref_bits, ref_llrs = sc_decode_reference(llr[:b], code)
-        ref_llrs = ref_llrs[:, code.spec.info_set]
+        ref_llrs = ref_llrs[:, code.info_set]
         bits = sc_decode(llr[:b], code)
         llrs = sc_decode(llr[:b], code, sent=bits)
         assert np.array_equal(bits, ref_bits), (n0, b)
@@ -84,8 +84,6 @@ def _nested_family(draw):
     m = n0 - len(punct)
     k = draw(st.integers(1, m))
     info = sorted(draw(st.permutations(range(n0)))[:k])
-    spec = PolarCodeSpec(n0=n0, info_set=np.array(info),
-                         puncture_set=np.array(sorted(punct), dtype=np.int64))
     rounds = draw(st.integers(1, 4))
     first_reps = draw(st.integers(0, 3))
     more = draw(st.lists(st.integers(1, 4), min_size=rounds - 1,
@@ -94,7 +92,8 @@ def _nested_family(draw):
                                  min_size=first_reps + sum(more),
                                  max_size=first_reps + sum(more))),
                    dtype=np.int64)
-    full = RcpCode(spec=spec, rep_vector=rep)
+    full = RcpCode(n0=n0, info_set=info, puncture_set=sorted(punct),
+                   rep_vector=rep)
     lengths = [int(n) for n in np.cumsum([m + first_reps, *more])]
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rows = draw(st.integers(1, 8))
@@ -104,9 +103,8 @@ def _nested_family(draw):
 
 
 def _example_family(rep, lengths):
-    spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
-                         puncture_set=np.array([1]))
-    full = RcpCode(spec=spec, rep_vector=np.array(rep))
+    full = RcpCode(n0=8, info_set=[3, 5, 6, 7], puncture_set=[1],
+                   rep_vector=rep)
     llr = np.random.default_rng(3).normal(0.3, 1.5, size=(200, full.n))
     return full, lengths, llr, np.arange(200) % 3
 
@@ -225,10 +223,8 @@ def _check_nested_family(monkeypatch, full, lengths, llr):
 def test_nested_family_with_frozen_values_in_dead_blocks(monkeypatch):
     # Leaves 0-3 and 8-9 are dead blocks of width 4 and 2, whose partial
     # sums are all zero; leaf 5 is a single frozen leaf.
-    spec = PolarCodeSpec(
-        n0=16, info_set=np.array([4, 6, 7, 10, 11, 12, 13, 14, 15]),
-        puncture_set=np.array([2, 5]))
-    full = RcpCode(spec=spec, rep_vector=np.array([7, 10, 4, 7, 15, 12, 6]))
+    full = RcpCode(n0=16, info_set=[4, 6, 7, 10, 11, 12, 13, 14, 15],
+                   puncture_set=[2, 5], rep_vector=[7, 10, 4, 7, 15, 12, 6])
     llr = np.random.default_rng(11).normal(0.5, 1.5, size=(200, full.n))
     _check_nested_family(monkeypatch, full, (15, 17, 19, 21), llr)
 
@@ -238,9 +234,8 @@ def test_nested_redecode_keeps_decisions_on_exact_zero_leaves(monkeypatch):
     # row and round.  Bit 0 is repeated from round 3 on: rounds 1 and 2,
     # decided on the true-path leaves of the last round's code, decide it
     # on leaf + 0.0, as they do on leaf.
-    spec = PolarCodeSpec(n0=8, info_set=np.array([0, 3, 5, 6, 7]),
-                         puncture_set=np.array([0]))
-    full = RcpCode(spec=spec, rep_vector=np.array([5, 3, 0, 6]))
+    full = RcpCode(n0=8, info_set=[0, 3, 5, 6, 7], puncture_set=[0],
+                   rep_vector=[5, 3, 0, 6])
     llr = np.random.default_rng(12).normal(0.3, 1.5, size=(200, full.n))
     for n in (8, 11):
         code = full.prefix(n)
@@ -303,9 +298,8 @@ def test_round_failures_match_the_recursive_reference(family):
 def test_nested_decoding_rejects_bad_lengths():
     # Rounds are prefixes of one code, so lengths are all a family can get
     # wrong: empty, repeated, decreasing, below m or beyond n.
-    spec = PolarCodeSpec(n0=8, info_set=np.array([3, 5, 6, 7]),
-                         puncture_set=np.array([1]))
-    full = RcpCode(spec=spec, rep_vector=np.array([5, 6, 7]))
+    full = RcpCode(n0=8, info_set=[3, 5, 6, 7], puncture_set=[1],
+                   rep_vector=[5, 6, 7])
     llr = np.ones((2, full.n))
     bits = np.zeros((2, full.k), dtype=np.int8)
     for lengths in ((), (8, 8), (9, 8), (6, 8), (8, 11), (7, 9, 10, 11)):
@@ -323,8 +317,7 @@ def test_repetition_sums_equal_add_at(picks, batch, seed):
     # transmit-order sums 0.0 + r1 + r2 + ..., on LLRs of mixed magnitude
     # where the order of the adds changes the result, and on signed zeros.
     info = np.array([7, 9, 10, 11, 12, 13, 14, 15])
-    code = RcpCode(spec=PolarCodeSpec(n0=16, info_set=info),
-                   rep_vector=info[picks])
+    code = RcpCode(n0=16, info_set=info, rep_vector=info[picks])
     rng = np.random.default_rng(seed)
     llrs = rng.normal(size=(batch, code.n)) \
         * 10.0 ** rng.integers(-3, 17, size=(batch, code.n))
@@ -349,7 +342,7 @@ def test_repetition_sums_equal_the_rank_scan(width, picks, batch, seed):
     # many times while others are repeated once; the sums must equal the
     # rank-by-rank scan over every repetition byte for byte.
     info = np.arange(8 - width, 8)
-    code = RcpCode(spec=PolarCodeSpec(n0=8, info_set=info),
+    code = RcpCode(n0=8, info_set=info,
                    rep_vector=info[np.array(picks, dtype=int) % width])
     rng = np.random.default_rng(seed)
     llrs = rng.normal(size=(batch, code.n)) \
@@ -380,6 +373,6 @@ def test_decode_holds_three_node_buffers_and_a_tile():
     finally:
         tracemalloc.stop()
     tile = 2 * rcpolar.codec._TILE * 8
-    budget = (3 * code.spec.n0 * b * 8 + tile + llrs[:, code.m:].nbytes
+    budget = (3 * code.n0 * b * 8 + tile + llrs[:, code.m:].nbytes
               + 2 * code.k * b + (64 << 10))
     assert peak <= budget, (peak, budget)

@@ -318,6 +318,33 @@ def test_channel_params_reject_non_real_snr(value):
         ChannelParams(snr_db=value)
 
 
+# Values that are not real numbers: bools, None, strings, complex numbers,
+# a list, a tuple and NaN.
+_NOT_REAL = (st.sampled_from([True, False, np.bool_(True), None, [0.5], (0.5,),
+                              float("nan"), np.float32("nan")])
+             | st.complex_numbers() | st.text(max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NOT_REAL | st.sampled_from([float("inf"), -np.inf]))
+@example("x")            # was stored as given
+@example(None)           # was stored as given
+@example(True)           # was stored as given
+@example(float("nan"))   # was stored as given
+def test_scheme_rejects_eta_estimate_not_finite_real(value):
+    with pytest.raises(ValueError, match="eta_estimate"):
+        HarqScheme(**_VALID_SCHEME, eta_estimate=value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NOT_REAL | st.floats(max_value=-1e-300) | st.integers(max_value=-1))
+@example(True)   # was read as mean 1
+@example("3")    # raised TypeError
+def test_llr_model_rejects_a_mean_not_a_nonnegative_real(value):
+    with pytest.raises(ValueError, match="LLR mean"):
+        LlrDistribution(mean=value)
+
+
 def test_constructors_take_integers_and_reals_of_any_type():
     for cast in (int, np.int64, np.int32, np.uint16):
         scheme = HarqScheme(k=cast(3), m=cast(8), lengths=(cast(16), 18),
@@ -325,6 +352,11 @@ def test_constructors_take_integers_and_reals_of_any_type():
         assert scheme.s == (8, 16, 18)
     for snr in (1, 1.5, np.float32(1.5), np.float64(-2.0), np.int64(3)):
         assert ChannelParams(snr_db=snr).noise_var > 0
+    for real in (0, 2, 0.5, np.float32(0.5), np.float64(2.0), np.int64(3)):
+        assert HarqScheme(**_VALID_SCHEME, eta_estimate=real).eta_estimate \
+            == real
+        assert LlrDistribution(mean=real).mean == real
+    assert LlrDistribution(mean=np.inf).mean == np.inf  # a noiseless channel
 
 
 def test_scheme_vector_layout():

@@ -1,13 +1,16 @@
 """The layer boundaries that the benchmark's trace mode wraps
 (``perfbench/spans.py``, ``TARGETS``) must exist in rcpolar, so that a rename
 fails here rather than in a traced benchmark run; so must every name the
-package exports."""
+package exports and every name README's Python examples import."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _span_targets():
@@ -30,3 +33,23 @@ def test_public_names_resolve():
     missing = [name for name in package.__all__
                if not hasattr(package, name)]
     assert package.__all__ and not missing
+
+
+def test_readme_examples_compile_and_import_public_names():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    imported = []
+    for block in blocks:
+        compile(block, "README.md", "exec")
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom):
+                imported += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(alias.name, None) for alias in node.names]
+    rcpolar = [(mod, name) for mod, name in imported
+               if mod.split(".")[0] == "rcpolar"]
+    assert rcpolar
+    for mod, name in rcpolar:
+        module = importlib.import_module(mod)
+        assert name is None or hasattr(module, name), f"{mod}.{name}"

@@ -42,7 +42,7 @@ def _grid_digest() -> str:
         for n, k, m in CODE_GRID:
             code, _, _ = construct_rcp(n, k, m, channel)
             h.update(f"{n},{k},{m},{snr_db!r};".encode())
-            for arr in (code.spec.info_set, code.spec.puncture_set,
+            for arr in (code.info_set, code.puncture_set,
                         code.rep_vector):
                 h.update(np.ascontiguousarray(arr, dtype="<i8").tobytes())
                 h.update(b"|")

@@ -6,7 +6,7 @@ import pytest
 
 from rcpolar.channel import (ChannelParams, LLR_CLAMP,
                              channel_llr_distribution, noise_stream, transmit)
-from rcpolar.codec import PolarCodeSpec, RcpCode, rcp_encode
+from rcpolar.codec import RcpCode, rcp_encode
 from rcpolar.construct import construct_rcp
 from rcpolar.design import HarqScheme, build_bler_curve, design_scheme
 from rcpolar import channel, codec, construct, simulate
@@ -570,7 +570,7 @@ def test_chunks_are_sized_by_the_transmitted_length(monkeypatch):
         return original(base_seed, lo, hi, k, n)
 
     monkeypatch.setattr(simulate, "trial_draws", recording)
-    code = RcpCode(spec=PolarCodeSpec(n0=64, info_set=np.arange(64)),
+    code = RcpCode(n0=64, info_set=np.arange(64),
                    rep_vector=np.resize(np.arange(64), 65536 - 64))
     counts = _run_chunks(code, (code.n,), ChannelParams(snr_db=0.0), 64, 5,
                          threads=1)
