@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _bits, _is_real
+from .codec import _bits, _real
 
 # Channel LLRs are saturated at this magnitude so that downstream tanh-domain
 # arithmetic never sees infinities.  |LLR| = 40 corresponds to an error
@@ -16,8 +16,8 @@ LLR_CLAMP = 40.0
 class ChannelParams:
     """Operating point of the BPSK-input AWGN channel.
 
-    ``snr_db`` is the symbol SNR Es/N0 in decibels.  The per-dimension noise
-    standard deviation follows as ``sigma = sqrt(1 / (2 * 10^(snr_db/10)))``.
+    ``snr_db``, the symbol SNR Es/N0 in decibels, is stored as a float.  The
+    noise standard deviation per dimension is ``sqrt(0.5 * 10^(-snr_db/10))``.
     For a rate-R code the bit SNR is ``Eb/N0 [dB] = snr_db - 10*log10(R)``.
     """
 
@@ -25,15 +25,14 @@ class ChannelParams:
 
     def __post_init__(self):
         snr = self.snr_db
-        if not _is_real(snr):
-            raise ValueError(f"snr_db must be a real number, got {snr!r}")
+        object.__setattr__(self, "snr_db", _real(snr))
         try:
             var = self.noise_var
         except OverflowError:  # 10.0 ** x for x above about 308
             var = float("inf")
         if not 0.0 < var < float("inf"):
-            raise ValueError(f"snr_db {self.snr_db!r} gives noise variance "
-                             f"{var!r}, not finite and positive")
+            raise ValueError("snr_db must be a real number with a finite, "
+                             f"positive noise variance, got {snr!r}")
 
     @property
     def sigma(self) -> float:
@@ -42,12 +41,6 @@ class ChannelParams:
     @property
     def noise_var(self) -> float:
         return self.sigma ** 2
-
-    @staticmethod
-    def from_sigma(sigma: float) -> "ChannelParams":
-        if sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
-        return ChannelParams(snr_db=float(-10.0 * np.log10(2.0 * sigma ** 2)))
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class LlrDistribution:
     mean: float
 
     def __post_init__(self):
-        if not (_is_real(self.mean) and self.mean >= 0):
+        if not _real(self.mean) >= 0:
             raise ValueError("LLR mean must be a nonnegative real number, "
                              f"got {self.mean!r}")
 

@@ -8,7 +8,6 @@ version.  Exit codes: 0 ok, 2 bad usage/config, 3 runtime failure.
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -62,48 +61,54 @@ def _load_config(args) -> dict:
         cfg["out"] = args.out
     cfg.setdefault("seed", 0)
     cfg.setdefault("threads", 1)
-    for key, (least, most) in _INT_KEYS.items():
-        if key in cfg and (type(cfg[key]) is not int
-                           or not least <= cfg[key] <= most):
-            raise ConfigError(f"{key} must be an integer in [{least}, "
-                              f"{most}], got {cfg[key]!r}")
-    if "out" in cfg and (type(cfg["out"]) is not str or "\0" in cfg["out"]):
-        raise ConfigError(f"out must be a string without NUL, got "
-                          f"{cfg['out']!r}")
+    _, required, optional = _COMMANDS[args.command]
+    required += ("out",)
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ConfigError(f"missing config keys: {', '.join(missing)}")
+    unknown = sorted(cfg.keys() - {*required, *optional, "seed", "threads"})
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: "
+                          f"{', '.join(unknown)}")
+    for key in _INT_KEYS:
+        if key in cfg:
+            _integer(cfg[key], key)
+    for key in ("out", "schemes"):
+        if key in cfg and (type(cfg[key]) is not str or "\0" in cfg[key]):
+            raise ConfigError(f"{key} must be a string without NUL, got "
+                              f"{cfg[key]!r}")
     return cfg
 
 
-def _require(cfg: dict, *keys):
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ConfigError(f"missing config keys: {', '.join(missing)}")
-    return [cfg[k] for k in keys]
+def _integer(value, key: str, name: str = "") -> None:
+    """Exit 2 unless ``value`` is a JSON integer in ``_INT_KEYS[key]``."""
+    least, most = _INT_KEYS[key]
+    if type(value) is not int or not least <= value <= most:
+        raise ConfigError(f"{name or key} must be an integer in [{least}, "
+                          f"{most}], got {value!r}")
 
 
-def _finite(value) -> bool:
-    """A JSON number with a finite float value; a bool is not one."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
+def _check_code(n, k, m) -> None:
+    """An (n, k, m) code's lengths: integers with 1 <= k <= m <= n <= 2^20."""
+    for key, value in zip("nkm", (n, k, m)):
+        _integer(value, key)
+    if not k <= m <= n:
+        raise ConfigError(f"need k <= m <= n, got k={k}, m={m}, n={n}")
 
 
-def _snr_list(value):
-    """The SNRs of a number or a list of numbers, each one that
-    :class:`ChannelParams` takes."""
+def _snr_list(value) -> list:
+    """The :class:`ChannelParams` of a number or a nonempty list of them."""
     values = value if isinstance(value, list) else [value]
-    if values and all(_finite(v) for v in values):
-        try:
-            return [ChannelParams(snr_db=float(v)).snr_db for v in values]
-        except ValueError:
-            pass
-    raise ConfigError("snr_db must be a finite number with a finite, positive "
-                      "noise variance, or a nonempty list of them, got "
-                      f"{value!r}")
+    try:  # an empty list is tried as [None], which ChannelParams rejects
+        return [ChannelParams(snr_db=v) for v in values or [None]]
+    except ValueError:
+        raise ConfigError("snr_db must be a finite number with a finite, "
+                          "positive noise variance, or a nonempty list of "
+                          f"them, got {value!r}")
 
 
 def _out_dir(cfg: dict) -> Path:
-    out = Path(_require(cfg, "out")[0])
+    out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -136,12 +141,11 @@ def _write_csv(path: Path, command: str, cfg: dict, columns, rows) -> None:
 
 
 def cmd_construct(cfg: dict) -> int:
-    n, k, m, snr_db = _require(cfg, "n", "k", "m", "snr_db")
-    if not k <= m <= n:
-        raise ConfigError(f"need k <= m <= n, got k={k}, m={m}, n={n}")
-    if isinstance(snr_db, list):
+    n, k, m = cfg["n"], cfg["k"], cfg["m"]
+    _check_code(n, k, m)
+    if isinstance(cfg["snr_db"], list):
         raise ConfigError("construct takes a single snr_db")
-    params = ChannelParams(snr_db=_snr_list(snr_db)[0])
+    (params,) = _snr_list(cfg["snr_db"])
     out = _out_dir(cfg)
     channel = channel_llr_distribution(params)
     code, plan, table = construct_rcp(n, k, m, channel)
@@ -159,28 +163,28 @@ def cmd_construct(cfg: dict) -> int:
 
 
 def cmd_design(cfg: dict) -> int:
-    k, t_max, q, snr_db = _require(cfg, "k", "t_max", "q", "snr_db")
+    k, t_max, q = cfg["k"], cfg["t_max"], cfg["q"]
     if k > q:
         raise ConfigError(f"need k <= q, got k={k}, q={q}")
     force = cfg.get("force_n1_equals_m", False)
     if type(force) is not bool:
         raise ConfigError(f"force_n1_equals_m must be true or false, "
                           f"got {force!r}")
-    snrs = _snr_list(snr_db)
-    names = [f"bler_curve_snr{snr:g}.csv" for snr in snrs]
+    snrs = _snr_list(cfg["snr_db"])
+    names = [f"bler_curve_snr{params.snr_db:g}.csv" for params in snrs]
     if len(set(names)) < len(names):
-        raise ConfigError(f"snr_db values {snrs} share a curve file name")
+        raise ConfigError(f"snr_db {cfg['snr_db']} share a curve file name")
     out = _out_dir(cfg)
     schemes = []
-    for snr, name in zip(snrs, names):
-        channel = channel_llr_distribution(ChannelParams(snr_db=snr))
+    for params, name in zip(snrs, names):
+        channel = channel_llr_distribution(params)
         scheme, curve = design_scheme(k, t_max, q, channel,
                                       force_first_length_equals_m=force)
         curve_path = out / name
         _write_csv(curve_path, "design", cfg, ("n", "bler"),
                    enumerate(curve.e.tolist(), curve.m))
         schemes.append({
-            "snr_db": snr,
+            "snr_db": params.snr_db,
             "k": scheme.k,
             "t_max": t_max,
             "q": q,
@@ -188,8 +192,8 @@ def cmd_design(cfg: dict) -> int:
             "eta_estimate": scheme.eta_estimate,
             "bler_curve_path": curve_path.name,
         })
-        print(f"snr {snr:+.2f} dB -> s={scheme.s} eta~{scheme.eta_estimate:.4f}",
-              file=sys.stderr)
+        print(f"snr {params.snr_db:+.2f} dB -> s={scheme.s} "
+              f"eta~{scheme.eta_estimate:.4f}", file=sys.stderr)
     doc = _envelope("design", cfg)
     doc["schemes"] = schemes
     _write_json(out / "schemes.json", doc)
@@ -200,7 +204,7 @@ def _load_schemes(path: str):
     try:
         doc = json.loads(Path(path).read_text())
         entries = doc["schemes"]
-    # ValueError covers a JSON syntax error and a path with a NUL byte.
+    # ValueError covers a JSON syntax error.
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"cannot read schemes from {path}: {exc}")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -210,32 +214,27 @@ def _load_schemes(path: str):
     out = []
     try:
         for entry in entries:
-            snr, k, s, eta = (entry[key] for key in
-                              ("snr_db", "k", "s", "eta_estimate"))
-            if not (_finite(snr) and _finite(eta) and type(s) is list
-                    and all(type(v) is int and 1 <= v <= MAX_LENGTH
-                            for v in [k, *s])):
-                raise ValueError("snr_db and eta_estimate must be finite "
-                                 "numbers, k and s integers in [1, 2^20], "
-                                 f"got {entry!r}")
-            out.append((ChannelParams(snr_db=float(snr)), HarqScheme(
-                k=k, m=s[0], lengths=tuple(s[1:]), eta_estimate=float(eta))))
+            s = entry["s"]
+            scheme = HarqScheme(k=entry["k"], m=s[0], lengths=tuple(s[1:]),
+                                eta_estimate=entry["eta_estimate"])
+            # HarqScheme orders every other length below the last one.
+            _integer(scheme.lengths[-1], "n", f"s[-1] in {path}")
+            out.append((ChannelParams(snr_db=entry["snr_db"]), scheme))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad scheme in {path}: {exc}")
     return out
 
 
 def cmd_simulate(cfg: dict) -> int:
-    schemes_path, trials = _require(cfg, "schemes", "trials")
     wanted = _snr_list(cfg["snr_db"]) if "snr_db" in cfg else None
     schemes = [(params, scheme)
-               for params, scheme in _load_schemes(str(schemes_path))
-               if wanted is None
-               or any(abs(params.snr_db - w) <= SNR_MATCH_DB for w in wanted)]
+               for params, scheme in _load_schemes(cfg["schemes"])
+               if wanted is None or any(abs(params.snr_db - w.snr_db)
+                                        <= SNR_MATCH_DB for w in wanted)]
     if not schemes:
         raise ConfigError("no scheme matched the requested snr_db values")
     out = _out_dir(cfg)
-    seed, threads = cfg["seed"], cfg["threads"]
+    trials, seed, threads = cfg["trials"], cfg["seed"], cfg["threads"]
 
     doc = _envelope("simulate", cfg)
     doc["reports"] = []
@@ -266,22 +265,21 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_bler(cfg: dict) -> int:
-    codes, snr_db, trials = _require(cfg, "codes", "snr_db", "trials")
+    codes, trials = cfg["codes"], cfg["trials"]
     if not isinstance(codes, list) or not codes or not all(
-            isinstance(c, list) and len(c) == 3
-            and all(type(v) is int for v in c)
-            and 1 <= c[1] <= c[2] <= c[0] <= MAX_LENGTH for c in codes):
+            isinstance(c, list) and len(c) == 3 for c in codes):
         raise ConfigError("codes must be a nonempty list of [n, k, m] "
-                          f"integer triples with 1 <= k <= m <= n <= 2^20, "
-                          f"got {codes!r}")
-    snrs = _snr_list(snr_db)
+                          f"triples, got {codes!r}")
+    for code in codes:
+        _check_code(*code)
+    snrs = _snr_list(cfg["snr_db"])
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]
     rows = []
     for n, k, m in codes:
-        for snr in snrs:
-            params = ChannelParams(snr_db=snr)
-            print(f"bler ({n},{k},{m}) at {snr:+.2f} dB", file=sys.stderr)
+        for params in snrs:
+            print(f"bler ({n},{k},{m}) at {params.snr_db:+.2f} dB",
+                  file=sys.stderr)
             rows.append(bler_monte_carlo(n, k, m, params, trials, seed,
                                          threads=threads))
     columns = ("snr_db", "n", "k", "m", "trials", "errors", "bler", "ci95",
@@ -291,11 +289,14 @@ def cmd_bler(cfg: dict) -> int:
     return 0
 
 
+# Each command's function, required keys and optional keys.  Every command
+# also requires out and takes seed and threads; any other key is an error.
 _COMMANDS = {
-    "construct": cmd_construct,
-    "design": cmd_design,
-    "simulate": cmd_simulate,
-    "bler": cmd_bler,
+    "construct": (cmd_construct, ("n", "k", "m", "snr_db"), ()),
+    "design": (cmd_design, ("k", "t_max", "q", "snr_db"),
+               ("force_n1_equals_m",)),
+    "simulate": (cmd_simulate, ("schemes", "trials"), ("snr_db",)),
+    "bler": (cmd_bler, ("codes", "snr_db", "trials"), ()),
 }
 
 
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"rcpolar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
+    for name, (fn, _, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",

@@ -38,9 +38,14 @@ def _is_int(value) -> bool:
             and not isinstance(value, (bool, np.bool_)))
 
 
-def _is_real(value) -> bool:
-    """An integer or a float, numpy's included, and not a bool."""
-    return _is_int(value) or isinstance(value, (float, np.floating))
+def _real(value) -> float:
+    """``value`` as a float if it is an integer or a float, numpy's included,
+    and not a bool; NaN for other values and ints beyond the float range."""
+    try:
+        return (float(value) if _is_int(value)
+                or isinstance(value, (float, np.floating)) else np.nan)
+    except OverflowError:
+        return np.nan
 
 
 def _indices(values, name: str) -> np.ndarray:

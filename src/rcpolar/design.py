@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrDistribution
-from .codec import _is_int, _is_real
+from .codec import _is_int, _real
 from .construct import mother_codes
 
 # Block-error values are floored here so throughput denominators stay stable.
@@ -46,9 +46,11 @@ class HarqScheme:
             raise ValueError("need 1 <= k <= m <= first length")
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("cumulative lengths must be strictly increasing")
-        if not (_is_real(self.eta_estimate) and abs(self.eta_estimate) < np.inf):
+        eta = _real(self.eta_estimate)
+        if not abs(eta) < np.inf:
             raise ValueError("eta_estimate must be a finite real number, got "
                              f"{self.eta_estimate!r}")
+        object.__setattr__(self, "eta_estimate", eta)
 
     @property
     def s(self) -> tuple:

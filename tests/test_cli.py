@@ -122,13 +122,30 @@ def _scheme_entry(**edit):
     ("construct", {"n": 2 ** 20 + 1, "k": 4, "m": 8, "snr_db": 0.0}),
     ("bler", {"codes": [[2 ** 20 + 1, 4, 8]], "snr_db": 0.0, "trials": 20}),
     ("simulate", {"schemes": [_scheme_entry(s=[12, 12, 2 ** 20 + 1])]}),
+    # A key that no list names: a misspelt force_n1_equals_m ran unforced,
+    # and seeds=5 ran at seed 0.
+    ("design", {"k": 8, "t_max": 2, "q": 24, "snr_db": 0.0,
+                "force_n1_equal_m": True}),
+    ("bler", {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 20,
+              "seeds": 5}),
+    # A schemes path that is not a JSON string read the file that Python's
+    # str() names: "5" and "['d']".
+    ("simulate", {"schemes": 5, "trials": 10}),
+    ("simulate", {"schemes": ["d"], "trials": 10}),
+    ("simulate", {"schemes": [_scheme_entry(eta_estimate=10 ** 400)]}),
 ])
-def test_config_errors_exit_2(tmp_path, capsys, command, cfg):
+def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, cfg):
     if command == "simulate":
-        path = tmp_path / "schemes.json"
-        path.write_text(json.dumps({"schema_version": 1,
-                                    "schemes": cfg["schemes"]}))
-        cfg.update(schemes=str(path), trials=10)
+        # Without trials, cfg lists the entries of a schemes.json.  With
+        # them, cfg is given as is, and a valid schemes.json is written
+        # under the name str() makes of its schemes value.
+        if "trials" in cfg:
+            path, entries = tmp_path / str(cfg["schemes"]), [_scheme_entry()]
+        else:
+            path, entries = tmp_path / "schemes.json", cfg["schemes"]
+            cfg.update(schemes=str(path), trials=10)
+        path.write_text(json.dumps({"schema_version": 1, "schemes": entries}))
+    monkeypatch.chdir(tmp_path)
     cfg["out"] = str(tmp_path / "o")
     assert _run(tmp_path, command, cfg) == 2
     assert "error:" in capsys.readouterr().err
@@ -463,6 +480,20 @@ def test_threads_below_one_exit_2(tmp_path, threads):
     assert _run(tmp_path, "bler", cfg) == 2
 
 
+def test_integer_scheme_snr_writes_the_float_report(tmp_path):
+    # ChannelParams stores float(snr_db), so a schemes.json SNR of 1 writes
+    # the same report.json bytes as one of 1.0.
+    path = tmp_path / "schemes.json"
+    sim_cfg = {"schemes": str(path), "trials": 10, "out": str(tmp_path / "s")}
+    reports = []
+    for snr in (1, 1.0):
+        path.write_text(json.dumps({"schema_version": 1,
+                                    "schemes": [_scheme_entry(snr_db=snr)]}))
+        assert _run(tmp_path, "simulate", sim_cfg) == 0
+        reports.append((tmp_path / "s" / "report.json").read_bytes())
+    assert b'"snr_db": 1.0' in reports[0] and reports[0] == reports[1]
+
+
 def test_simulate_matches_snr_to_within_tolerance(tmp_path):
     path = _small_schemes(tmp_path)
     doc = json.loads(path.read_text())
@@ -506,10 +537,12 @@ def test_simulate_rejects_bad_scheme_exit_2(tmp_path, capsys, edit):
 
 # A config fuzzer: each command starts from a tiny valid config (one chunk
 # of trials, so no threads value starts a pool) and one key, picked by index,
-# is replaced by a JSON value given through --set.  The command must exit 0,
-# or exit 2 and write nothing.  Every listed edge value is tried at every
-# key; hypothesis draws further values.  "out" is not drawn: the run must
-# own its output path, and test_non_string_out_exits_2 covers that key.
+# is set to a JSON value given through --set.  The key is one of the
+# config's or _EXTRA_KEY, which no command takes.  The command must exit 0,
+# or exit 2 and write nothing; at _EXTRA_KEY it must exit 2.  Every listed
+# edge value is tried at every key; hypothesis draws further values.  "out"
+# is not drawn: the run must own its output path, and
+# test_non_string_out_exits_2 covers that key.
 _EDGE_VALUES = [True, False, None, 0, -1, 2 ** 64, 10 ** 400, 1e308, -1e308,
                 math.nan, math.inf, -math.inf, "", "\0", [], [[]]]
 _LEAVES = st.sampled_from(_EDGE_VALUES) | st.floats() | st.text(max_size=8)
@@ -523,7 +556,8 @@ _TINY_CONFIGS = {
     "simulate": {"schemes": "schemes.json", "trials": 16, "snr_db": 0.0},
     "bler": {"codes": [[12, 4, 8]], "snr_db": 0.0, "trials": 16},
 }
-_MOST_KEYS = max(len(cfg) for cfg in _TINY_CONFIGS.values()) + 2
+_EXTRA_KEY = "force_n1_equal_m"
+_MOST_KEYS = max(len(cfg) for cfg in _TINY_CONFIGS.values()) + 3
 
 
 def _every_edge_value_at_every_key(test):
@@ -539,7 +573,8 @@ def _every_edge_value_at_every_key(test):
 @given(key=st.integers(0, _MOST_KEYS - 1), value=_JSON_VALUES)
 def test_config_fuzz_exits_0_or_2(command, key, value):
     cfg = dict(_TINY_CONFIGS[command], seed=0, threads=1)
-    cfg[sorted(cfg)[key % len(cfg)]] = value
+    keys = [*sorted(cfg), _EXTRA_KEY]
+    cfg[keys[key % len(keys)]] = value
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "schemes.json").write_text(json.dumps({
@@ -556,3 +591,4 @@ def test_config_fuzz_exits_0_or_2(command, key, value):
         assert rc in (0, 2)
         if rc == 2:
             assert not out.exists()
+        assert rc == 2 or _EXTRA_KEY not in cfg

@@ -232,7 +232,7 @@ def test_union_bound_upper_bounds_simulation():
         (128, 64, 128, 0.85),
     ]
     for n, k, m, sigma in cases:
-        params = ChannelParams.from_sigma(sigma)
+        params = ChannelParams(snr_db=-10 * np.log10(2 * sigma ** 2))
         result = bler_monte_carlo(n, k, m, params, trials=20_000, base_seed=7)
         slack = 2 * wilson_halfwidth(result["errors"], result["trials"])
         assert result["bler_analytic"] >= result["bler"] - slack, (n, k, m)
@@ -241,7 +241,8 @@ def test_union_bound_upper_bounds_simulation():
 def test_union_bound_within_factor_three():
     # The estimate should be tight, not just valid: within 3x of simulation
     # at sigma = 0.9 and at a point with block error rate near 1e-2.
-    for params in (ChannelParams.from_sigma(0.9), ChannelParams(snr_db=0.0)):
+    for params in (ChannelParams(snr_db=-10 * np.log10(2 * 0.9 ** 2)),
+                   ChannelParams(snr_db=0.0)):
         result = bler_monte_carlo(72, 32, 64, params, trials=100_000,
                                   base_seed=8)
         ratio = result["bler_analytic"] / result["bler"]

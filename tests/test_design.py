@@ -326,11 +326,13 @@ _NOT_REAL = (st.sampled_from([True, False, np.bool_(True), None, [0.5], (0.5,),
 
 
 @settings(max_examples=100, deadline=None)
-@given(_NOT_REAL | st.sampled_from([float("inf"), -np.inf]))
+@given(_NOT_REAL | st.sampled_from([float("inf"), -np.inf, 10 ** 400,
+                                    -10 ** 400]))
 @example("x")            # was stored as given
 @example(None)           # was stored as given
 @example(True)           # was stored as given
 @example(float("nan"))   # was stored as given
+@example(10 ** 400)      # was stored as an int beyond the float range
 def test_scheme_rejects_eta_estimate_not_finite_real(value):
     with pytest.raises(ValueError, match="eta_estimate"):
         HarqScheme(**_VALID_SCHEME, eta_estimate=value)
@@ -340,6 +342,7 @@ def test_scheme_rejects_eta_estimate_not_finite_real(value):
 @given(_NOT_REAL | st.floats(max_value=-1e-300) | st.integers(max_value=-1))
 @example(True)   # was read as mean 1
 @example("3")    # raised TypeError
+@example(10 ** 400)  # was stored as an int beyond the float range
 def test_llr_model_rejects_a_mean_not_a_nonnegative_real(value):
     with pytest.raises(ValueError, match="LLR mean"):
         LlrDistribution(mean=value)
@@ -350,11 +353,14 @@ def test_constructors_take_integers_and_reals_of_any_type():
         scheme = HarqScheme(k=cast(3), m=cast(8), lengths=(cast(16), 18),
                             eta_estimate=0.5)
         assert scheme.s == (8, 16, 18)
+    # snr_db and eta_estimate are stored as Python floats of equal value.
     for snr in (1, 1.5, np.float32(1.5), np.float64(-2.0), np.int64(3)):
-        assert ChannelParams(snr_db=snr).noise_var > 0
+        params = ChannelParams(snr_db=snr)
+        assert params.noise_var > 0
+        assert type(params.snr_db) is float and params.snr_db == snr
     for real in (0, 2, 0.5, np.float32(0.5), np.float64(2.0), np.int64(3)):
-        assert HarqScheme(**_VALID_SCHEME, eta_estimate=real).eta_estimate \
-            == real
+        eta = HarqScheme(**_VALID_SCHEME, eta_estimate=real).eta_estimate
+        assert type(eta) is float and eta == real
         assert LlrDistribution(mean=real).mean == real
     assert LlrDistribution(mean=np.inf).mean == np.inf  # a noiseless channel
 

@@ -449,7 +449,7 @@ def test_throughput_below_capacity():
 
 
 def test_bler_monte_carlo_reproducible_and_bounded():
-    params = ChannelParams.from_sigma(0.8)
+    params = ChannelParams(snr_db=-10 * np.log10(2 * 0.8 ** 2))  # sigma 0.8
     a = bler_monte_carlo(48, 20, 32, params, trials=2000, base_seed=15)
     b = bler_monte_carlo(48, 20, 32, params, trials=2000, base_seed=15)
     assert a == b
