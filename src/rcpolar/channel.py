@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import _bits, _real
+from .codec import _bits, _is_int, _real
 
 # Channel LLRs are saturated at this magnitude so that downstream tanh-domain
 # arithmetic never sees infinities.  |LLR| = 40 corresponds to an error
@@ -61,12 +61,14 @@ class LlrDistribution:
 
 def _philox_keys(base: int, lo: int, count: int) -> np.ndarray:
     """Philox keys of the streams ``(base, lo), ..., (base, lo + count - 1)``:
-    row j is ``[base, lo + j]`` as uint64.  A seed or index outside
-    [0, 2^64) raises ``ValueError`` instead of aliasing another stream.
+    row j is ``[base, lo + j]`` as uint64.  A seed or index that is not an
+    integer in [0, 2^64) raises ``ValueError`` instead of aliasing another
+    stream.
     """
-    if not (0 <= base < 2 ** 64 and 0 <= lo <= lo + count <= 2 ** 64):
+    if not (_is_int(base) and _is_int(lo) and _is_int(count)
+            and 0 <= base < 2 ** 64 and 0 <= lo <= lo + count <= 2 ** 64):
         raise ValueError(f"streams ({base}, {lo}) .. ({base}, {lo + count - 1})"
-                         " need a seed and indices in [0, 2^64)")
+                         " need an integer seed and indices in [0, 2^64)")
     keys = np.empty((count, 2), dtype=np.uint64)
     keys[:, 0] = base
     keys[:, 1] = np.arange(lo, lo + count, dtype=np.uint64)

@@ -171,8 +171,8 @@ def rcp_encode(info_bits, code: RcpCode):
     return tx.T if batched else tx[:, 0]
 
 
-# sc_decode runs every f- and g-update in tiles of this many output values,
-# so that a tile's operands stay in L2 across the update's dozen passes.  An
+# sc_decode runs every f-update in tiles of this many output values, so
+# that a tile's operands stay in L2 across the update's dozen passes.  An
 # f-update tile touches five such runs of float64 (a, b, the output and the
 # two scratch halves): 1.25 MiB at 2^15, inside the 2 MiB of L2 per core of
 # the 2-core reference VM.  There a check node of width 1024 at B = 732
@@ -183,21 +183,16 @@ _TILE = 1 << 15
 
 def _repetition_sums(llrs, code: RcpCode):
     """Repeated input-bit indices (ascending) and their summed repetition
-    LLRs, shape (len(indices), B); duplicates accumulate in transmit order.
+    LLRs, shape (len(indices), B).
 
-    Each bit's sum is 0.0 + r1 + r2 + ... over its repetitions in transmit
-    order, built with one fancy-index add per occurrence rank r over the
-    bits with more than r repetitions, so each repetition is read once.
+    Each bit's sum is 0.0 + r1 + r2 + ... over its repetitions: one loop
+    over the repetitions in transmit order adds each to its bit's row.
     """
-    index, slot, counts = np.unique(code.rep_vector, return_inverse=True,
-                                    return_counts=True)
-    order = np.argsort(slot, kind="stable")
-    first = np.cumsum(counts) - counts
+    index, slot = np.unique(code.rep_vector, return_inverse=True)
     reps = llrs[:, code.m:code.n].T
     sums = np.zeros((index.size, llrs.shape[0]))
-    for r in range(counts.max(initial=0)):
-        live = np.flatnonzero(counts > r)
-        sums[live] += reps[order[first[live] + r]]
+    for j, row in enumerate(slot.tolist()):
+        sums[row] += reps[j]
     return index, sums
 
 
@@ -306,24 +301,18 @@ def sc_decode(llrs, code: RcpCode, sent=None):
 
     # Level s (width 2^s) of the current path lives in rows [2^s, 2^(s+1))
     # of one buffer; the channel word is level `depth`.  Level s is always
-    # computed from the two halves of level s + 1, flattened to (2, 2^s B)
-    # and cut into tiles of at most _TILE columns.
+    # computed from the two halves of level s + 1; for an f-update they are
+    # flattened to (2, 2^s B) and cut into tiles of at most _TILE columns.
     tree = np.empty((n0, b))
     levels = [tree[1 << s: 2 << s] for s in range(depth)] + [chan]
-    cuts = [[(c, min(c + _TILE, b << s)) for c in range(0, b << s, _TILE)]
-            for s in range(depth)]
     pair = np.empty(2 * min(_TILE, n0 // 2 * b))
-    f_tiles = [[(levels[s + 1].reshape(2, -1)[:, c:e],
-                 levels[s].reshape(-1)[c:e], pair[: 2 * (e - c)].reshape(2, -1))
-                for c, e in cuts[s]] for s in range(depth)]
-    g_tiles = [[(levels[s + 1][: 1 << s].reshape(-1)[c:e],
-                 levels[s + 1][1 << s:].reshape(-1)[c:e],
-                 levels[s].reshape(-1)[c:e], c, e)
-                for c, e in cuts[s]] for s in range(depth)]
+    f_tiles = [[(levels[s + 1].reshape(2, -1)[:, c:c + _TILE],
+                 levels[s].reshape(-1)[c:c + _TILE],
+                 pair[: 2 * min(_TILE, (b << s) - c)].reshape(2, -1))
+                for c in range(0, b << s, _TILE)] for s in range(depth)]
     # Partial sums as (-1)^x: a finished node at level s holding leaves
     # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.
     signs = np.empty((n0, b))
-    flat_signs = signs.reshape(-1)
 
     # Per information bit: its decision, or its leaf LLR when following sent.
     found = np.empty((code.k, b), dtype=np.int8 if sent is None else float)
@@ -339,10 +328,9 @@ def sc_decode(llrs, code: RcpCode, sent=None):
             # bit; every node below that on its path is a left child.
             top = (i & -i).bit_length() - 1
             if top >= low:
-                left_sums = flat_signs[(i - (1 << top)) * b: i * b]
-                for la, lb, out, c, e in g_tiles[top]:
-                    np.multiply(la, left_sums[c:e], out=out)
-                    np.add(out, lb, out=out)
+                h, child, parent = 1 << top, levels[top], levels[top + 1]
+                np.multiply(parent[:h], signs[i - h:i], out=child)
+                np.add(child, parent[h:], out=child)
         for t in range(top - 1, low - 1, -1):
             for tile in f_tiles[t]:
                 _check_node(*tile)
@@ -384,7 +372,7 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
     repetition sum, as :func:`sc_decode` does, and fails where a decision
     differs from ``bits``.  A single round is one plain decode.
     """
-    lengths = [int(n) for n in lengths]
+    lengths = _indices(lengths, "lengths").tolist()
     if not (lengths and code.m <= lengths[0] and lengths[-1] <= code.n
             and all(a < b for a, b in zip(lengths, lengths[1:]))):
         raise ValueError("lengths must be strictly increasing within "

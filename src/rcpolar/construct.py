@@ -12,7 +12,7 @@ from itertools import groupby
 import numpy as np
 
 from .channel import LlrDistribution
-from .codec import RcpCode
+from .codec import RcpCode, _indices, _is_int
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
 
@@ -86,9 +86,9 @@ def build_repetition_plan(info_set, base_means, n_minus_m,
     trace by the same ``(sum - pe_old) + pe_new`` steps, so every plan is
     bit-identical to it.
     """
-    info = np.asarray(info_set, dtype=np.int64)
+    info = _indices(info_set, "info_set")
     base = np.asarray(base_means, dtype=float)
-    reps = np.asarray(n_minus_m, dtype=np.int64)
+    reps = _indices(n_minus_m, "n_minus_m")
     if base.shape != info.shape or base.ndim not in (1, 2):
         raise ValueError("base_means must align with info_set")
     if reps.shape != info.shape[:-1]:
@@ -274,9 +274,9 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     block's stacked rows.  :func:`construct_rcp` turns one of them into a
     code.
     """
-    ms = [int(m) for m in ms]
+    ms = _indices(ms, "ms").tolist()
     for m in ms:
-        if not 1 <= k <= m <= n:
+        if not (_is_int(k) and _is_int(n) and 1 <= k <= m <= n):
             raise ValueError(f"need 1 <= k <= m <= n, got k={k}, m={m}, n={n}")
     for n0, same_n0 in groupby(ms, key=_mother_length):
         same_n0 = list(same_n0)

@@ -6,10 +6,11 @@ error probabilities and the information-set selection.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import log_ndtr
+
+from .codec import _is_int
 
 # The two analytic pieces of the GA reliability function
 #   phi(m) ~ exp(0.0218 - 0.4527 m^0.86)                      (small m)
@@ -82,15 +83,13 @@ def pe_from_mean(means):
     """Per-channel error probability Q(sqrt(mean/2)) of the Gaussian LLR model.
 
     Evaluated through the log of the normal tail so that values far below
-    1e-12 remain meaningful instead of rounding to zero prematurely.
+    1e-12 remain meaningful instead of rounding to zero prematurely; a mean
+    of 0 (an erased channel) gives exactly 0.5.
     """
     means = np.asarray(means, dtype=float)
     if not np.all(means >= 0):
         raise ValueError("LLR means must be nonnegative (NaN is rejected)")
-    out = np.full(means.shape, 0.5)
-    pos = means > 0
-    out[pos] = np.exp(log_ndtr(-np.sqrt(0.5 * means[pos])))
-    return out
+    return np.exp(log_ndtr(-np.sqrt(0.5 * means)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,12 +173,7 @@ def ga_evolve(n0: int, ms, mean: float) -> ReliabilityTable:
         zeros = _children(zeros - (zeros >> 1), zeros >> 1)
         bulk = _children(check[:width], bulk + bulk)
     means = np.where(zeros > 0, 0.0, first)
-    # pe is elementwise: evaluate it once per distinct leaf value.
-    special = (means != bulk) & (zeros == 0)
-    pe = pe_from_mean(np.concatenate([bulk, means[special]]))
-    leaf_pe = np.where(zeros > 0, 0.5, pe[:n0])
-    leaf_pe[special] = pe[n0:]
-    return ReliabilityTable(means=means, pe=leaf_pe)
+    return ReliabilityTable(means=means, pe=pe_from_mean(means))
 
 
 def _children(check, var):
@@ -191,15 +185,13 @@ def _children(check, var):
     return out
 
 
-@lru_cache(maxsize=None)
 def _bit_reversal(n0: int) -> np.ndarray:
-    """Read-only bit-reversal permutation of 0..n0-1, n0 a power of two."""
+    """Bit-reversal permutation of 0..n0-1, n0 a power of two."""
     nbits = n0.bit_length() - 1
     idx = np.arange(n0, dtype=np.int64)
     rev = np.zeros_like(idx)
     for b in range(nbits):
         rev |= ((idx >> b) & 1) << (nbits - 1 - b)
-    rev.flags.writeable = False
     return rev
 
 
@@ -211,10 +203,10 @@ def puncture_pattern(n0: int, m: int) -> np.ndarray:
     Bit reversal is its own inverse, so that set is the positions where the
     permutation is below ``n0 - m``.
     """
-    if n0 < 1 or (n0 & (n0 - 1)) != 0:
-        raise ValueError(f"n0 must be a power of two, got {n0}")
-    if not n0 // 2 < m <= n0:
-        raise ValueError(f"need n0/2 < m <= n0, got m={m}, n0={n0}")
+    if not _is_int(n0) or n0 < 1 or (n0 & (n0 - 1)) != 0:
+        raise ValueError(f"n0 must be an integer power of two, got {n0!r}")
+    if not (_is_int(m) and n0 // 2 < m <= n0):
+        raise ValueError(f"need integer n0/2 < m <= n0, got m={m!r}, n0={n0}")
     return np.flatnonzero(_bit_reversal(int(n0)) < n0 - m)
 
 
@@ -224,7 +216,7 @@ def select_info_set(table: ReliabilityTable, k: int) -> np.ndarray:
     Ties are broken toward the smaller channel index.  A stacked table gives
     one row of indices per mother code, from one row-wise stable argsort.
     """
-    if not 0 < k <= table.size:
-        raise ValueError(f"k must be in 1..{table.size}, got {k}")
+    if not (_is_int(k) and 0 < k <= table.size):
+        raise ValueError(f"k must be an integer in 1..{table.size}, got {k!r}")
     order = np.argsort(table.pe, axis=-1, kind="stable")
     return np.sort(order[..., :k], axis=-1).astype(np.int64)

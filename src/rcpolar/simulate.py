@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import (ChannelParams, channel_llr_distribution, transmit,
                       trial_draws)
-from .codec import rcp_encode, round_failures
+from .codec import _is_int, rcp_encode, round_failures
 from .construct import construct_rcp
 from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
 
@@ -116,8 +116,8 @@ def _run_chunks(code, lengths, params: ChannelParams, trials: int,
     """Counts of trials [0, trials) in chunks of :func:`_chunk_rows` rows,
     made one by one, over min(threads, chunks, usable cores) processes
     with at most two chunks per process in flight."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     chunk = _chunk_rows(code)
     jobs = ((code, lengths, params, base_seed, lo, min(lo + chunk, trials),
              channel_fn) for lo in range(0, trials, chunk))

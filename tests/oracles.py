@@ -467,8 +467,9 @@ def check_golden_vectors(fp):
 def repetition_sums_reference(llrs, code):
     """Repeated bits and their repetition LLRs summed in transmit order,
     ``(indices, sums)`` as ``rcpolar.codec._repetition_sums`` returns them,
-    the slow way: per occurrence rank, a scan of every repetition for those
-    of that rank."""
+    computed independently of its loop: per occurrence rank r, one masked
+    add of every bit's (r+1)-th repetition, so each bit's adds still come
+    in transmit order."""
     index, slot, counts = np.unique(code.rep_vector, return_inverse=True,
                                     return_counts=True)
     order = np.argsort(slot, kind="stable")

@@ -170,10 +170,12 @@ def test_trial_draws_equal_per_trial_streams(base_seed, lo, rows, k, extra):
 
 def test_stream_keys_outside_64_bits_are_rejected():
     # A seed or index outside [0, 2^64) would alias another stream.
-    for seed in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64)):
+    # A float or a bool seed would be truncated to another stream.
+    for seed in ((-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 64), (True, 0)):
         with pytest.raises(ValueError, match="2\\^64"):
             noise_stream(seed)
-    with pytest.raises(ValueError, match="2\\^64"):
-        trial_draws(0, 2 ** 64 - 2, 2 ** 64 + 1, 8, 8)
+    for base, lo, hi in ((0, 2 ** 64 - 2, 2 ** 64 + 1), (0.5, 0, 2)):
+        with pytest.raises(ValueError, match="2\\^64"):
+            trial_draws(base, lo, hi, 8, 8)
     bits, _ = trial_draws(0, 2 ** 64 - 2, 2 ** 64, 8, 8)
     assert bits.shape == (2, 8)

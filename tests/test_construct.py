@@ -66,6 +66,10 @@ def test_plan_rejects_bad_input():
         build_repetition_plan([2, 2], [1.0, 1.0], 3, LlrDistribution(2.0))
     with pytest.raises(ValueError):
         build_repetition_plan([0, 1], [1.0], 3, LlrDistribution(2.0))
+    with pytest.raises(ValueError):  # would assign 2 slots
+        build_repetition_plan([0, 1], [1.0, 1.0], 2.7, LlrDistribution(2.0))
+    with pytest.raises(ValueError):  # would plan channels 0 and 1
+        build_repetition_plan([0.5, 1.7], [1.0, 1.0], 3, LlrDistribution(2.0))
 
 
 # Base means: 0 (erased), tied values, and means whose pe underflows to 0
@@ -214,6 +218,10 @@ def test_construct_validates_bounds():
         construct_rcp(8, 6, 4, LlrDistribution(2.0))  # k > m
     with pytest.raises(ValueError):
         construct_rcp(6, 2, 8, LlrDistribution(2.0))  # m > n
+    # Non-integer sizes: these built an m = 20 and a k = 1 code.
+    for n, k, m in ((24, 8, 20.7), (24, True, 20)):
+        with pytest.raises(ValueError):
+            construct_rcp(n, k, m, LlrDistribution(2.0))
 
 
 def test_bler_estimate_nonincreasing_in_n():

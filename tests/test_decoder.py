@@ -305,6 +305,8 @@ def test_nested_decoding_rejects_bad_lengths():
     for lengths in ((), (8, 8), (9, 8), (6, 8), (8, 11), (7, 9, 10, 11)):
         with pytest.raises(ValueError, match="strictly increasing"):
             round_failures(llr, full, lengths, bits)
+    with pytest.raises(ValueError, match="integers"):  # ran 7 and 10
+        round_failures(llr, full, (7.9, 10.5), bits)
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +315,7 @@ def test_nested_decoding_rejects_bad_lengths():
 @example([3, 3, 3, 1, 3, 1], 2, 0)
 @example([], 1, 0)
 def test_repetition_sums_equal_add_at(picks, batch, seed):
-    # Summing by occurrence rank gives, byte for byte, np.add.at's
+    # The transmit-order loop gives, byte for byte, np.add.at's
     # transmit-order sums 0.0 + r1 + r2 + ..., on LLRs of mixed magnitude
     # where the order of the adds changes the result, and on signed zeros.
     info = np.array([7, 9, 10, 11, 12, 13, 14, 15])

@@ -245,6 +245,8 @@ def test_puncture_pattern_range_errors():
         puncture_pattern(8, 9)
     with pytest.raises(ValueError):
         puncture_pattern(6, 5)
+    with pytest.raises(ValueError):  # not the m = 6 pattern
+        puncture_pattern(8, 6.5)
 
 
 def test_puncture_pattern_beats_median_of_all_patterns():
@@ -272,8 +274,9 @@ def test_select_info_set_trivial_and_ties():
     assert select_info_set(table, 8).tolist() == list(range(8))
     flat = ReliabilityTable(means=np.ones(8), pe=np.full(8, 0.25))
     assert select_info_set(flat, 3).tolist() == [0, 1, 2]
-    with pytest.raises(ValueError):
-        select_info_set(flat, 9)
+    for k in (9, True, 2.5):  # True gave a k = 1 set
+        with pytest.raises(ValueError):
+            select_info_set(flat, k)
 
 
 def test_select_info_set_matches_sampled_ranking():

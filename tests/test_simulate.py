@@ -457,7 +457,7 @@ def test_bler_monte_carlo_reproducible_and_bounded():
     assert a["errors"] == round(a["bler"] * a["trials"])
 
 
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, True])
 def test_monte_carlo_rejects_trials_below_one(trials):
     params = ChannelParams(snr_db=0.0)
     with pytest.raises(ValueError, match="trial"):
