@@ -103,8 +103,12 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
     count = hi - lo
     rng = noise_stream((base_seed, lo))
     bitgen = rng.bit_generator
-    fresh = bitgen.state  # zero counter, empty buffers
-    keys = _philox_keys(base_seed, lo, count)
+    # A fresh state (zero counter, empty buffers) held as Python ints,
+    # which the state setter reads faster than numpy arrays.
+    fresh = bitgen.state
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    keys = _philox_keys(base_seed, lo, count).tolist()
     words = -(-k // 8)
     raw = np.empty((count, words), dtype=np.uint64)
     noise = np.empty((count, n))

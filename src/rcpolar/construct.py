@@ -16,9 +16,11 @@ from .codec import RcpCode, _indices, _is_int
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
 
-# Channel means per GA pass in mother_codes (32 values of m at n0 = 512, 8 at
-# 2048): the GA of such a block peaks at about 0.7 MiB (traced).
-_GA_BLOCK_ELEMENTS = 1 << 14
+# Channel means per GA pass in mother_codes (256 values of m at n0 = 512, 64
+# at 2048): the GA of such a block peaks at about 5.9 MiB and the whole block,
+# plans included, at 15.7 MiB for k = 1024 (traced).  The bound caps memory
+# for large q; 2^20 measured no faster than 2^17 at 2.5x the peak RSS.
+_GA_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +300,7 @@ def _mother_code_block(k, ms, n0, n, channel):
 
 
 def _mother_length(m: int) -> int:
-    return 1 << max(0, int(np.ceil(np.log2(m))))
+    return 1 << (m - 1).bit_length()
 
 
 def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):
@@ -310,7 +312,7 @@ def construct_rcp(n: int, k: int, m: int, channel: LlrDistribution):
     repetition plan, whose ``r`` is the code's repetition vector.
     """
     table, plan = next(mother_codes(k, [m], n, channel))
-    n0 = _mother_length(m)
+    n0 = table.size
     code = RcpCode(n0=n0, info_set=plan.info_set,
                    puncture_set=puncture_pattern(n0, m), rep_vector=plan.r)
     return code, plan, table

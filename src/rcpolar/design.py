@@ -17,8 +17,8 @@ from .construct import mother_codes
 BLER_FLOOR = 1e-15
 
 # Candidate entries (rows of m times lengths) per vectorised greedy scan:
-# the GA block size keeps the scan's temporaries near 1.7 MiB, and blocks
-# of 2^16 and 2^17 entries measured slower on the `design` workload.
+# 2^14 keeps the scan's temporaries near 1.7 MiB, and blocks of 2^16 and
+# 2^17 entries measured slower on the `design` workload.
 _SCAN_BLOCK_ELEMENTS = 1 << 14
 
 
@@ -230,16 +230,17 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     With ``force_first_length_equals_m`` the first transmission is pinned to
     exactly the m polar bits.
     """
-    if not 1 <= k <= q:
-        raise ValueError(f"need 1 <= k <= q, got k={k}, q={q}")
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    if not (_is_int(k) and _is_int(q) and 1 <= k <= q):
+        raise ValueError(f"need integers 1 <= k <= q, got k={k!r}, q={q!r}")
+    if not (_is_int(t_max) and t_max >= 1):
+        raise ValueError(f"t_max must be an integer of at least 1, "
+                         f"got {t_max!r}")
     # A scheme has at most one round per distinct length in [m, q].
     t_max = min(t_max, q - k + 1)
 
-    curves = (bler_curve_from_plan(m, plan).e for m, (_, plan)
-              in enumerate(mother_codes(k, range(k, q + 1), q, channel), k))
-    eta, m, lengths, e = _best_scheme(k, q, t_max, curves,
+    traces = (plan.bler_trace for _, plan
+              in mother_codes(k, range(k, q + 1), q, channel))
+    eta, m, lengths, e = _best_scheme(k, q, t_max, traces,
                                       force_first_length_equals_m)
     return (HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=eta),
             BlerCurve(m=m, e=e))
@@ -248,13 +249,15 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
 def _best_scheme(k: int, q: int, t_max: int, curves,
                  force_first_length_equals_m: bool = False) -> tuple:
     """The search of :func:`design_scheme` over the curves ``e`` of
-    m = k, k+1, ..., q (``e[j]`` is the block error rate of length m + j):
-    ``(eta, m, lengths, e)`` of the best scheme, ``e`` its m's curve.
+    m = k, k+1, ..., q (``e[j]`` is the block error estimate of length
+    m + j, before the clip to [BLER_FLOOR, 1]): ``(eta, m, lengths, e)`` of
+    the best scheme, ``e`` its m's clipped curve.
 
-    Curves are stacked, padded to the longest, into blocks of at most
-    ``_SCAN_BLOCK_ELEMENTS`` entries; a block's best row is its first
-    largest throughput, and a later block replaces it only when strictly
-    better, so ties go to the smaller m.
+    Curves are stacked, padded with 1 to the longest, into blocks of at most
+    ``_SCAN_BLOCK_ELEMENTS`` entries, and each block is clipped once, as
+    :func:`bler_curve_from_plan` clips one curve.  A block's best row is its
+    first largest throughput, and a later block replaces it only when
+    strictly better, so ties go to the smaller m.
     """
     curves = iter(curves)
     best = None
@@ -266,6 +269,7 @@ def _best_scheme(k: int, q: int, t_max: int, curves,
         e = np.ones((ms.size, width))
         for row, curve in zip(e, curves):
             row[:curve.size] = curve
+        np.clip(e, BLER_FLOOR, 1.0, out=e)
         picks, rho, rounds = _greedy_rounds(k, ms, e, q, t_max,
                                             force_first_length_equals_m)
         eta = rho[np.arange(ms.size), rounds - 1]

@@ -140,8 +140,8 @@ def ga_evolve(n0: int, ms, mean: float) -> ReliabilityTable:
     Each stage makes one check-update call, and the table equals the
     position-by-position recursion bit for bit.
     """
-    if n0 < 1 or (n0 & (n0 - 1)) != 0:
-        raise ValueError(f"n0 must be a power of two, got {n0}")
+    if not _is_int(n0) or n0 < 1 or (n0 & (n0 - 1)) != 0:
+        raise ValueError(f"n0 must be an integer power of two, got {n0!r}")
     ms = np.asarray(ms)
     if ms.ndim != 1 or ms.dtype.kind not in "iu" \
             or not np.all((n0 // 2 < ms) & (ms <= n0)):

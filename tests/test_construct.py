@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from rcpolar import construct
 from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.construct import (build_repetition_plan, construct_rcp,
@@ -160,6 +161,35 @@ def test_mother_codes_match_single_m(snr_db):
                           (plan.updated_means, upd_means),
                           (plan.updated_pe, upd_pe)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k,ms,n,snr_db", [
+    (40, range(256, 513), 600, 0.0),        # 257 rows of one mother length
+    (128, range(128, 385), 384, 0.0),       # the benchmark's design
+    (3, range(3, 70), 80, -3.0),            # seven mother lengths
+    (200, [700, 300, 1024, 513, 701], 1400, 1.5),  # m out of order
+])
+def test_mother_codes_do_not_depend_on_the_block_size(k, ms, n, snr_db,
+                                                      monkeypatch):
+    # The block bound only splits the GA passes: every table and plan is
+    # the same, byte for byte, at any number of rows per pass.
+    channel = channel_llr_distribution(ChannelParams(snr_db=snr_db))
+    runs = []
+    for block in (1 << 8, 1 << 14, 1 << 17):
+        monkeypatch.setattr(construct, "_GA_BLOCK_ELEMENTS", block)
+        runs.append(list(mother_codes(k, ms, n, channel)))
+    for run in runs[1:]:
+        assert len(run) == len(runs[0]) == len(ms)
+        for (table, plan), (ref_table, ref_plan) in zip(run, runs[0]):
+            for got, want in ((table.means, ref_table.means),
+                              (table.pe, ref_table.pe),
+                              (plan.info_set, ref_plan.info_set),
+                              (plan.r, ref_plan.r),
+                              (plan.updated_means, ref_plan.updated_means),
+                              (plan.updated_pe, ref_plan.updated_pe),
+                              (plan.bler_trace, ref_plan.bler_trace)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 def test_plan_prefix_property():

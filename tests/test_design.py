@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcpolar.design
-from rcpolar import reliability
+from rcpolar import construct, reliability
 from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
 from rcpolar.design import (BLER_FLOOR, HarqScheme, _best_scheme,
@@ -263,6 +263,10 @@ def test_design_validates_bounds():
         design_scheme(8, 0, 16, CHANNEL)
     with pytest.raises(ValueError):
         design_scheme(8, 2, 7, CHANNEL)
+    # Sizes that are not integers
+    for k, t_max, q in ((8, 2, 24.5), (8, 2.5, 24), (8.0, 2, 24)):
+        with pytest.raises(ValueError):
+            design_scheme(k, t_max, q, CHANNEL)
 
 
 def test_design_caps_rounds_at_the_distinct_lengths():
@@ -378,7 +382,7 @@ def test_scheme_vector_layout():
 def test_design_check_updates_per_tree_node(monkeypatch):
     # The node-state GA evaluates the check update once per tree node on
     # the shared bulk and once per row only where a value differs from it:
-    # 26,745 evaluations on the benchmark's design, against 426,432 for
+    # 24,957 evaluations on the benchmark's design, against 426,432 for
     # one per check-type position of every row and stage.
     original = reliability.check_mean_update
     evaluated = []
@@ -391,3 +395,19 @@ def test_design_check_updates_per_tree_node(monkeypatch):
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
     design_scheme(128, 4, 384, channel)
     assert 0 < sum(evaluated) <= 30_000
+
+
+def test_design_makes_one_ga_pass_per_mother_length(monkeypatch):
+    # m = 128 .. 384 has mother lengths 128, 256 and 512, and each length's
+    # rows fit in one GA block.
+    original = construct.ga_evolve
+    passes = []
+
+    def counting(n0, ms, mean):
+        passes.append((n0, len(ms)))
+        return original(n0, ms, mean)
+
+    monkeypatch.setattr(construct, "ga_evolve", counting)
+    channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
+    design_scheme(128, 4, 384, channel)
+    assert passes == [(128, 1), (256, 128), (512, 128)]

@@ -101,6 +101,7 @@ def test_ga_rejects_bad_input():
     for n0, ms, mean in [
         (6, [5], 1.0),           # n0 not a power of two
         (0, [], 1.0),
+        (8.0, [8], 1.0),         # n0 not an integer
         (8, [4], 1.0),           # m at n0/2
         (8, [9], 1.0),           # m above n0
         (8, [8, 3], 1.0),        # one bad m among good ones

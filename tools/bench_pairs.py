@@ -12,10 +12,13 @@ in each checkout, for the run length that ``perfbench/run.py`` sets, each
 with its own ``perfbench/`` and ``src/``; the parent goes first in even
 pairs and the change in odd ones.
 Each run's last two output lines, the run record (with its environment
-block) and the result, are kept as printed.  Runs of further workloads are
-appended to the same file, and its summary is made again from all runs:
-per workload, trace mode and metric, each side's median and quartiles and
-the pairs in which the change reads lower.
+block) and the result, are kept as printed.  The file also records, once,
+the numpy and scipy versions and the CPU features numpy dispatches to,
+which the pinned outputs depend on; both checkouts run on this
+interpreter.  Runs of further workloads are appended to the same file
+(on the same versions and features only), and its summary is made again
+from all runs: per workload, trace mode and metric, each side's median and
+quartiles and the pairs in which the change reads lower.
 """
 
 import argparse
@@ -33,6 +36,16 @@ def run_once(checkout, workload, seed, trace):
                           check=True)
     record, result = proc.stdout.strip().splitlines()[-2:]
     return json.loads(record), json.loads(result)
+
+
+def numeric_environment():
+    """numpy's and scipy's versions and numpy's dispatched CPU features."""
+    import numpy
+    import scipy
+    from numpy._core._multiarray_umath import __cpu_features__
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "cpu_features": sorted(f for f, on in __cpu_features__.items()
+                                   if on)}
 
 
 def summarise(runs):
@@ -70,6 +83,10 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    env = numeric_environment()
+    if doc.setdefault("environment", env) != env:
+        raise SystemExit(f"error: {out} was recorded on "
+                         f"{doc['environment']}, not {env}")
     start = max((r["pair"] + 1 for r in doc["runs"]
                  if (r["workload"], r["trace"]) == (args.workload,
                                                     args.trace)), default=0)
@@ -85,14 +102,16 @@ def main():
                                 "record": record, "result": result})
             print(f"{args.workload} trace={args.trace} pair {pair} {side} "
                   f"seed {seed}: {json.dumps(result['metrics'])}", flush=True)
-        write(out, doc["runs"])
+        write(out, doc["environment"], doc["runs"])
 
 
-def write(out, runs):
-    """The runs and their summary, one JSON object per line."""
+def write(out, env, runs):
+    """The environment, the runs and their summary, one JSON object per
+    line."""
     def block(items):
         return "[\n" + ",\n".join(json.dumps(x) for x in items) + "\n]"
-    out.write_text(f'{{"runs": {block(runs)},\n'
+    out.write_text(f'{{"environment": {json.dumps(env)},\n'
+                   f'"runs": {block(runs)},\n'
                    f'"summary": {block(summarise(runs))}}}\n')
 
 
