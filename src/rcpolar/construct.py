@@ -273,13 +273,23 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     mother length share one block of at most ``_GA_BLOCK_ELEMENTS`` channel
     means: one batched GA pass, one row-wise stable argsort for the
     information sets and one :func:`build_repetition_plan` call over the
-    block's stacked rows.  :func:`construct_rcp` turns one of them into a
-    code.
+    block's stacked rows, made when the block's first row is drawn.  The
+    arguments are checked at the call, before any block.
+    :func:`construct_rcp` turns one of them into a code.
     """
-    ms = _indices(ms, "ms").tolist()
-    for m in ms:
-        if not (_is_int(k) and _is_int(n) and 1 <= k <= m <= n):
-            raise ValueError(f"need 1 <= k <= m <= n, got k={k}, m={m}, n={n}")
+    ms = _indices(ms, "ms")
+    lo, hi = (int(ms.min()), int(ms.max())) if ms.size else (k, k)
+    if not (_is_int(k) and _is_int(n)
+            and 1 <= k <= lo <= hi <= n < 2 ** 63):
+        raise ValueError("need 1 <= k <= m <= n < 2^63 for every m in ms, "
+                         f"got k={k!r}, n={n!r}"
+                         + (f", m from {lo} to {hi}" if ms.size else ""))
+    return _mother_code_blocks(k, ms.tolist(), n, channel)
+
+
+def _mother_code_blocks(k, ms, n, channel):
+    """The blocks of :func:`mother_codes`, each computed when its first row
+    is drawn."""
     for n0, same_n0 in groupby(ms, key=_mother_length):
         same_n0 = list(same_n0)
         rows = max(1, _GA_BLOCK_ELEMENTS // n0)

@@ -21,6 +21,10 @@ BLER_FLOOR = 1e-15
 # 2^17 entries measured slower on the `design` workload.
 _SCAN_BLOCK_ELEMENTS = 1 << 14
 
+# Relative margin of the scan's stop rule, k / m <= eta * (1 - margin): far
+# above the rounding of a computed throughput, a few ulps per chosen length.
+_ETA_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class HarqScheme:
@@ -227,6 +231,12 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     transmission); a later round with no improving addition ends the inner
     search, so the returned scheme may use fewer than ``t_max`` rounds.
 
+    The scan over m stops where no larger m can win (see
+    :func:`_best_scheme`): every scheme of budget m has throughput below
+    k / m.  Curves are drawn from :func:`~rcpolar.construct.mother_codes`
+    one m at a time, so the GA pass and plan build of a mother length the
+    scan does not reach are never made.
+
     With ``force_first_length_equals_m`` the first transmission is pinned to
     exactly the m polar bits.
     """
@@ -239,7 +249,7 @@ def design_scheme(k: int, t_max: int, q: int, channel: LlrDistribution,
     t_max = min(t_max, q - k + 1)
 
     traces = (plan.bler_trace for _, plan
-              in mother_codes(k, range(k, q + 1), q, channel))
+              in mother_codes(k, np.arange(k, q + 1), q, channel))
     eta, m, lengths, e = _best_scheme(k, q, t_max, traces,
                                       force_first_length_equals_m)
     return (HarqScheme(k=k, m=m, lengths=lengths, eta_estimate=eta),
@@ -258,6 +268,17 @@ def _best_scheme(k: int, q: int, t_max: int, curves,
     :func:`bler_curve_from_plan` clips one curve.  A block's best row is its
     first largest throughput, and a later block replaces it only when
     strictly better, so ties go to the smaller m.
+
+    Once a best throughput eta is known, a block keeps only the m with
+    k / m > eta (1 - ``_ETA_MARGIN``), and the scan stops at the first m
+    without; no curve past that m is drawn from ``curves``.  This is exact:
+    a scheme N_1 < ... < N_T of budget m with curve values e_t >= 0 (e_0 = 1)
+    has the throughput denominator sum_t N_t (e_{t-1} - e_t) + N_T e_T =
+    N_1 + sum_{t<T} (N_{t+1} - N_t) e_t >= N_1 >= m, and its numerator is
+    at most k, so its throughput is at most k / m, and below eta for every
+    m the rule drops; no curve needs to be monotone for this.  The margin
+    covers rounding in the computed throughputs.  While eta is 0 (every
+    curve clipped to 1) no m is dropped.
     """
     curves = iter(curves)
     best = None
@@ -266,6 +287,10 @@ def _best_scheme(k: int, q: int, t_max: int, curves,
         width = q - lo + 1
         ms = np.arange(lo, min(q + 1, lo + max(1, _SCAN_BLOCK_ELEMENTS
                                                 // width)))
+        if best is not None:
+            ms = ms[k / ms > best[0] * (1.0 - _ETA_MARGIN)]
+            if not ms.size:
+                break
         e = np.ones((ms.size, width))
         for row, curve in zip(e, curves):
             row[:curve.size] = curve

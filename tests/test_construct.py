@@ -254,6 +254,21 @@ def test_construct_validates_bounds():
             construct_rcp(n, k, m, LlrDistribution(2.0))
 
 
+@pytest.mark.parametrize("k,ms,n", [
+    (8, [9, 7, 12], 16),        # one m below k
+    (8, range(8, 18), 16),      # m above n
+    (8, [9.5], 16),             # a fractional m
+    (8.0, [9], 16),             # a float k
+    (0, [], 16),                # k = 0, with no m to check it against
+    (8, [9], 2 ** 70),          # an n past int64 at the first next
+])
+def test_mother_codes_check_arguments_at_the_call(k, ms, n):
+    # The call raises before anything is drawn; these raised only at the
+    # first next(), or (with no m) not at all.
+    with pytest.raises(ValueError):
+        mother_codes(k, ms, n, LlrDistribution(2.0))
+
+
 def test_bler_estimate_nonincreasing_in_n():
     channel = LlrDistribution(2.0)
     estimates = [construct_rcp(n, 16, 32, channel)[1].union_bound

@@ -9,9 +9,11 @@ import rcpolar.design
 from rcpolar import construct, reliability
 from rcpolar.channel import (ChannelParams, LlrDistribution,
                              channel_llr_distribution)
-from rcpolar.design import (BLER_FLOOR, HarqScheme, _best_scheme,
-                            _greedy_rounds, _scan_rows, build_bler_curve,
-                            design_scheme, throughput_estimate)
+from rcpolar.construct import mother_codes
+from rcpolar.design import (_ETA_MARGIN, BLER_FLOOR, HarqScheme,
+                            _best_scheme, _greedy_rounds, _scan_rows,
+                            build_bler_curve, design_scheme,
+                            throughput_estimate)
 
 from limits import memory_headroom
 from oracles import scan_reference, throughput_reference
@@ -148,14 +150,17 @@ _bler = st.sampled_from((1.0, 0.5, 0.25, 1e-3, BLER_FLOOR)) \
 
 @st.composite
 def _design_curves(draw):
-    """Nonincreasing curves for consecutive m = k..q, a round budget, the
+    """Curves for consecutive m = k..q, nonincreasing or in any order (the
+    scan's stop rule needs no monotone curve), a round budget, the
     forced-first-length flag and a scan block size."""
     k = draw(st.integers(1, 10))
     q = k + draw(st.integers(0, 24))
-    curves = [np.array(sorted(draw(st.lists(_bler, min_size=q - m + 1,
-                                            max_size=q - m + 1)),
-                              reverse=True))
-              for m in range(k, q + 1)]
+    nonincreasing = draw(st.booleans())
+    curves = []
+    for m in range(k, q + 1):
+        curve = draw(st.lists(_bler, min_size=q - m + 1, max_size=q - m + 1))
+        curves.append(np.array(sorted(curve, reverse=True) if nonincreasing
+                               else curve))
     return (k, q, curves, draw(st.integers(1, 5)), draw(st.booleans()),
             draw(st.sampled_from((1, 7, 64, 1 << 14))))
 
@@ -170,17 +175,25 @@ def _bits(x) -> str:
                  np.array([0.5])], 3, False, 1))
 @example((2, 6, [np.full(7 - m, BLER_FLOOR) for m in range(2, 7)], 4, True,
           7))
+# Every curve is 1, so the best throughput is 0 and no m is cut.
+@example((3, 9, [np.ones(10 - m) for m in range(3, 10)], 2, False, 1))
+# m = 2 reaches eta = 0.5 = k / 4 exactly: m = 4 is still drawn, m = 5 not.
+@example((2, 6, [np.array([0.5, 1.0, 1.0, 1.0, 1.0]), np.ones(4),
+                 np.full(3, BLER_FLOOR), np.full(2, BLER_FLOOR),
+                 np.full(1, BLER_FLOOR)], 2, False, 1))
 def test_vectorised_scan_equals_reference(case):
     # Every round of every m picks the length and throughput, bit for bit,
     # of the one-m, segment-by-segment scan; the search keeps the first
-    # best m, whatever the scan block size.
+    # best m, whatever the scan block size, and draws no curve of an m whose
+    # bound k / m the best throughput already reaches.
     k, q, curves, t_max, force, block = case
+    cut = 1 - _ETA_MARGIN
     ms = np.arange(k, q + 1)
     e = np.ones((ms.size, q - k + 1))
     for row, curve in zip(e, curves):
         row[:curve.size] = curve
     picks, rho, rounds = _greedy_rounds(k, ms, e, q, t_max, force)
-    best = None
+    best, needed = None, len(curves)
     for i, (m, curve) in enumerate(zip(ms.tolist(), curves)):
         chosen, eta = [], -np.inf
         for t in range(t_max):
@@ -196,11 +209,27 @@ def test_vectorised_scan_equals_reference(case):
         assert rounds[i] == len(chosen)
         if best is None or eta > best[0]:
             best = (eta, m, tuple(chosen))
+        # A scan of one row per block draws the curves up to this m when
+        # the best so far rules out m + 1.
+        if needed == len(curves) and k / (m + 1) <= best[0] * cut:
+            needed = m - k + 1
+    drawn = []
+
+    def counted():
+        for curve in curves:
+            drawn.append(curve)
+            yield curve
+
     with mock.patch.object(rcpolar.design, "_SCAN_BLOCK_ELEMENTS", block):
-        got = _best_scheme(k, q, t_max, iter(curves), force)
+        got = _best_scheme(k, q, t_max, counted(), force)
     assert (_bits(got[0]), got[1:3]) == (_bits(best[0]), best[1:])
     # The winning m's curve comes back as it was read, without its padding.
     assert got[3].tobytes() == curves[got[1] - k].tobytes()
+    # Every curve left undrawn is of an m that the best throughput rules
+    # out.  A larger block may draw more curves, since it is cut by the
+    # best of the blocks before it.
+    assert all(k / m <= best[0] * cut for m in range(k + len(drawn), q + 1))
+    assert len(drawn) == needed if block == 1 else len(drawn) >= needed
 
 
 @pytest.mark.parametrize("k,t_max,q,snr_db,force", [
@@ -382,7 +411,7 @@ def test_scheme_vector_layout():
 def test_design_check_updates_per_tree_node(monkeypatch):
     # The node-state GA evaluates the check update once per tree node on
     # the shared bulk and once per row only where a value differs from it:
-    # 24,957 evaluations on the benchmark's design, against 426,432 for
+    # 12,350 evaluations on the benchmark's design, against 131,520 for
     # one per check-type position of every row and stage.
     original = reliability.check_mean_update
     evaluated = []
@@ -399,7 +428,7 @@ def test_design_check_updates_per_tree_node(monkeypatch):
 
 def test_design_makes_one_ga_pass_per_mother_length(monkeypatch):
     # m = 128 .. 384 has mother lengths 128, 256 and 512, and each length's
-    # rows fit in one GA block.
+    # rows fit in one GA block; C9 counts the work of this pass.
     original = construct.ga_evolve
     passes = []
 
@@ -409,5 +438,27 @@ def test_design_makes_one_ga_pass_per_mother_length(monkeypatch):
 
     monkeypatch.setattr(construct, "ga_evolve", counting)
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
-    design_scheme(128, 4, 384, channel)
+    list(mother_codes(128, range(128, 385), 384, channel))
     assert passes == [(128, 1), (256, 128), (512, 128)]
+    # The design stops its scan below m = 257: no budget with mother length
+    # 512 can beat its best throughput, so that GA pass is never made.
+    passes.clear()
+    design_scheme(128, 4, 384, channel)
+    assert passes == [(128, 1), (256, 128)]
+
+
+def test_design_at_large_q_runs_only_the_passes_it_can_use(monkeypatch):
+    # The scan stops at m = 8, so q = 2^16 costs two small GA passes, not
+    # one per mother length up to 2^16.
+    original = construct.ga_evolve
+    passes = []
+
+    def counting(n0, ms, mean):
+        passes.append((n0, len(ms)))
+        return original(n0, ms, mean)
+
+    monkeypatch.setattr(construct, "ga_evolve", counting)
+    channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
+    scheme, curve = design_scheme(4, 2, 2 ** 16, channel)
+    assert passes == [(4, 1), (8, 4)]
+    assert curve.e.size == 2 ** 16 - scheme.m + 1
