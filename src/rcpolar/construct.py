@@ -278,6 +278,8 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     :func:`construct_rcp` turns one of them into a code.
     """
     ms = _indices(ms, "ms")
+    if ms.ndim != 1:
+        raise ValueError(f"ms must be a sequence of integers, got {ms!r}")
     lo, hi = (int(ms.min()), int(ms.max())) if ms.size else (k, k)
     if not (_is_int(k) and _is_int(n)
             and 1 <= k <= lo <= hi <= n < 2 ** 63):

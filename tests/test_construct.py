@@ -260,11 +260,14 @@ def test_construct_validates_bounds():
     (8, [9.5], 16),             # a fractional m
     (8.0, [9], 16),             # a float k
     (0, [], 16),                # k = 0, with no m to check it against
-    (8, [9], 2 ** 70),          # an n past int64 at the first next
+    (8, [9], 2 ** 70),          # an n past int64
+    (8, 9, 16),                 # one m, not a sequence
+    (8, [[9, 10]], 16),         # a nested list
 ])
 def test_mother_codes_check_arguments_at_the_call(k, ms, n):
-    # The call raises before anything is drawn; these raised only at the
-    # first next(), or (with no m) not at all.
+    # The call raises before anything is drawn.  These raised only at the
+    # first next() (an OverflowError for n = 2^70, a TypeError for ms that
+    # is not one-dimensional), or with no m not at all.
     with pytest.raises(ValueError):
         mother_codes(k, ms, n, LlrDistribution(2.0))
 

@@ -426,39 +426,37 @@ def test_design_check_updates_per_tree_node(monkeypatch):
     assert 0 < sum(evaluated) <= 30_000
 
 
-def test_design_makes_one_ga_pass_per_mother_length(monkeypatch):
+@pytest.fixture
+def ga_passes(monkeypatch):
+    """(n0, rows) of every GA pass made while the test runs."""
+    original = construct.ga_evolve
+    passes = []
+
+    def counting(n0, ms, mean):
+        passes.append((n0, len(ms)))
+        return original(n0, ms, mean)
+
+    monkeypatch.setattr(construct, "ga_evolve", counting)
+    return passes
+
+
+def test_design_makes_one_ga_pass_per_mother_length(ga_passes):
     # m = 128 .. 384 has mother lengths 128, 256 and 512, and each length's
     # rows fit in one GA block; C9 counts the work of this pass.
-    original = construct.ga_evolve
-    passes = []
-
-    def counting(n0, ms, mean):
-        passes.append((n0, len(ms)))
-        return original(n0, ms, mean)
-
-    monkeypatch.setattr(construct, "ga_evolve", counting)
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
     list(mother_codes(128, range(128, 385), 384, channel))
-    assert passes == [(128, 1), (256, 128), (512, 128)]
+    assert ga_passes == [(128, 1), (256, 128), (512, 128)]
     # The design stops its scan below m = 257: no budget with mother length
     # 512 can beat its best throughput, so that GA pass is never made.
-    passes.clear()
+    ga_passes.clear()
     design_scheme(128, 4, 384, channel)
-    assert passes == [(128, 1), (256, 128)]
+    assert ga_passes == [(128, 1), (256, 128)]
 
 
-def test_design_at_large_q_runs_only_the_passes_it_can_use(monkeypatch):
-    # The scan stops at m = 8, so q = 2^16 costs two small GA passes, not
+def test_design_at_large_q_runs_only_the_passes_it_can_use(ga_passes):
+    # The scan ends after m = 8, so q = 2^16 costs two small GA passes, not
     # one per mother length up to 2^16.
-    original = construct.ga_evolve
-    passes = []
-
-    def counting(n0, ms, mean):
-        passes.append((n0, len(ms)))
-        return original(n0, ms, mean)
-
-    monkeypatch.setattr(construct, "ga_evolve", counting)
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
     scheme, curve = design_scheme(4, 2, 2 ** 16, channel)
-    assert passes == [(4, 1), (8, 4)]
+    assert ga_passes == [(4, 1), (8, 4)]
     assert curve.e.size == 2 ** 16 - scheme.m + 1
