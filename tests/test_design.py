@@ -454,7 +454,7 @@ def test_design_makes_one_ga_pass_per_mother_length(ga_passes):
 
 
 def test_design_at_large_q_runs_only_the_passes_it_can_use(ga_passes):
-    # The scan ends after m = 8, so q = 2^16 costs two small GA passes, not
+    # The scan ends after m = 5, so q = 2^16 costs two small GA passes, not
     # one per mother length up to 2^16.
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
     scheme, curve = design_scheme(4, 2, 2 ** 16, channel)
