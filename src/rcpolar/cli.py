@@ -2,7 +2,8 @@
 
 Commands read a JSON config file (--config) whose keys may be overridden on
 the command line; every output file embeds the resolved config and the tool
-version.  Exit codes: 0 ok, 2 bad usage/config, 3 runtime failure.
+version.  Exit codes: 0 ok; 2 bad usage or config, found before the output
+directory is made; 3 any failure after that.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from .channel import ChannelParams, channel_llr_distribution
 from .codec import code_to_dict
-from .construct import construct_rcp
+from .construct import construct_rcp, mother_codes
 from .design import HarqScheme, design_scheme
 from .simulate import bler_monte_carlo, bound_check, run_campaign
 
@@ -88,12 +89,13 @@ def _integer(value, key: str, name: str = "") -> None:
                           f"{most}], got {value!r}")
 
 
-def _check_code(n, k, m) -> None:
-    """An (n, k, m) code's lengths: integers with 1 <= k <= m <= n <= 2^20."""
-    for key, value in zip("nkm", (n, k, m)):
-        _integer(value, key)
-    if not k <= m <= n:
-        raise ConfigError(f"need k <= m <= n, got k={k}, m={m}, n={n}")
+def _checked(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, made before any output: a ValueError from
+    the library's argument checks is bad config."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _snr_list(value) -> list:
@@ -141,14 +143,12 @@ def _write_csv(path: Path, command: str, cfg: dict, columns, rows) -> None:
 
 
 def cmd_construct(cfg: dict) -> int:
-    n, k, m = cfg["n"], cfg["k"], cfg["m"]
-    _check_code(n, k, m)
     if isinstance(cfg["snr_db"], list):
         raise ConfigError("construct takes a single snr_db")
     (params,) = _snr_list(cfg["snr_db"])
+    code, plan, table = _checked(construct_rcp, cfg["n"], cfg["k"], cfg["m"],
+                                 channel_llr_distribution(params))
     out = _out_dir(cfg)
-    channel = channel_llr_distribution(params)
-    code, plan, table = construct_rcp(n, k, m, channel)
 
     doc = _envelope("construct", cfg)
     doc["code"] = code_to_dict(code)
@@ -164,8 +164,6 @@ def cmd_construct(cfg: dict) -> int:
 
 def cmd_design(cfg: dict) -> int:
     k, t_max, q = cfg["k"], cfg["t_max"], cfg["q"]
-    if k > q:
-        raise ConfigError(f"need k <= q, got k={k}, q={q}")
     force = cfg.get("force_n1_equals_m", False)
     if type(force) is not bool:
         raise ConfigError(f"force_n1_equals_m must be true or false, "
@@ -174,12 +172,12 @@ def cmd_design(cfg: dict) -> int:
     names = [f"bler_curve_snr{params.snr_db:g}.csv" for params in snrs]
     if len(set(names)) < len(names):
         raise ConfigError(f"snr_db {cfg['snr_db']} share a curve file name")
+    designs = [_checked(design_scheme, k, t_max, q,
+                        channel_llr_distribution(params),
+                        force_first_length_equals_m=force) for params in snrs]
     out = _out_dir(cfg)
     schemes = []
-    for params, name in zip(snrs, names):
-        channel = channel_llr_distribution(params)
-        scheme, curve = design_scheme(k, t_max, q, channel,
-                                      force_first_length_equals_m=force)
+    for params, name, (scheme, curve) in zip(snrs, names, designs):
         curve_path = out / name
         _write_csv(curve_path, "design", cfg, ("n", "bler"),
                    enumerate(curve.e.tolist(), curve.m))
@@ -270,9 +268,11 @@ def cmd_bler(cfg: dict) -> int:
             isinstance(c, list) and len(c) == 3 for c in codes):
         raise ConfigError("codes must be a nonempty list of [n, k, m] "
                           f"triples, got {codes!r}")
-    for code in codes:
-        _check_code(*code)
     snrs = _snr_list(cfg["snr_db"])
+    channel = channel_llr_distribution(snrs[0])
+    for n, k, m in codes:  # mother_codes checks at the call; no GA pass runs
+        _checked(mother_codes, k, [m], n, channel)
+        _integer(n, "n")
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]
     rows = []

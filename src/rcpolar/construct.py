@@ -283,9 +283,9 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     lo, hi = (int(ms.min()), int(ms.max())) if ms.size else (k, k)
     if not (_is_int(k) and _is_int(n)
             and 1 <= k <= lo <= hi <= n < 2 ** 63):
-        raise ValueError("need 1 <= k <= m <= n < 2^63 for every m in ms, "
-                         f"got k={k!r}, n={n!r}"
-                         + (f", m from {lo} to {hi}" if ms.size else ""))
+        m = f"m={lo}" if lo == hi else f"m from {lo} to {hi}"
+        raise ValueError("need integers 1 <= k <= m <= n < 2^63, got "
+                         f"k={k!r}, {m if ms.size else 'no m'}, n={n!r}")
     return _mother_code_blocks(k, ms.tolist(), n, channel)
 
 

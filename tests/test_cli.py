@@ -46,11 +46,6 @@ def test_missing_required_key_exits_2(tmp_path, capsys):
     assert "missing config keys" in capsys.readouterr().err
 
 
-def test_invalid_parameters_exit_2(tmp_path):
-    cfg = {"n": 8, "k": 10, "m": 8, "snr_db": 0.0, "out": str(tmp_path / "o")}
-    assert _run(tmp_path, "construct", cfg) == 2
-
-
 def _scheme_entry(**edit):
     """A valid schemes.json entry with ``edit`` applied."""
     return {"snr_db": 1.0, "k": 8, "s": [12, 12, 16], "eta_estimate": 0.5,
@@ -133,6 +128,12 @@ def _scheme_entry(**edit):
     ("simulate", {"schemes": 5, "trials": 10}),
     ("simulate", {"schemes": ["d"], "trials": 10}),
     ("simulate", {"schemes": [_scheme_entry(eta_estimate=10 ** 400)]}),
+    # Lengths out of order, found by the library's checks: m > n and k > m
+    # for a code, and a bad second bler code, before the first one runs.
+    ("construct", {"n": 8, "k": 4, "m": 12, "snr_db": 0.0}),
+    ("construct", {"n": 8, "k": 10, "m": 8, "snr_db": 0.0}),
+    ("bler", {"codes": [[12, 4, 8], [8, 4, 12]], "snr_db": 0.0,
+              "trials": 20}),
 ])
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, cfg):
     if command == "simulate":
@@ -145,11 +146,17 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, command, cfg):
             path, entries = tmp_path / "schemes.json", cfg["schemes"]
             cfg.update(schemes=str(path), trials=10)
         path.write_text(json.dumps({"schema_version": 1, "schemes": entries}))
+    # Every trial of simulate and bler is drawn through _run_chunks.
+    drawn = []
+    run_chunks = rcpolar.simulate._run_chunks
+    monkeypatch.setattr(rcpolar.simulate, "_run_chunks", lambda *args, **kw:
+                        drawn.append(args) or run_chunks(*args, **kw))
     monkeypatch.chdir(tmp_path)
     cfg["out"] = str(tmp_path / "o")
     assert _run(tmp_path, command, cfg) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    assert not drawn
 
 
 @pytest.mark.parametrize("out", ["5", "true", '["x"]', '"a\\u0000b"'])

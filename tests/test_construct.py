@@ -244,9 +244,10 @@ def test_construct_no_repetitions_when_n_equals_m():
 
 
 def test_construct_validates_bounds():
-    with pytest.raises(ValueError):
+    # The message names k, m and n as the call gave them.
+    with pytest.raises(ValueError, match="got k=6, m=4, n=8$"):
         construct_rcp(8, 6, 4, LlrDistribution(2.0))  # k > m
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got k=2, m=8, n=6$"):
         construct_rcp(6, 2, 8, LlrDistribution(2.0))  # m > n
     # Non-integer sizes: these built an m = 20 and a k = 1 code.
     for n, k, m in ((24, 8, 20.7), (24, True, 20)):

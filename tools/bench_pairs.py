@@ -1,11 +1,13 @@
 """Alternating runs of ``perfbench/run.py`` on two checkouts, kept in a
 BENCH file.
 
-Usage, from the repository root, with the parent commit checked out in
-``../parent`` (``git archive`` or ``git clone``, never a worktree):
+Usage, with the parent commit and the change checked out side by side in
+``parent`` and ``change`` (``git archive`` or ``git clone``, never a
+worktree):
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload bler-short --pairs 10 --first-seed 1901 --out BENCH_19.json
+    python3 change/tools/bench_pairs.py --parent parent --change change \\
+        --workload bler-short --pairs 10 --first-seed 1901 \\
+        --out change/BENCH_19.json
 
 Pair i runs ``perfbench/run.py --workload W --seed S_i --trace T`` once
 in each checkout, for the run length that ``perfbench/run.py`` sets, each
@@ -15,10 +17,13 @@ Each run's last two output lines, the run record (with its environment
 block) and the result, are kept as printed.  The file also records, once,
 the numpy and scipy versions and the CPU features numpy dispatches to,
 which the pinned outputs depend on; both checkouts run on this
-interpreter.  Runs of further workloads are appended to the same file
-(on the same versions and features only), and its summary is made again
-from all runs: per workload, trace mode and metric, each side's median and
-quartiles and the pairs in which the change reads lower.
+interpreter.  With them it records both checkouts' absolute paths, and
+it refuses paths of different lengths: ``BENCH_23.json``'s ``bler-short``
++4.3% followed where the checkouts lay, not the code.  Runs of further
+workloads are appended to the same file (on the same versions, features
+and paths only), and its summary is made again from all runs: per
+workload, trace mode and metric, each side's median and quartiles and the
+pairs in which the change reads lower.
 """
 
 import argparse
@@ -83,7 +88,12 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
-    env = numeric_environment()
+    checkouts = {side: str(Path(getattr(args, side)).resolve())
+                 for side in ("parent", "change")}
+    if len(checkouts["parent"]) != len(checkouts["change"]):
+        raise SystemExit(f"error: checkout paths of different lengths: "
+                         f"{checkouts}")
+    env = {**numeric_environment(), "checkouts": checkouts}
     if doc.setdefault("environment", env) != env:
         raise SystemExit(f"error: {out} was recorded on "
                          f"{doc['environment']}, not {env}")
