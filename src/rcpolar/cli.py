@@ -270,9 +270,11 @@ def cmd_bler(cfg: dict) -> int:
                           f"triples, got {codes!r}")
     snrs = _snr_list(cfg["snr_db"])
     channel = channel_llr_distribution(snrs[0])
-    for n, k, m in codes:  # mother_codes checks at the call; no GA pass runs
+    for i, (n, k, m) in enumerate(codes):
+        for key, value in zip("nkm", (n, k, m)):
+            _integer(value, key, f"{key} in codes[{i}]")
+        # mother_codes checks at the call; no GA pass runs
         _checked(mother_codes, k, [m], n, channel)
-        _integer(n, "n")
     out = _out_dir(cfg)
     seed, threads = cfg["seed"], cfg["threads"]
     rows = []

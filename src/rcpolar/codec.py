@@ -310,9 +310,10 @@ def sc_decode(llrs, code: RcpCode, sent=None):
                  levels[s].reshape(-1)[c:c + _TILE],
                  pair[: 2 * min(_TILE, (b << s) - c)].reshape(2, -1))
                 for c in range(0, b << s, _TILE)] for s in range(depth)]
-    # Partial sums as (-1)^x: a finished node at level s holding leaves
-    # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.
-    signs = np.empty((n0, b))
+    # Partial sums as int8 (-1)^x: a finished node at level s holding leaves
+    # [j 2^s, (j+1) 2^s) keeps its re-encoded bits in those rows.  A g-update
+    # casts them to +-1.0 exactly, so x * sign is x or -x, signed zeros kept.
+    signs = np.empty((n0, b), dtype=np.int8)
 
     # Per information bit: its decision, or its leaf LLR when following sent.
     found = np.empty((code.k, b), dtype=np.int8 if sent is None else float)
@@ -337,7 +338,7 @@ def sc_decode(llrs, code: RcpCode, sent=None):
 
         end = i + (1 << s)
         if j < 0:
-            signs[i:end] = 1.0
+            signs[i:end] = 1
         else:
             if sent is None:
                 rep = rep_at.get(i)
@@ -346,8 +347,8 @@ def sc_decode(llrs, code: RcpCode, sent=None):
             else:
                 found[j] = leaf
                 bit = sent[j]
-            np.multiply(bit, -2.0, out=signs[i])
-            np.add(signs[i], 1.0, out=signs[i])
+            np.multiply(bit, -2, out=signs[i])
+            np.add(signs[i], 1, out=signs[i])
         # Close every node whose last leaf this was: x = (x_L xor x_R, x_R).
         while s + 1 < depth and ((end - 1) >> s) & 1:
             h = 1 << s

@@ -16,10 +16,10 @@ from .codec import RcpCode, _indices, _is_int
 from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
                           puncture_pattern, select_info_set)
 
-# Channel means per GA pass in mother_codes (256 values of m at n0 = 512, 64
-# at 2048): the GA of such a block peaks at about 5.9 MiB and the whole block,
-# plans included, at 15.7 MiB for k = 1024 (traced).  The bound caps memory
-# for large q; 2^20 measured no faster than 2^17 at 2.5x the peak RSS.
+# Channel means (or plan slots, if more) per mother_codes block: 256 rows at
+# n0 = 512, 64 at 2048.  Such a block's GA peaks at about 5.9 MiB and the
+# whole block, plans included, at 15.7 MiB for k = 1024 (traced).  The bound
+# caps memory for large q; 2^20 was no faster than 2^17 at 2.5x the RSS.
 _GA_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -271,10 +271,10 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
     reliable synthesized channels.  Shorter codes are prefixes of the plan
     (``plan.bler_trace``, ``RcpCode.prefix``).  Consecutive m with the same
     mother length share one block of at most ``_GA_BLOCK_ELEMENTS`` channel
-    means: one batched GA pass, one row-wise stable argsort for the
-    information sets and one :func:`build_repetition_plan` call over the
-    block's stacked rows, made when the block's first row is drawn.  The
-    arguments are checked at the call, before any block.
+    means or repetition slots: one batched GA pass, one row-wise stable
+    argsort for the information sets and one :func:`build_repetition_plan`
+    call over the block's stacked rows, made when the block's first row is
+    drawn.  The arguments are checked at the call, before any block.
     :func:`construct_rcp` turns one of them into a code.
     """
     ms = _indices(ms, "ms")
@@ -291,10 +291,12 @@ def mother_codes(k: int, ms, n: int, channel: LlrDistribution):
 
 def _mother_code_blocks(k, ms, n, channel):
     """The blocks of :func:`mother_codes`, each computed when its first row
-    is drawn."""
+    is drawn.  A block's rows times max(n0, n - m), its GA means or its
+    plans' slots per row at the least m of its mother length, stay within
+    _GA_BLOCK_ELEMENTS, or the block is one row."""
     for n0, same_n0 in groupby(ms, key=_mother_length):
         same_n0 = list(same_n0)
-        rows = max(1, _GA_BLOCK_ELEMENTS // n0)
+        rows = max(1, _GA_BLOCK_ELEMENTS // max(n0, n - min(same_n0)))
         for block in (same_n0[i:i + rows] for i in range(0, len(same_n0), rows)):
             yield from _mother_code_block(k, block, n0, n, channel)
 

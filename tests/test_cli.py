@@ -348,6 +348,20 @@ def test_bler_zero_trials_exits_2(tmp_path, capsys):
     assert "trial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("codes,name", [([[12, 4, True]], "m in codes[0]"),
+                                        ([[12, 4, 8], [12, 4.0, 8]],
+                                         "k in codes[1]")])
+def test_bler_names_the_code_entry_it_rejects(tmp_path, capsys, codes, name):
+    # A bool m exited 2 naming the library's parameter: "ms entries must
+    # be integers".
+    cfg = {"codes": codes, "snr_db": 0.0, "trials": 20,
+           "out": str(tmp_path / "bler")}
+    assert _run(tmp_path, "bler", cfg) == 2
+    err = capsys.readouterr().err
+    assert name in err and "ms" not in err
+    assert not (tmp_path / "bler").exists()
+
+
 # Outputs of the pipeline below, recorded before the mother-code builder
 # and the Monte Carlo driver were merged.  Counts and sets must match
 # exactly; model values to a relative 1e-9, as in test_pinned_identity.
@@ -579,9 +593,29 @@ def _every_edge_value_at_every_key(test):
 @_every_edge_value_at_every_key
 @given(key=st.integers(0, _MOST_KEYS - 1), value=_JSON_VALUES)
 def test_config_fuzz_exits_0_or_2(command, key, value):
+    keys = [*sorted([*_TINY_CONFIGS[command], "seed", "threads"]), _EXTRA_KEY]
+    name = keys[key % len(keys)]
+    rc = _fuzz_exit_code(command, name, value)
+    assert rc == 2 or name != _EXTRA_KEY
+
+
+# Edge values at the length keys only: MAX_LENGTH = 2^20 and one past it.
+# One past exits 2 at every key; the limit itself runs wherever the rest of
+# the tiny config allows it, design's q = 2^20 at k = 4 included.
+@pytest.mark.parametrize("command,key,at_limit", [
+    ("construct", "n", 0), ("construct", "k", 2), ("construct", "m", 2),
+    ("design", "k", 2), ("design", "q", 0), ("design", "t_max", 0)])
+@pytest.mark.parametrize("value", [2 ** 20, 2 ** 20 + 1])
+def test_config_fuzz_lengths_at_the_limit(command, key, at_limit, value):
+    want = at_limit if value == 2 ** 20 else 2
+    assert _fuzz_exit_code(command, key, value) == want
+
+
+def _fuzz_exit_code(command, name, value):
+    """The exit code of ``command``'s tiny config with ``name`` set to
+    ``value``, run under a memory cap: 0, or 2 with nothing written."""
     cfg = dict(_TINY_CONFIGS[command], seed=0, threads=1)
-    keys = [*sorted(cfg), _EXTRA_KEY]
-    cfg[keys[key % len(keys)]] = value
+    cfg[name] = value
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "schemes.json").write_text(json.dumps({
@@ -591,11 +625,11 @@ def test_config_fuzz_exits_0_or_2(command, key, value):
             cfg["schemes"] = str(tmp / "schemes.json")
         out = tmp / "o"
         argv = [command, "--out", str(out)]
-        for name, value in cfg.items():
-            argv += ["--set", f"{name}={json.dumps(value)}"]
+        for key, entry in cfg.items():
+            argv += ["--set", f"{key}={json.dumps(entry)}"]
         with contextlib.redirect_stderr(io.StringIO()), memory_headroom():
             rc = main(argv)
         assert rc in (0, 2)
         if rc == 2:
             assert not out.exists()
-        assert rc == 2 or _EXTRA_KEY not in cfg
+    return rc

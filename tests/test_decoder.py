@@ -357,13 +357,13 @@ def test_repetition_sums_equal_the_rank_scan(width, picks, batch, seed):
     assert sums.tobytes() == want.tobytes()
 
 
-def test_decode_holds_three_node_buffers_and_a_tile():
-    # One decode of 2048 words at n0 = 256 holds three (n0, B) float64
-    # buffers (channel word, tree levels, partial sums) and one tile of
-    # check-node scratch, plus the bits it returns (twice: in decode order
-    # and transposed) and the per-bit sums of its repetition LLRs.  Scratch
-    # of half a node buffer, as the (n0/2, B) check-node pair once took,
-    # exceeds this by about 1.8 MiB.
+def test_decode_holds_two_float_buffers_one_int8_buffer_and_a_tile():
+    # One decode of 2048 words at n0 = 256 holds two (n0, B) float64
+    # buffers (channel word, tree levels), one (n0, B) int8 buffer (partial
+    # sums) and one tile of check-node scratch, plus the bits it returns
+    # (twice: in decode order and transposed) and the per-bit sums of its
+    # repetition LLRs.  Partial sums held as float64 exceed this by about
+    # 3.3 MiB.
     code, _, _ = construct_rcp(288, 128, 256, channel_llr_distribution(
         ChannelParams(snr_db=0.0)))
     b = 2048
@@ -375,6 +375,6 @@ def test_decode_holds_three_node_buffers_and_a_tile():
     finally:
         tracemalloc.stop()
     tile = 2 * rcpolar.codec._TILE * 8
-    budget = (3 * code.n0 * b * 8 + tile + llrs[:, code.m:].nbytes
-              + 2 * code.k * b + (64 << 10))
+    budget = (2 * code.n0 * b * 8 + code.n0 * b + tile
+              + llrs[:, code.m:].nbytes + 2 * code.k * b + (64 << 10))
     assert peak <= budget, (peak, budget)

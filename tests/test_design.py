@@ -455,8 +455,9 @@ def test_design_makes_one_ga_pass_per_mother_length(ga_passes):
 
 def test_design_at_large_q_runs_only_the_passes_it_can_use(ga_passes):
     # The scan ends after m = 5, so q = 2^16 costs two small GA passes, not
-    # one per mother length up to 2^16.
+    # one per mother length up to 2^16.  A row of mother length 8 plans
+    # about 2^16 repetition slots, so its block holds two rows, not four.
     channel = channel_llr_distribution(ChannelParams(snr_db=0.0))
     scheme, curve = design_scheme(4, 2, 2 ** 16, channel)
-    assert ga_passes == [(4, 1), (8, 4)]
+    assert ga_passes == [(4, 1), (8, 2)]
     assert curve.e.size == 2 ** 16 - scheme.m + 1
