@@ -100,6 +100,9 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
     half first; the normals start at the next word, so the blocks are the
     same at any n.  A property test checks both against numpy exactly.
     """
+    if not (_is_int(k) and _is_int(n) and k >= 1 and n >= 0):
+        raise ValueError("need integers k >= 1 and n >= 0, "
+                         f"got k={k!r}, n={n!r}")
     count = hi - lo
     rng = noise_stream((base_seed, lo))
     bitgen = rng.bit_generator

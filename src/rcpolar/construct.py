@@ -18,7 +18,7 @@ from .reliability import (ReliabilityTable, ga_evolve, pe_from_mean,
 
 # Channel means (or plan slots, if more) per mother_codes block: 256 rows at
 # n0 = 512, 64 at 2048.  Such a block's GA peaks at about 5.9 MiB and the
-# whole block, plans included, at 15.7 MiB for k = 1024 (traced).  The bound
+# whole block, plans included, at 14.0 MiB for k = 1024 (traced).  The bound
 # caps memory for large q; 2^20 was no faster than 2^17 at 2.5x the RSS.
 _GA_BLOCK_ELEMENTS = 1 << 17
 
@@ -82,11 +82,12 @@ def build_repetition_plan(info_set, base_means, n_minus_m,
     last-ulp rises, which the sort key absorbs), so a plan is read off one
     sort: the first ``n_minus_m`` of its row's (channel, t) steps ordered by
     (-pe, channel index, t).  All rows share one flat step array, one
-    ``pe_from_mean`` call and one row-wise stable sort; only rows whose
-    water-filling depths were too shallow (pe ties) are built again.  Means
-    are built by the same sequential adds as the loop and the union-bound
-    trace by the same ``(sum - pe_old) + pe_new`` steps, so every plan is
-    bit-identical to it.
+    ``pe_from_mean`` call and one row-wise stable sort.  If a row picks a
+    channel's last built step (water-filling built it too shallow, as on pe
+    ties), its first such channel is deepened to take every later pick and
+    the block is sorted again.  Means are built by the same sequential adds
+    as the loop and the union-bound trace by the same
+    ``(sum - pe_old) + pe_new`` steps, so every plan is bit-identical to it.
     """
     info = _indices(info_set, "info_set")
     base = np.asarray(base_means, dtype=float)
@@ -106,64 +107,41 @@ def build_repetition_plan(info_set, base_means, n_minus_m,
         raise ValueError("LLR means must be nonnegative (NaN is rejected)")
 
     reps = reps.ravel()
-    info, base = info.reshape(reps.size, k), base.reshape(reps.size, k)
+    rows = reps.size
+    info, base = info.reshape(rows, k), base.reshape(rows, k)
     c = channel.mean
     depth = _water_fill_depths(base, reps, c)
-    plans = [None] * reps.size
-    todo = np.arange(reps.size)
-    while todo.size:
-        rows, n_reps, row_depth = todo.size, reps[todo], depth[todo]
-        means, step_pe, key, start = _channel_steps(base[todo].ravel(), c,
-                                                    row_depth.ravel())
-        left_out = start + row_depth.ravel()
-        picks, pick_row, rank = _sorted_picks(key, left_out, row_depth, n_reps)
+    while True:
+        means, step_pe, key, start = _channel_steps(base.ravel(), c,
+                                                    depth.ravel())
+        picks, pick_row, rank = _sorted_picks(key, depth, reps)
         chan = np.searchsorted(start, picks, side="right") - 1
-        slots = chan - pick_row * k
-        taken = np.bincount(chan, minlength=rows * k).reshape(rows, k)
-        # A channel whose first left-out step sorts before its row's last
-        # pick was built too shallow (pe ties, e.g. pe underflowing to 0):
-        # the first such channel in sort order may take every pick that
-        # sorts after that step.  Every other channel keeps the steps it was
-        # picked for.
-        lo_key = key[left_out].reshape(rows, k)
-        last = np.cumsum(n_reps)[n_reps > 0] - 1
-        last_key = np.full(rows, np.inf)
-        last_slot = np.zeros(rows, dtype=np.int64)
-        last_key[n_reps > 0] = key[picks[last]]
-        last_slot[n_reps > 0] = slots[last]
-        early = (lo_key > last_key[:, None]) \
-            | ((lo_key == last_key[:, None])
-               & (np.arange(k) < last_slot[:, None]))
-        redo = early.any(axis=1)
-        if redo.any():
-            late_key = np.where(early, lo_key, -np.inf)
-            late = np.argmax(late_key, axis=1)
-            late_key = late_key[np.arange(rows), late][pick_row]
-            pick_key = key[picks]
-            before = np.bincount(
-                pick_row[(pick_key > late_key)
-                         | ((pick_key == late_key) & (slots <= late[pick_row]))],
-                minlength=rows)
-            deeper = taken[redo]
-            deeper[np.arange(deeper.shape[0]), late[redo]] \
-                += (n_reps - before)[redo]
-            depth[todo[redo]] = deeper
+        # A channel's unbuilt steps sort after its last built step, so if
+        # no row picks a last built step every plan is exact.  Otherwise
+        # the picks before a row's first such pick are right, and that
+        # channel may take every pick from there on.  Deepening only that
+        # one bounds memory: on pe ties, deepening every short channel can
+        # build about reps^2 / 2 steps per row.
+        short = np.flatnonzero(picks == start[chan] + depth.ravel()[chan])
+        if short.size == 0:
+            break
+        short = short[np.unique(pick_row[short], return_index=True)[1]]
+        depth.ravel()[chan[short]] += reps[pick_row[short]] - rank[short]
 
-        at = start.reshape(rows, k) + taken
-        upd_means, upd_pe = means[at], step_pe[at]
-        terms = np.zeros((rows, 2 * int(n_reps.max(initial=0)) + 1))
-        terms[:, 0] = step_pe[start].reshape(rows, k).sum(axis=1)
-        terms[pick_row, 2 * rank + 1] = -step_pe[picks]
-        terms[pick_row, 2 * rank + 2] = step_pe[picks + 1]
-        trace = np.cumsum(terms, axis=1, out=terms)[:, ::2]
-        r = info[todo[pick_row], slots]
-        first = np.cumsum(n_reps) - n_reps
-        for i in np.flatnonzero(~redo):
-            plans[todo[i]] = RepetitionPlan(
-                info_set=info[todo[i]], r=r[first[i]:first[i] + n_reps[i]],
-                updated_means=upd_means[i], updated_pe=upd_pe[i],
-                bler_trace=trace[i, :n_reps[i] + 1])
-        todo = todo[redo]
+    taken = np.bincount(chan, minlength=rows * k)
+    at = (start + taken).reshape(rows, k)
+    upd_means, upd_pe = means[at], step_pe[at]
+    terms = np.zeros((rows, 2 * int(reps.max(initial=0)) + 1))
+    terms[:, 0] = step_pe[start].reshape(rows, k).sum(axis=1)
+    terms[pick_row, 2 * rank + 1] = -step_pe[picks]
+    terms[pick_row, 2 * rank + 2] = step_pe[picks + 1]
+    trace = np.cumsum(terms, axis=1, out=terms)[:, ::2]
+    r = info.ravel()[chan]
+    first = np.cumsum(reps) - reps
+    plans = [RepetitionPlan(info_set=info[i], r=r[first[i]:first[i] + reps[i]],
+                            updated_means=upd_means[i], updated_pe=upd_pe[i],
+                            bler_trace=trace[i, :reps[i] + 1])
+             for i in range(rows)]
     return plans if np.ndim(info_set) == 2 else plans[0]
 
 
@@ -199,11 +177,9 @@ def _water_fill_depths(base: np.ndarray, reps: np.ndarray,
     return depth
 
 
-def _sorted_picks(key: np.ndarray, left_out: np.ndarray, depth: np.ndarray,
-                  reps: np.ndarray):
-    """Each row's first ``reps[i]`` built steps in (-key, channel, t) order,
-    never a channel's last built step: flat step indices, the row of each
-    pick and its rank within its row.
+def _sorted_picks(key: np.ndarray, depth: np.ndarray, reps: np.ndarray):
+    """Each row's first ``reps[i]`` built steps in (-key, channel, t) order:
+    flat step indices, the row of each pick and its rank within its row.
 
     The steps of row i are contiguous in the flat arrays; they are laid out
     in row i of a grid padded with +inf, which one row-wise stable argsort
@@ -213,10 +189,8 @@ def _sorted_picks(key: np.ndarray, left_out: np.ndarray, depth: np.ndarray,
     per_row = depth.sum(axis=1) + k
     row_start = np.cumsum(per_row) - per_row
     step_row = np.repeat(np.arange(rows), per_row)
-    neg_key = -key
-    neg_key[left_out] = np.inf
     grid = np.full((rows, int(per_row.max(initial=0))), np.inf)
-    grid[step_row, np.arange(key.size) - row_start[step_row]] = neg_key
+    grid[step_row, np.arange(key.size) - row_start[step_row]] = -key
     order = np.argsort(grid, axis=1, kind="stable")
     pick_row = np.repeat(np.arange(rows), reps)
     rank = np.arange(pick_row.size) - (np.cumsum(reps) - reps)[pick_row]

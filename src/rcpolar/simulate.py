@@ -116,8 +116,9 @@ def _run_chunks(code, lengths, params: ChannelParams, trials: int,
     """Counts of trials [0, trials) in chunks of :func:`_chunk_rows` rows,
     made one by one, over min(threads, chunks, usable cores) processes
     with at most two chunks per process in flight."""
-    if not (_is_int(trials) and trials >= 1):
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    for name, value in (("trials", trials), ("threads", threads)):
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     chunk = _chunk_rows(code)
     jobs = ((code, lengths, params, base_seed, lo, min(lo + chunk, trials),
              channel_fn) for lo in range(0, trials, chunk))

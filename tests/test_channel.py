@@ -168,6 +168,14 @@ def test_trial_draws_equal_per_trial_streams(base_seed, lo, rows, k, extra):
     assert np.array_equal(bits0, bits) and noise0.shape == (rows, 0)
 
 
+@pytest.mark.parametrize("k, n", [(0, 0), (0, 8), (True, 8), (8.0, 8),
+                                  (8, 8.0), (-1, 8), (8, -1)])
+def test_trial_draws_rejects_bad_sizes(k, n):
+    # n = 0 is the hooked path and stays allowed; a block needs k >= 1.
+    with pytest.raises(ValueError, match="k >= 1 and n >= 0"):
+        trial_draws(0, 0, 3, k, n)
+
+
 def test_stream_keys_outside_64_bits_are_rejected():
     # A seed or index outside [0, 2^64) would alias another stream.
     # A float or a bool seed would be truncated to another stream.

@@ -93,6 +93,9 @@ _channel_mean = st.sampled_from((0.0, 1e-12, 0.4, 4.0, 400.0)) \
 @example([], 2.0, 0, None)
 # One ulp more mean gives one ulp more pe here: pe is not monotone.
 @example([0.07282918242997201, 0.5, 0.08], 1.3877787807814457e-17, 30, None)
+# pe ties at the least subnormal: the plan build deepens one channel in
+# each of three passes, so it sorts four times.
+@example([2958.0, 2957.3, 2953.0, 2958.0], 0.4, 49, None)
 def test_plan_equals_greedy_loop_bitwise(means, channel_mean, reps, rnd):
     if not means:
         reps = 0
@@ -117,9 +120,13 @@ def test_plan_equals_greedy_loop_bitwise(means, channel_mean, reps, rnd):
        _channel_mean)
 @example([([5e3, 40.0, 1e5], 120), ([1.0, 1.0, 1.0], 0),
           ([2950.0, 900.0, 3000.0], 200)], 400.0)  # some rows redone
+# The first row needs three deepening passes, the second none.
+@example([([2958.0, 2957.3, 2953.0, 2958.0], 49), ([1.0, 2.0, 0.5, 3.0], 10)],
+         0.4)
 def test_stacked_plans_equal_single_row_plans(rows, channel_mean):
     # A 2-D call returns, for every row, the plan of that row on its own,
-    # including rows that water-filling built too shallow.
+    # including rows that water-filling built too shallow, however many
+    # sort passes their block takes.
     k = len(rows[0][0])
     info = np.arange(k) * 2 + 1
     channel = LlrDistribution(channel_mean)

@@ -466,6 +466,19 @@ def test_monte_carlo_rejects_trials_below_one(trials):
         run_campaign(_small_scheme(), params, trials=trials, base_seed=0)
 
 
+@pytest.mark.parametrize("threads", [2.5, True, 0, -3, "2", None])
+def test_monte_carlo_rejects_threads_that_are_not_counts(threads):
+    # A float worker count would reach ProcessPoolExecutor on a machine
+    # with more cores; 0 and -3 would quietly run in this process.
+    params = ChannelParams(snr_db=0.0)
+    with pytest.raises(ValueError, match="threads"):
+        bler_monte_carlo(12, 4, 8, params, trials=10, base_seed=0,
+                         threads=threads)
+    with pytest.raises(ValueError, match="threads"):
+        run_campaign(_small_scheme(), params, trials=10, base_seed=0,
+                     threads=threads)
+
+
 def test_report_rejects_trial_count_mismatch():
     scheme = _small_scheme()
     params = ChannelParams(snr_db=0.0)
