@@ -87,7 +87,7 @@ def noise_stream(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=_philox_keys(*seed, 1)[0]))
 
 
-def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
+def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int, out=None):
     """Blocks and unit-variance noise of Monte Carlo trials [lo, hi).
 
     Row i of ``bits`` (int8, shape (hi - lo, k)) and of ``noise`` (float64,
@@ -99,11 +99,17 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
     top bit of each byte, bytes taken low first from each 32-bit half, low
     half first; the normals start at the next word, so the blocks are the
     same at any n.  A property test checks both against numpy exactly.
+    The noise is written into ``out``, a (hi - lo, n) float64 array with
+    contiguous rows, if given.
     """
     if not (_is_int(k) and _is_int(n) and k >= 1 and n >= 0):
         raise ValueError("need integers k >= 1 and n >= 0, "
                          f"got k={k!r}, n={n!r}")
     count = hi - lo
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.dtype == np.float64
+                                and out.shape == (count, n)):
+        raise ValueError(f"out must be a ({count}, {n}) float64 array")
     rng = noise_stream((base_seed, lo))
     bitgen = rng.bit_generator
     # A fresh state (zero counter, empty buffers) held as Python ints,
@@ -114,7 +120,7 @@ def trial_draws(base_seed: int, lo: int, hi: int, k: int, n: int):
     keys = _philox_keys(base_seed, lo, count).tolist()
     words = -(-k // 8)
     raw = np.empty((count, words), dtype=np.uint64)
-    noise = np.empty((count, n))
+    noise = np.empty((count, n)) if out is None else out
     for i in range(count):
         fresh["state"]["key"] = keys[i]
         bitgen.state = fresh
@@ -133,21 +139,29 @@ def observation_to_llr(y, params: ChannelParams, out=None):
     return np.clip(llr, -LLR_CLAMP, LLR_CLAMP, out=llr)
 
 
-def transmit(words, noise, params: ChannelParams):
+def transmit(words, noise, params: ChannelParams, out=None):
     """LLRs of binary ``words`` sent as BPSK (0 -> +1, 1 -> -1) through
     the channel with unit-variance ``noise`` of the same shape, scaled by
-    ``params.sigma``; clamped to +/-LLR_CLAMP.  A pure function.
+    ``params.sigma``; clamped to +/-LLR_CLAMP.  Without ``out`` a pure
+    function; with it, the LLRs are written into ``out``, a float64 array
+    of the words' shape, which may be ``noise`` itself.
 
     The LLRs are built in one float array: sigma*noise, plus the symbols
     1 - 2w as int8 (exact once cast, and IEEE addition commutes, so each
     value is rounded as (1 - 2w) + sigma*noise), then scaled and clamped in
-    place.  Raises ValueError unless every word entry is 0 or 1.
+    place; each element gets the same arithmetic with or without ``out``.
+    Raises ValueError unless every word entry is 0 or 1.
     """
     words = _bits(words, "words")
     if np.shape(noise) != words.shape:
         raise ValueError("transmit expects noise of the words' shape, got "
                          f"{words.shape} and {np.shape(noise)}")
-    llr = np.multiply(noise, params.sigma, out=np.empty(words.shape))
+    if out is None:
+        out = np.empty(words.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == words.shape):
+        raise ValueError(f"out must be a float64 array of shape {words.shape}")
+    llr = np.multiply(noise, params.sigma, out=out)
     symbols = np.multiply(words, np.int8(-2))
     symbols += np.int8(1)
     np.add(llr, symbols, out=llr)

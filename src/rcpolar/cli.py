@@ -7,8 +7,10 @@ directory is made; 3 any failure after that.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -125,14 +127,33 @@ def _envelope(command: str, cfg: dict) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A text file that takes the place of ``path`` once the block ends:
+    it is written under a temporary name in the same directory, then
+    renamed over ``path`` (``os.replace``, atomic on POSIX), so a run that
+    fails or is killed midway never leaves a cut-off file.  If the block
+    raises, the temporary file is removed and ``path`` is left as it was."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fp:
+            yield fp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _replacing(path) as fp:
+        json.dump(doc, fp, indent=2, sort_keys=True)
+        fp.write("\n")
 
 
 def _write_csv(path: Path, command: str, cfg: dict, columns, rows) -> None:
     """The envelope as "#" lines, the column line, then one line per row of
     Python ints and floats, each written as its repr."""
-    with open(path, "w") as fp:
+    with _replacing(path) as fp:
         fp.write(f"# schema_version={SCHEMA_VERSION}\n"
                  f"# tool=rcpolar {__version__}\n"
                  f"# command={command}\n"

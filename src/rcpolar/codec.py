@@ -25,11 +25,23 @@ is right (Arikan 2009): while all are right the decoder stays on that
 trajectory, and at the first wrong one it has decided wrongly.  So a round
 fails exactly when, at some bit, the true-path leaf LLR plus the round's
 repetition sum decides against the block sent.
+
+Workspace: a Monte Carlo run can decode every chunk in one flat float64
+array, laid out by :func:`decode_workspace`.  For B words of a code its
+first n0*B entries are the channel level ``chan`` (zero at punctured rows);
+the next max(n0, n)*B entries first hold the (B, n) received LLRs and then,
+over the same entries, the (n0, B) tree levels.  Aliasing rule: LLRs may lie
+in that tree half, never in ``chan``.  :func:`sc_decode` and
+:func:`round_failures` read every LLR they use, the channel level and every
+round's repetition sums, before the first tree level is written, so after
+such a decode the LLRs are gone.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _is_int(value) -> bool:
@@ -51,18 +63,24 @@ def _real(value) -> float:
 def _indices(values, name: str) -> np.ndarray:
     """``values`` as an int64 index array.  Raises ValueError unless every
     entry is an integer (a float would be truncated, a bool read as 0 or
-    1) that fits in int64; an empty list is valid."""
-    arr = values if isinstance(values, np.ndarray) else np.asarray(
-        values, dtype=object)
-    if arr.dtype == object:
-        valid = all(_is_int(v) for v in arr.flat)
-    else:
-        valid = arr.size == 0 or np.issubdtype(arr.dtype, np.integer)
-    if valid:
-        try:
+    1) that fits in int64; an empty list is valid.  A ``range`` and an
+    ndarray are converted directly; any other input is checked entry by
+    entry, as an object array."""
+    try:
+        if isinstance(values, range):
+            return np.fromiter(values, dtype=np.int64, count=len(values))
+        arr = values if isinstance(values, np.ndarray) else np.asarray(
+            values, dtype=object)
+        if arr.dtype == object:
+            valid = all(_is_int(v) for v in arr.flat)
+        else:
+            valid = arr.size == 0 or (
+                np.issubdtype(arr.dtype, np.integer)
+                and (arr.dtype != np.uint64 or arr.max() <= _INT64_MAX))
+        if valid:
             return np.asarray(arr, dtype=np.int64)
-        except OverflowError:  # an int beyond int64
-            pass
+    except OverflowError:  # an int beyond int64
+        pass
     raise ValueError(f"{name} entries must be integers in int64, "
                      f"got {values!r}")
 
@@ -181,6 +199,29 @@ def rcp_encode(info_bits, code: RcpCode):
 _TILE = 1 << 15
 
 
+def decode_workspace(code: RcpCode, rows: int, buffer=None):
+    """Views of the flat float64 workspace that decodes ``rows`` received
+    words of ``code``, laid out as the module docstring says: ``(buffer,
+    chan, llrs, tree)``, where ``chan`` and ``tree`` are (n0, rows) and
+    ``llrs`` (rows, n) lies over the same entries as ``tree``.  ``buffer``
+    None allocates exactly (n0 + max(n0, n)) * rows entries; a given
+    ``buffer`` must be a contiguous 1-D float64 array at least that long.
+    """
+    n0, n = code.n0, code.n
+    size = (n0 + max(n0, n)) * rows
+    if buffer is None:
+        buffer = np.empty(size)
+    elif not (isinstance(buffer, np.ndarray) and buffer.dtype == np.float64
+              and buffer.ndim == 1 and buffer.flags.c_contiguous
+              and buffer.size >= size):
+        raise ValueError(f"a workspace for {rows} words of this code is a "
+                         f"contiguous 1-D float64 array of >= {size} entries")
+    rest = buffer[n0 * rows:]
+    return (buffer, buffer[: n0 * rows].reshape(n0, rows),
+            rest[: n * rows].reshape(rows, n),
+            rest[: n0 * rows].reshape(n0, rows))
+
+
 def _repetition_sums(llrs, code: RcpCode):
     """Repeated input-bit indices (ascending) and their summed repetition
     LLRs, shape (len(indices), B).
@@ -252,7 +293,7 @@ def _schedule(code: RcpCode):
     return list(visits)
 
 
-def sc_decode(llrs, code: RcpCode, sent=None):
+def sc_decode(llrs, code: RcpCode, sent=None, *, workspace=None):
     """Successive-cancellation decode of one or many received LLR words.
 
     Parameters
@@ -265,6 +306,11 @@ def sc_decode(llrs, code: RcpCode, sent=None):
         The blocks sent.  If given, the decoder walks each word's true
         trajectory: it re-encodes every partial sum from ``sent`` instead of
         from a decision, makes no decision and adds no repetition LLRs.
+    workspace : 1-D float64 array, optional
+        A :func:`decode_workspace` buffer for B words of ``code``, which
+        then holds the channel level and the tree; ``llrs`` may be its LLR
+        view, overwritten by the tree.  Without it the decoder allocates
+        both levels itself.
 
     Returns
     -------
@@ -273,8 +319,8 @@ def sc_decode(llrs, code: RcpCode, sent=None):
     With ``sent``, the true-path leaf LLRs in its shape: the tree LLR at
     every information bit, in info-set order, before repetitions.
 
-    Raises ValueError on a length or shape mismatch, any NaN/infinite LLR
-    or a sent bit other than 0 or 1.
+    Raises ValueError on a length or shape mismatch, any NaN/infinite LLR,
+    a sent bit other than 0 or 1, or LLRs in the workspace's channel level.
     """
     batched = np.ndim(llrs) == 2
     llrs = np.atleast_2d(np.asarray(llrs, dtype=float))
@@ -292,18 +338,24 @@ def sc_decode(llrs, code: RcpCode, sent=None):
 
     # Words are columns: every node's LLRs are a contiguous (width, B) block.
     # Punctured positions are erasures: LLR exactly 0.
-    chan = np.zeros((n0, b))
+    if workspace is None:
+        chan, tree = np.zeros((n0, b)), np.empty((n0, b))
+    else:
+        _, chan, _, tree = decode_workspace(code, b, workspace)
+        if np.may_share_memory(llrs, chan):
+            raise ValueError("llrs overlap the workspace's channel level")
+        chan[code.puncture_set] = 0.0
     chan[code.transmitted_positions] = llrs[:, : code.m].T
     if sent is None:
         rep_index, rep_sums = _repetition_sums(llrs, code)
         rep_at = dict(zip(rep_index.tolist(), rep_sums))
         decision = np.empty(b)
 
-    # Level s (width 2^s) of the current path lives in rows [2^s, 2^(s+1))
-    # of one buffer; the channel word is level `depth`.  Level s is always
+    # Every LLR is read: from here on the tree may overwrite them.  Level s
+    # (width 2^s) of the current path lives in rows [2^s, 2^(s+1)) of
+    # `tree`; the channel word is level `depth`.  Level s is always
     # computed from the two halves of level s + 1; for an f-update they are
     # flattened to (2, 2^s B) and cut into tiles of at most _TILE columns.
-    tree = np.empty((n0, b))
     levels = [tree[1 << s: 2 << s] for s in range(depth)] + [chan]
     pair = np.empty(2 * min(_TILE, n0 // 2 * b))
     f_tiles = [[(levels[s + 1].reshape(2, -1)[:, c:c + _TILE],
@@ -361,7 +413,8 @@ def sc_decode(llrs, code: RcpCode, sent=None):
     return out if batched else out[0]
 
 
-def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
+def round_failures(llrs, code: RcpCode, lengths, bits, *,
+                   workspace=None) -> np.ndarray:
     """Which rounds of a nested family decode each row of a (B, n) LLR
     batch wrongly: the (B, T) bool matrix ``any(sc_decode(llrs[:, :n],
     code.prefix(n)) != bits, axis=1)`` for n in ``lengths``, a strictly
@@ -371,7 +424,9 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
     module docstring), which one walk of the last round's tree following
     ``bits`` gives: round t decides each bit on its leaf plus the round's
     repetition sum, as :func:`sc_decode` does, and fails where a decision
-    differs from ``bits``.  A single round is one plain decode.
+    differs from ``bits``.  A single round is one plain decode.  Every
+    round's sums are taken before the walk, which ``workspace`` (see
+    :func:`sc_decode`) lets overwrite the LLRs.
     """
     lengths = _indices(lengths, "lengths").tolist()
     if not (lengths and code.m <= lengths[0] and lengths[-1] <= code.n
@@ -381,15 +436,17 @@ def round_failures(llrs, code: RcpCode, lengths, bits) -> np.ndarray:
     llrs = np.asarray(llrs, dtype=float)[:, : lengths[-1]]
     last = code.prefix(lengths[-1])
     if len(lengths) == 1:
-        return (sc_decode(llrs, last) != bits).any(axis=1)[:, None]
+        decided = sc_decode(llrs, last, workspace=workspace)
+        return (decided != bits).any(axis=1)[:, None]
+    sums = [_repetition_sums(llrs, code.prefix(n)) for n in lengths]
     # Bits by rows, words by columns, as the decoder holds its leaves.
-    leaf, bits = sc_decode(llrs, last, sent=bits).T, bits.T.copy()
+    leaf = sc_decode(llrs, last, sent=bits, workspace=workspace).T
+    bits = bits.T.copy()
     fails = np.empty((len(llrs), len(lengths)), dtype=bool)
-    for t, n in enumerate(lengths):
-        index, sums = _repetition_sums(llrs, code.prefix(n))
+    for t, (index, round_sums) in enumerate(sums):
         cols = np.searchsorted(code.info_set, index)
         decisions = leaf < 0
-        decisions[cols] = (leaf[cols] + sums) < 0
+        decisions[cols] = (leaf[cols] + round_sums) < 0
         fails[:, t] = (decisions != bits).any(axis=0)
     return fails
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import (ChannelParams, channel_llr_distribution, transmit,
                       trial_draws)
-from .codec import _is_int, rcp_encode, round_failures
+from .codec import _is_int, decode_workspace, rcp_encode, round_failures
 from .construct import construct_rcp
 from .design import HarqScheme, bler_curve_from_plan, throughput_estimate
 
@@ -81,29 +81,35 @@ def _merge(dst: dict, src: dict) -> None:
 
 
 def _chunk_counts(code, lengths, params: ChannelParams, base_seed: int,
-                  lo: int, hi: int, channel_fn=None) -> dict:
+                  lo: int, hi: int, channel_fn=None, *,
+                  workspace=None) -> dict:
     """Simulate trials [lo, hi) with batched decoding: each trial sends
     ``code``'s word and is decoded with the first ``lengths[t]`` bits.
 
     :func:`trial_draws` gives every trial's block and noise, keyed by
     ``(base_seed, i)``; ``channel_fn(words, params, np.arange(lo, hi))``,
     if given, replaces the AWGN step (see :func:`run_campaign`), and then
-    no noise is drawn.
+    no noise is drawn.  The noise is drawn into the LLR view of
+    ``workspace``, a :func:`decode_workspace` buffer for at least hi - lo
+    words of ``code`` (None makes one), turned into LLRs there, and
+    decoded in the same buffer.
     """
-    bits, noise = trial_draws(base_seed, lo, hi, code.k,
-                              code.n if channel_fn is None else 0)
+    workspace, _, llr, _ = decode_workspace(code, hi - lo, workspace)
+    n = code.n if channel_fn is None else 0
+    bits, noise = trial_draws(base_seed, lo, hi, code.k, n, out=llr[:, :n])
     # One layout for the channel arithmetic: rcp_encode gives a transposed
     # view, the noise is row-major.
     tx = np.ascontiguousarray(rcp_encode(bits, code))
     if channel_fn is None:
-        llr = transmit(tx, noise, params)
-        del noise  # the decode needs the LLRs alone
+        transmit(tx, noise, params, out=noise)
     else:
         llr = np.asarray(channel_fn(tx, params, np.arange(lo, hi)), float)
         if llr.shape != tx.shape or not np.isfinite(llr).all():
             raise ValueError(f"channel_fn gave shape {llr.shape} or a non-"
                              f"finite LLR, expected {tx.shape} finite LLRs")
-    return _fail_counts(round_failures(llr, code, lengths, bits))
+    del tx  # the decode needs the LLRs and the blocks alone
+    return _fail_counts(round_failures(llr, code, lengths, bits,
+                                       workspace=workspace))
 
 
 def _chunk_rows(code) -> int:
@@ -111,29 +117,46 @@ def _chunk_rows(code) -> int:
     return max(32, min(2000, 1_500_000 // max(code.n0, code.n)))
 
 
+# A worker process's workspace, made once by the pool's initializer.
+_worker_workspace = None
+
+
+def _start_worker(code, rows):
+    global _worker_workspace
+    _worker_workspace = decode_workspace(code, rows)[0]
+
+
+def _worker_chunk(*job):
+    return _chunk_counts(*job, workspace=_worker_workspace)
+
+
 def _run_chunks(code, lengths, params: ChannelParams, trials: int,
                 base_seed: int, threads: int, channel_fn=None) -> dict:
     """Counts of trials [0, trials) in chunks of :func:`_chunk_rows` rows,
     made one by one, over min(threads, chunks, usable cores) processes
-    with at most two chunks per process in flight."""
+    with at most two chunks per process in flight.  Each process decodes
+    all its chunks in one workspace, allocated once."""
     for name, value in (("trials", trials), ("threads", threads)):
         if not (_is_int(value) and value >= 1):
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     chunk = _chunk_rows(code)
+    rows = min(chunk, trials)
     jobs = ((code, lengths, params, base_seed, lo, min(lo + chunk, trials),
              channel_fn) for lo in range(0, trials, chunk))
     counts = _empty_counts(len(lengths))
     workers = min(threads, -(-trials // chunk), len(os.sched_getaffinity(0)))
     if workers < 2:
+        workspace = decode_workspace(code, rows)[0]
         for job in jobs:
-            _merge(counts, _chunk_counts(*job))
+            _merge(counts, _chunk_counts(*job, workspace=workspace))
         return counts
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                             initargs=(code, rows)) as pool:
         pending = deque()
         for job in jobs:
             if len(pending) == 2 * workers:
                 _merge(counts, pending.popleft().result())
-            pending.append(pool.submit(_chunk_counts, *job))
+            pending.append(pool.submit(_worker_chunk, *job))
         for fut in pending:
             _merge(counts, fut.result())
     return counts

@@ -187,3 +187,23 @@ def test_stream_keys_outside_64_bits_are_rejected():
             trial_draws(base, lo, hi, 8, 8)
     bits, _ = trial_draws(0, 2 ** 64 - 2, 2 ** 64, 8, 8)
     assert bits.shape == (2, 8)
+
+
+def test_draws_and_transmit_in_place_give_the_same_bytes():
+    # Noise drawn into a given array, then turned into LLRs in that same
+    # array, equals the allocating path byte for byte.
+    params = ChannelParams(snr_db=-20.0)
+    words = (np.arange(7 * 30).reshape(7, 30) % 3 == 0).astype(np.int8)
+    bits, noise = trial_draws(5, 100, 107, 12, 30)
+    want = transmit(words, noise, params)
+    out = np.full((7, 30), np.nan)
+    bits_out, drawn = trial_draws(5, 100, 107, 12, 30, out=out)
+    assert drawn is out and np.array_equal(bits_out, bits)
+    assert out.tobytes() == noise.tobytes()
+    llr = transmit(words, out, params, out=out)
+    assert llr is out and llr.tobytes() == want.tobytes()
+    for bad in (np.empty((7, 29)), np.empty((7, 30), np.float32), [[0.0]]):
+        with pytest.raises(ValueError, match="out"):
+            trial_draws(5, 100, 107, 12, 30, out=bad)
+        with pytest.raises(ValueError, match="out"):
+            transmit(words, noise, params, out=bad)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rcpolar.cli
 import rcpolar.construct
 import rcpolar.simulate
 from rcpolar.channel import ChannelParams, channel_llr_distribution
@@ -633,3 +634,36 @@ def _fuzz_exit_code(command, name, value):
         if rc == 2:
             assert not out.exists()
     return rc
+
+
+class _Unwritable:
+    def __repr__(self):
+        raise RuntimeError("serializer failed")
+
+
+def test_output_writes_replace_the_file_whole_or_not_at_all(tmp_path,
+                                                            monkeypatch):
+    # A write that fails partway leaves the earlier file as it was and no
+    # temporary file; a write that succeeds is renamed into place from the
+    # same directory.
+    write_json, write_csv = rcpolar.cli._write_json, rcpolar.cli._write_csv
+    renames = []
+    replace = rcpolar.cli.os.replace
+    monkeypatch.setattr(rcpolar.cli.os, "replace",
+                        lambda src, dst: renames.append((src, dst))
+                        or replace(src, dst))
+    doc, table = tmp_path / "report.json", tmp_path / "bler.csv"
+    write_json(doc, {"a": [1, 2.5]})
+    write_csv(table, "bler", {"seed": 1}, ("n", "bler"), [(8, 0.5)])
+    before = {p: p.read_bytes() for p in (doc, table)}
+    assert [(Path(src).parent, dst) for src, dst in renames] == [
+        (tmp_path, doc), (tmp_path, table)]
+    with pytest.raises(TypeError):  # json meets the object after "a"
+        write_json(doc, {"a": list(range(1000)), "z": object()})
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        write_csv(table, "bler", {"seed": 1}, ("n", "bler"),
+                  [(8, 0.25), (9, _Unwritable())])
+    assert {p: p.read_bytes() for p in (doc, table)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [table.name,
+                                                         doc.name]
+    assert len(renames) == 2

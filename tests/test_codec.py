@@ -542,3 +542,70 @@ def test_constructors_take_integers_of_any_type(cast, as_array, empty):
     assert code_to_dict(code) == code_to_dict(want)
     for idx in (code.info_set, code.puncture_set, code.rep_vector):
         assert idx.dtype == np.int64
+
+
+def test_indices_convert_ranges_and_integer_arrays_directly(monkeypatch):
+    # A range, or an ndarray of integer dtype, gives the array the entry by
+    # entry walk gives its list, and never takes that walk.
+    ranges = (range(0), range(4, 2 ** 12 + 1), range(10, -7, -3),
+              range(2 ** 63 - 3, 2 ** 63), range(-2 ** 63, -2 ** 63 + 2))
+    arrays = (np.arange(5, dtype=np.uint8), np.array([-3, 7], np.int32),
+              np.array([2 ** 63 - 1], dtype=np.uint64))
+    want = [rcpolar.codec._indices(list(v), "v") for v in ranges + arrays]
+    walked = []
+    is_int = rcpolar.codec._is_int
+    monkeypatch.setattr(rcpolar.codec, "_is_int",
+                        lambda v: walked.append(v) or is_int(v))
+    for values, expected in zip(ranges + arrays, want):
+        got = rcpolar.codec._indices(values, "v")
+        assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert walked == []
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2], [np.float64(3.0)], [True], [1, True], [0, 1, False, 3],
+    np.array([True, False]), np.array([1.5]), [2 ** 63], [-2 ** 63 - 1],
+    range(2 ** 63 - 1, 2 ** 63 + 1), range(-2 ** 63 - 1, -2 ** 63 + 1),
+    range(2 ** 64), np.array([2 ** 63], dtype=np.uint64)])
+def test_indices_reject_floats_bools_and_ints_beyond_int64(values):
+    with pytest.raises(ValueError, match="integers in int64"):
+        rcpolar.codec._indices(values, "v")
+
+
+def test_decoding_in_a_workspace_gives_the_same_bytes():
+    # LLRs in the workspace's tree half, a last chunk shorter than the
+    # buffer, and a buffer left dirty by a decode of other words: decisions
+    # and true-path leaves equal those of a decode that allocates.
+    code = RcpCode(n0=16, info_set=[4, 6, 7, 10, 11, 12, 13, 14, 15],
+                   puncture_set=[2, 5], rep_vector=[7, 10, 4, 7, 15, 12, 6])
+    rng = np.random.default_rng(21)
+    buffer = rcpolar.codec.decode_workspace(code, 40)[0]
+    assert buffer.size == (code.n0 + max(code.n0, code.n)) * 40
+    for rows in (40, 40, 13):
+        llr = rng.normal(0.5, 1.5, size=(rows, code.n))
+        llr[:, 0] = 0.0
+        bits = rng.integers(0, 2, size=(rows, code.k), dtype=np.int8)
+        want = sc_decode(llr, code), sc_decode(llr, code, sent=bits)
+        for sent, expected in zip((None, bits), want):
+            _, _, view, _ = rcpolar.codec.decode_workspace(code, rows, buffer)
+            view[:] = llr
+            got = sc_decode(view, code, sent=sent, workspace=buffer)
+            assert got.tobytes() == expected.tobytes()
+        fails = rcpolar.codec.round_failures(llr, code, (15, 18, 21), bits)
+        view[:] = llr
+        assert np.array_equal(fails, rcpolar.codec.round_failures(
+            view, code, (15, 18, 21), bits, workspace=buffer))
+
+
+def test_workspace_rejects_short_buffers_and_llrs_in_its_channel_level():
+    code = RcpCode(n0=8, info_set=[3, 5, 6, 7], puncture_set=[1],
+                   rep_vector=[5, 6, 5])
+    buffer, chan, llrs, tree = rcpolar.codec.decode_workspace(code, 4)
+    assert (chan.shape, llrs.shape, tree.shape) == ((8, 4), (4, 10), (8, 4))
+    assert np.shares_memory(llrs, tree) and not np.shares_memory(llrs, chan)
+    for bad in (buffer[:-1], buffer.astype(np.float32), buffer[::2],
+                buffer.reshape(2, -1), list(buffer)):
+        with pytest.raises(ValueError, match="workspace"):
+            rcpolar.codec.decode_workspace(code, 4, bad)
+    with pytest.raises(ValueError, match="channel level"):
+        sc_decode(buffer[:40].reshape(4, 10), code, workspace=buffer)

@@ -152,9 +152,9 @@ def _counting_calls(monkeypatch):
     and whether it followed the blocks sent."""
     decodes = []
 
-    def counting_decode(llrs, c, sent=None):
+    def counting_decode(llrs, c, sent=None, **kwargs):
         decodes.append((np.shape(llrs)[0], sent is not None))
-        return sc_decode(llrs, c, sent=sent)
+        return sc_decode(llrs, c, sent=sent, **kwargs)
 
     monkeypatch.setattr(rcpolar.codec, "sc_decode", counting_decode)
     return decodes

@@ -240,9 +240,9 @@ class _RecordingPool(ProcessPoolExecutor):
 
     workers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         self.workers.append(max_workers)
-        super().__init__(max_workers=max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
 
 
 def _usable_cores(monkeypatch, cores):
@@ -276,7 +276,7 @@ class _InlinePool:
 
     workers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         self.workers.append(max_workers)
 
     def __enter__(self):
@@ -318,7 +318,7 @@ class _DeferredPool(_InlinePool):
 
     most_waiting = 0
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         super().__init__(max_workers)
         self.waiting = 0
 
@@ -343,7 +343,8 @@ def test_run_chunks_lists_no_chunk_ahead(monkeypatch):
     # 2^40 trials are 2^29 chunks, whose ranges or futures would not fit
     # in memory.  A run must reach its chunks one by one, in process and
     # through a pool holding at most two chunks per worker.
-    def few_chunks(code, lengths, params, base_seed, lo, hi, channel_fn):
+    def few_chunks(code, lengths, params, base_seed, lo, hi, channel_fn,
+                   **kwargs):
         if lo == 10 * rows:
             raise _StopRun(lo, hi)
         counts = _empty_counts(len(lengths))
@@ -557,9 +558,9 @@ def test_campaign_decodes_each_row_about_once(monkeypatch):
     calls = []
     original = codec.sc_decode
 
-    def counting(llrs, code, sent=None):
+    def counting(llrs, code, sent=None, **kwargs):
         calls.append((np.shape(llrs)[0], sent is not None))
-        return original(llrs, code, sent=sent)
+        return original(llrs, code, sent=sent, **kwargs)
 
     monkeypatch.setattr(codec, "sc_decode", counting)
     scheme = HarqScheme(k=1024, m=1408, lengths=(1408, 1447, 1515, 1783),
@@ -577,10 +578,10 @@ def test_chunks_are_sized_by_the_transmitted_length(monkeypatch):
     seen = []
     original = simulate.trial_draws
 
-    def recording(base_seed, lo, hi, k, n):
+    def recording(base_seed, lo, hi, k, n, **kwargs):
         assert (hi - lo) * n <= max(32 * n, 1_500_000), (lo, hi, n)
         seen.append((lo, hi))
-        return original(base_seed, lo, hi, k, n)
+        return original(base_seed, lo, hi, k, n, **kwargs)
 
     monkeypatch.setattr(simulate, "trial_draws", recording)
     code = RcpCode(n0=64, info_set=np.arange(64),
@@ -592,25 +593,88 @@ def test_chunks_are_sized_by_the_transmitted_length(monkeypatch):
 
 
 def test_chunk_counts_frees_the_noise_before_decoding(monkeypatch):
-    # While a chunk decodes it holds its LLRs, words and blocks, not the
-    # (B, n) float64 noise the LLRs were made from.
-    held = []
-    original = simulate.round_failures
+    # The noise is drawn into the run's workspace and turned into LLRs
+    # there, and the decoder's tree overwrites them.  So while a chunk
+    # decodes, traced memory beyond the workspace is at most the int8
+    # partial sums, the true-path leaves, one check-node tile, the blocks
+    # (as drawn and transposed), every round's repetition sums and 128 KiB
+    # (numpy's 64 KiB cast buffer in a g-update, the visit schedule).  A
+    # (B, n) float64 copy of the LLRs, 1.1 MiB here, held through the
+    # decode exceeds it.
+    peaks = []
+    original = codec.sc_decode
 
-    def measuring(llrs, code, lengths, bits):
-        # Beyond the LLRs and the blocks, the int8 words: a byte per LLR.
-        held.append(tracemalloc.get_traced_memory()[0] - before
-                    - llrs.nbytes - bits.nbytes - llrs.size)
-        return original(llrs, code, lengths, bits)
+    def measuring(llrs, code, sent=None, **kwargs):
+        tracemalloc.reset_peak()
+        out = original(llrs, code, sent=sent, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
 
-    monkeypatch.setattr(simulate, "round_failures", measuring)
+    monkeypatch.setattr(codec, "sc_decode", measuring)
     params = ChannelParams(snr_db=-1.0)
     code, _, _ = construct_rcp(288, 128, 256,
                                channel_llr_distribution(params))
+    lengths, b = (256, 272, 288), 512
+    sums = sum(np.unique(code.rep_vector[: n - code.m]).size for n in lengths)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _chunk_counts(code, (code.n,), params, 5, 0, 512)
+        _run_chunks(code, lengths, params, b, 5, threads=1)
     finally:
         tracemalloc.stop()
-    assert len(held) == 1 and held[0] < 64 << 10, held
+    workspace = (code.n0 + max(code.n0, code.n)) * b * 8
+    budget = (code.n0 * b + code.k * b * 8 + 2 * codec._TILE * 8
+              + 2 * code.k * b + sums * b * 8 + (128 << 10))
+    assert len(peaks) == 1 and peaks[0] - workspace <= budget, (
+        peaks, workspace, budget)
+
+
+def test_serial_run_allocates_its_workspace_once(monkeypatch):
+    # Three chunks, the last one short, are drawn, transmitted and decoded
+    # in one buffer, made once for the run and sized for a full chunk.
+    made, used = [], []
+    make, decode = simulate.decode_workspace, codec.sc_decode
+
+    def making(code, rows, buffer=None):
+        views = make(code, rows, buffer)
+        if buffer is None:
+            made.append(views[0])
+        return views
+
+    def decoding(llrs, code, sent=None, **kwargs):
+        used.append((kwargs["workspace"], llrs))
+        return decode(llrs, code, sent=sent, **kwargs)
+
+    monkeypatch.setattr(simulate, "decode_workspace", making)
+    monkeypatch.setattr(codec, "sc_decode", decoding)
+    scheme = _small_scheme()
+    code, params = _family(scheme, snr_db=-1.0)
+    rows = simulate._chunk_rows(code)
+    counts = _run_chunks(code, scheme.lengths, params, 2 * rows + 37, 8,
+                         threads=1)
+    assert counts["trials"] == 2 * rows + 37
+    (buffer,) = made
+    assert buffer.size == (code.n0 + max(code.n0, code.n)) * rows
+    assert len(used) == 3
+    for workspace, llrs in used:
+        assert workspace is buffer and np.shares_memory(llrs, buffer)
+
+
+def test_worker_workspaces_give_the_serial_counts(monkeypatch):
+    # A punctured code whose first round sends fewer bits than n0, in
+    # three chunks, the last one short: two worker processes, each
+    # decoding in a workspace of its own, count what one process does.
+    _usable_cores(monkeypatch, 2)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", _RecordingPool)
+    params = ChannelParams(snr_db=0.0)
+    code, _, _ = construct_rcp(24, 8, 12, channel_llr_distribution(params))
+    lengths = (12, 18, 24)
+    assert code.puncture_set.size and lengths[0] < code.n0
+    trials = 2 * simulate._chunk_rows(code) + 37
+    one = _run_chunks(code, lengths, params, trials, 9, threads=1)
+    two = _run_chunks(code, lengths, params, trials, 9, threads=2)
+    assert _RecordingPool.workers == [2]
+    assert one["trials"] == trials
+    for key in one:
+        assert np.array_equal(one[key], two[key]), key

@@ -6,24 +6,33 @@ Usage, with the parent commit and the change checked out side by side in
 worktree):
 
     python3 change/tools/bench_pairs.py --parent parent --change change \\
-        --workload bler-short --pairs 10 --first-seed 1901 \\
-        --out change/BENCH_19.json
+        [--control contrl] --workload bler-short --pairs 10 \\
+        --first-seed 1901 --out change/BENCH_19.json
 
 Pair i runs ``perfbench/run.py --workload W --seed S_i --trace T`` once
 in each checkout, for the run length that ``perfbench/run.py`` sets, each
 with its own ``perfbench/`` and ``src/``; the parent goes first in even
-pairs and the change in odd ones.
-Each run's last two output lines, the run record (with its environment
-block) and the result, are kept as printed.  The file also records, once,
-the numpy and scipy versions and the CPU features numpy dispatches to,
-which the pinned outputs depend on; both checkouts run on this
-interpreter.  With them it records both checkouts' absolute paths, and
-it refuses paths of different lengths: ``BENCH_23.json``'s ``bler-short``
-+4.3% followed where the checkouts lay, not the code.  Runs of further
-workloads are appended to the same file (on the same versions, features
-and paths only), and its summary is made again from all runs: per
-workload, trace mode and metric, each side's median and quartiles and the
-pairs in which the change reads lower.
+pairs and the change in odd ones (with a control, see below, the sides
+rotate).  Each run's last two output lines, the run record (with its
+environment block) and the result, are kept as printed.  The file also
+records, once, the numpy and scipy versions and the CPU features numpy
+dispatches to, which the pinned outputs depend on; every checkout runs on
+this interpreter.  With them it records every checkout's absolute path,
+and it refuses paths of different lengths (hence ``contrl`` above):
+``BENCH_23.json``'s ``bler-short`` +4.3% followed where the checkouts lay,
+not the code.  Runs of further workloads are appended to the same file
+(on the same versions, features and paths only), and its summary is made
+again from all runs: per workload, trace mode and metric, each side's
+median and quartiles and the pairs in which the change reads lower.
+
+An optional third checkout, ``--control``, is the parent plus an edit that
+moves code but not what it does (for example a padded docstring in every
+module).  It runs in the same pairs, and the sides rotate: pair i
+starts with side i mod 3 of parent, change, control.  For each metric the
+summary then also gives each side's shift, its median over the parent's
+minus one, and its spread, its interquartile range over its median, and
+the pairs in which the control reads lower.  The control's shift is layout
+noise: a change counts as a gain only where its shift exceeds it.
 """
 
 import argparse
@@ -32,6 +41,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SIDES = ("parent", "change", "control")
 
 
 def run_once(checkout, workload, seed, trace):
@@ -68,10 +79,18 @@ def summarise(runs):
                 if len(values) > 1 else [*values.values()] * 3
             row[side] = {"median": median, "q1": q1, "q3": q3,
                          "runs": len(values)}
-        pairs = set(sides.get("parent", {})) & set(sides.get("change", {}))
-        row["change_lower_in_pairs"] = [
-            sum(sides["change"][p] < sides["parent"][p] for p in pairs),
-            len(pairs)]
+        for side in ("change", "control"):
+            if side not in sides or "parent" not in sides:
+                continue
+            pairs = set(sides["parent"]) & set(sides[side])
+            row[f"{side}_lower_in_pairs"] = [
+                sum(sides[side][p] < sides["parent"][p] for p in pairs),
+                len(pairs)]
+        if "control" in sides and all(row[side]["median"] for side in SIDES):
+            for side in SIDES:
+                stats = row[side]
+                stats["shift"] = stats["median"] / row["parent"]["median"] - 1
+                stats["spread"] = (stats["q3"] - stats["q1"]) / stats["median"]
         summary.append(row)
     return summary
 
@@ -80,6 +99,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
+    parser.add_argument("--control")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
@@ -88,9 +108,10 @@ def main():
     args = parser.parse_args()
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"runs": []}
+    sides = [side for side in SIDES if getattr(args, side)]
     checkouts = {side: str(Path(getattr(args, side)).resolve())
-                 for side in ("parent", "change")}
-    if len(checkouts["parent"]) != len(checkouts["change"]):
+                 for side in sides}
+    if len(set(map(len, checkouts.values()))) > 1:
         raise SystemExit(f"error: checkout paths of different lengths: "
                          f"{checkouts}")
     env = {**numeric_environment(), "checkouts": checkouts}
@@ -102,8 +123,8 @@ def main():
                                                     args.trace)), default=0)
     for pair in range(start, start + args.pairs):
         seed = args.first_seed + pair - start
-        sides = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-        for side in sides:
+        first = pair % len(sides)
+        for side in sides[first:] + sides[:first]:
             record, result = run_once(getattr(args, side), args.workload,
                                       seed, args.trace)
             doc["runs"].append({"workload": args.workload,
